@@ -2,8 +2,9 @@
 // synthetic workload (the §5.7 long-tail property, spread over enough
 // sub-streams to be parallelisable) through the StreamApprox facade at
 // 1/2/4/8 workers, replayed through the Kafka-like broker in saturation
-// mode. Workers split the topic's partitions, sample their sub-streams with
-// local per-slide OASRS samplers, and a merger closes slides by
+// mode. The exchange re-keys partition batches by stratum hash onto the
+// workers, which sample their sub-streams with local per-slide OASRS
+// samplers, and a merger closes slides by
 // OasrsSampler::merge() behind the global low-watermark — so throughput
 // should track the worker count while every window's estimator inputs stay
 // equivalent to the sequential path's.
@@ -48,8 +49,8 @@ struct Run {
   core::ShardedRunStats stats;
 };
 
-/// One run as a BENCH_*.json trajectory entry (shared with fig_steal_skew's
-/// schema so scripts/check_bench_json.py validates both the same way).
+/// One run as a BENCH_*.json trajectory entry (the envelope
+/// scripts/check_bench_json.py validates).
 bench::Json run_json(const std::string& mode, std::size_t workers,
                      const Run& run) {
   auto entry = bench::Json::object();
@@ -65,8 +66,7 @@ bench::Json run_json(const std::string& mode, std::size_t workers,
   entry.set("injector_pops", run.stats.injector_pops);
   entry.set("batches_absorbed", run.stats.batches_absorbed);
   entry.set("records_absorbed", run.stats.records_absorbed);
-  // Exchange routing-kernel accounting (0 in group mode; the bulk-only
-  // fields also 0 when routed record-at-a-time).
+  // Exchange routing-kernel accounting.
   auto exchange_kernel = bench::Json::object();
   exchange_kernel.set("rounds", run.stats.exchange_rounds);
   exchange_kernel.set("records_routed", run.stats.exchange_records_routed);
@@ -97,8 +97,7 @@ bench::Json run_json(const std::string& mode, std::size_t workers,
 
 Run run_with_workers(const std::vector<engine::Record>& records,
                      std::size_t workers, std::size_t partitions,
-                     bool use_exchange, std::size_t query_count = 1,
-                     bool bulk_routing = true) {
+                     std::size_t query_count = 1) {
   ingest::Broker broker;
   broker.create_topic("scaling", partitions);
   // Pre-load the topic so the measurement covers the processing pipeline,
@@ -114,8 +113,6 @@ Run run_with_workers(const std::vector<engine::Record>& records,
   config.budget = estimation::QueryBudget::fraction(0.4);
   config.window = {2'000'000, 1'000'000};
   config.workers = workers;
-  config.use_exchange = use_exchange;
-  config.bulk_exchange_routing = bulk_routing;
   config.ingest_cost = {ingest_rounds()};
   config.seed = 1234;
   // One or more registered queries over the SAME sampled stream: the
@@ -201,8 +198,7 @@ int main() {
               {"Workers", "Throughput", "Wall s", "Windows", "Speedup"});
   double base = 0.0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const auto run = run_with_workers(records, workers, 8,
-                                      /*use_exchange=*/true);
+    const auto run = run_with_workers(records, workers, 8);
     if (workers == 1) base = run.throughput;
     std::vector<std::string> row = {
         std::to_string(workers), bench::format_throughput(run.throughput),
@@ -213,62 +209,22 @@ int main() {
   }
   table.print();
 
-  // The decoupling the exchange buys: a 2-partition topic (which caps the
-  // consumer-group mode at 2 workers) still scales to 8 workers when the
-  // exchange re-keys batches by stratum hash.
-  Table decoupled("Worker/partition decoupling (2 partitions)",
-                  {"Workers", "Mode", "Throughput", "Speedup"});
-  double group_base = 0.0;
+  // The decoupling the exchange buys: a 2-partition topic still scales to
+  // 8 workers, because the exchange re-keys batches by stratum hash.
+  Table decoupled("Worker/partition decoupling (2 partitions, exchange)",
+                  {"Workers", "Throughput", "Speedup"});
+  double two_worker_base = 0.0;
   for (const std::size_t workers : {2u, 8u}) {
-    const auto grouped = run_with_workers(records, workers, 2,
-                                          /*use_exchange=*/false);
-    if (workers == 2) group_base = grouped.throughput;
-    decoupled.add_row({std::to_string(workers), "group",
-                       bench::format_throughput(grouped.throughput),
-                       Table::num(group_base > 0.0
-                                      ? grouped.throughput / group_base
-                                      : 0.0) +
-                           "x"});
-    runs_json.push(run_json("group", workers, grouped));
-    const auto exchanged = run_with_workers(records, workers, 2,
-                                            /*use_exchange=*/true);
-    decoupled.add_row({std::to_string(workers), "exchange",
-                       bench::format_throughput(exchanged.throughput),
-                       Table::num(group_base > 0.0
-                                      ? exchanged.throughput / group_base
-                                      : 0.0) +
-                           "x"});
-    runs_json.push(run_json("exchange-2p", workers, exchanged));
+    const auto run = run_with_workers(records, workers, 2);
+    if (workers == 2) two_worker_base = run.throughput;
+    decoupled.add_row(
+        {std::to_string(workers), bench::format_throughput(run.throughput),
+         Table::num(two_worker_base > 0.0 ? run.throughput / two_worker_base
+                                          : 0.0) +
+             "x"});
+    runs_json.push(run_json("exchange-2p", workers, run));
   }
   decoupled.print();
-
-  // End-to-end effect of the exchange's two-pass bulk routing kernel: the
-  // same pipeline with routing forced back to the record-at-a-time loop.
-  // The isolated kernel gap is micro_exchange's job; here it is diluted by
-  // sampling, windowing and the ingest cost model, so the interesting
-  // number is how much of it survives at the pipeline level.
-  Table routing("Exchange routing kernel, end to end (8 partitions)",
-                {"Workers", "Routing", "Throughput", "Bulk speedup"});
-  for (const std::size_t workers : {1u, 4u}) {
-    const auto bulk = run_with_workers(records, workers, 8,
-                                       /*use_exchange=*/true);
-    const auto scalar = run_with_workers(records, workers, 8,
-                                         /*use_exchange=*/true,
-                                         /*query_count=*/1,
-                                         /*bulk_routing=*/false);
-    routing.add_row({std::to_string(workers), "per-record",
-                     bench::format_throughput(scalar.throughput), "1.00x"});
-    routing.add_row(
-        {std::to_string(workers), "bulk",
-         bench::format_throughput(bulk.throughput),
-         Table::num(scalar.throughput > 0.0
-                        ? bulk.throughput / scalar.throughput
-                        : 0.0) +
-             "x"});
-    runs_json.push(run_json("exchange-bulk-route", workers, bulk));
-    runs_json.push(run_json("exchange-scalar-route", workers, scalar));
-  }
-  routing.print();
 
   // The economics of the query registry: registering more queries reuses
   // the ONE ingested/exchanged/sampled/windowed stream, so N queries cost
@@ -279,8 +235,7 @@ int main() {
                 "vs 1 query", "vs N pipelines"});
   double single_wall = 0.0;
   for (const std::size_t queries : {1u, 2u, 4u, 8u}) {
-    const auto run = run_with_workers(records, 4, 8,
-                                      /*use_exchange=*/true, queries);
+    const auto run = run_with_workers(records, 4, 8, queries);
     runs_json.push(run_json("fanout-" + std::to_string(queries), 4, run));
     if (queries == 1) single_wall = run.wall_seconds;
     const double n_pipelines =
@@ -310,8 +265,8 @@ int main() {
   bench::paper_shape(
       "Fig 6(a) shape: near-linear throughput growth with cores while the "
       "merged estimates stay within the sequential path's error bounds; the "
-      "exchange rows keep growing past the partition count where the group "
-      "rows plateau. The fan-out table shows N registered queries riding one "
-      "sampled stream at a fraction of N separate pipelines' cost.");
+      "2-partition rows keep growing past the partition count. The fan-out "
+      "table shows N registered queries riding one sampled stream at a "
+      "fraction of N separate pipelines' cost.");
   return 0;
 }

@@ -1,18 +1,16 @@
-// Exchange routing-kernel ablation: the two-pass bulk kernel (pass 1
-// route/histogram per same-stratum run, pass 2 reserve-once + scatter)
-// against the record-at-a-time baseline, isolated from sampling and
-// windowing — a preloaded sealed topic on one side, a drain-and-recycle
-// thread on the other, so the measured wall time is the exchange thread's
-// routing loop. The ablation axes are the ones that change the run-length
-// structure the bulk kernel exploits: stratum-arrival regime (uniform
-// random / Zipf-skewed / stratum-sorted), stratum count (8–1024), and
-// channel fan-out (1–8).
+// Exchange routing-kernel microbenchmark: the two-pass bulk kernel (pass 1
+// route/histogram per same-stratum run, pass 2 reserve-once + scatter),
+// isolated from sampling and windowing — a preloaded sealed topic on one
+// side and rings sized to hold the whole routed stream on the other, so the
+// measured wall time is the exchange thread's routing loop. The axes are the
+// ones that change the run-length structure the kernel exploits:
+// stratum-arrival regime (uniform random / Zipf-skewed / stratum-sorted),
+// stratum count (8–1024), and channel fan-out (1–8).
 //
 // Writes BENCH_micro_exchange.json (schema-gated by
-// scripts/check_bench_json.py): one run per (kernel, regime, strata,
-// channels) cell with records/s and the kernel's own cost accounting
-// (rounds, runs walked, table probes, scatter reserves). Scale the workload
-// with SA_BENCH_SCALE.
+// scripts/check_bench_json.py): one run per (regime, strata, channels) cell
+// with records/s and the kernel's own cost accounting (rounds, runs walked,
+// table probes, scatter reserves). Scale the workload with SA_BENCH_SCALE.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -69,7 +67,7 @@ struct Measured {
 /// small/single-core containers, where a concurrent drainer would time-slice
 /// against the exchange). Draining happens after the stopwatch.
 Measured measure_once(const std::vector<engine::Record>& records,
-                      std::size_t channels, bool bulk) {
+                      std::size_t channels) {
   ingest::Broker broker;
   broker.create_topic("micro", kPartitions);
   {
@@ -86,7 +84,6 @@ Measured measure_once(const std::vector<engine::Record>& records,
   // partition (rounds <= ceil(records / batch_size)).
   config.ring_capacity =
       2 * (records.size() / config.batch_size + 2) + 8;
-  config.bulk_routing = bulk;
   ingest::Exchange exchange(broker, "micro", config);
 
   Stopwatch watch;
@@ -117,10 +114,10 @@ Measured measure_once(const std::vector<engine::Record>& records,
 /// Best of kPasses (microbenchmark convention: the minimum wall time is the
 /// least-noisy estimate of the kernel's cost).
 Measured measure(const std::vector<engine::Record>& records,
-                 std::size_t channels, bool bulk) {
+                 std::size_t channels) {
   Measured best;
   for (int pass = 0; pass < kPasses; ++pass) {
-    auto measured = measure_once(records, channels, bulk);
+    auto measured = measure_once(records, channels);
     if (pass == 0 || measured.wall_seconds < best.wall_seconds) {
       best = measured;
     }
@@ -128,15 +125,15 @@ Measured measure(const std::vector<engine::Record>& records,
   return best;
 }
 
-bench::Json run_json(const std::string& kernel, const std::string& regime,
-                     std::uint64_t strata, std::size_t channels,
-                     std::size_t records, const Measured& measured) {
+bench::Json run_json(const std::string& regime, std::uint64_t strata,
+                     std::size_t channels, std::size_t records,
+                     const Measured& measured) {
   auto entry = bench::Json::object();
-  entry.set("mode", kernel + "-" + regime);
+  entry.set("mode", "bulk-" + regime);
   entry.set("workers", channels);
   entry.set("throughput", measured.records_per_sec);
   entry.set("wall_seconds", measured.wall_seconds);
-  entry.set("kernel", kernel);
+  entry.set("kernel", "bulk");
   entry.set("regime", regime);
   entry.set("strata", strata);
   entry.set("records_per_sec", measured.records_per_sec);
@@ -158,7 +155,7 @@ bench::Json run_json(const std::string& kernel, const std::string& regime,
 int main() {
   const std::size_t count = bench::scaled(1u << 19);
   std::printf(
-      "Exchange routing-kernel ablation: bulk two-pass vs per-record "
+      "Exchange routing kernel: bulk two-pass "
       "(%zu records/run, %zu partitions, best of %d passes, scale %.2f)\n\n",
       count, kPartitions, kPasses, bench::bench_scale());
 
@@ -179,30 +176,20 @@ int main() {
 
   auto runs_json = bench::Json::array();
   Table table("Routing kernel throughput (records/s)",
-              {"Regime", "Strata", "Channels", "Mean run", "Per-record",
-               "Bulk", "Speedup"});
+              {"Regime", "Strata", "Channels", "Mean run", "Bulk"});
   for (const auto& cell : cells) {
     const auto records = make_stream(cell.regime, count, cell.strata);
-    const auto scalar = measure(records, cell.channels, /*bulk=*/false);
-    const auto bulk = measure(records, cell.channels, /*bulk=*/true);
-    runs_json.push(run_json("per_record", cell.regime, cell.strata,
-                            cell.channels, records.size(), scalar));
-    runs_json.push(run_json("bulk", cell.regime, cell.strata, cell.channels,
+    const auto bulk = measure(records, cell.channels);
+    runs_json.push(run_json(cell.regime, cell.strata, cell.channels,
                             records.size(), bulk));
     const double mean_run =
         bulk.stats.runs > 0
             ? static_cast<double>(bulk.stats.records) /
                   static_cast<double>(bulk.stats.runs)
             : 0.0;
-    table.add_row(
-        {cell.regime, std::to_string(cell.strata),
-         std::to_string(cell.channels), Table::num(mean_run),
-         bench::format_throughput(scalar.records_per_sec),
-         bench::format_throughput(bulk.records_per_sec),
-         Table::num(scalar.records_per_sec > 0.0
-                        ? bulk.records_per_sec / scalar.records_per_sec
-                        : 0.0) +
-             "x"});
+    table.add_row({cell.regime, std::to_string(cell.strata),
+                   std::to_string(cell.channels), Table::num(mean_run),
+                   bench::format_throughput(bulk.records_per_sec)});
   }
   table.print();
 
@@ -218,10 +205,10 @@ int main() {
   bench::write_bench_json("micro_exchange", body);
 
   bench::paper_shape(
-      "Expected shape: the bulk kernel tracks the baseline on uniform "
-      "short-run mixes (run length ~1 degrades it to record-at-a-time with "
-      "one extra pass) and pulls well clear on Zipf and sorted streams, "
-      "where pass 1 touches one route hash and one table probe per RUN and "
-      "pass 2 scatters with one reserve per destination batch.");
+      "Expected shape: throughput is lowest on uniform short-run mixes "
+      "(run length ~1 degrades the kernel to record-at-a-time with one "
+      "extra pass) and climbs on Zipf and sorted streams, where pass 1 "
+      "touches one route hash and one table probe per RUN and pass 2 "
+      "scatters with one reserve per destination batch.");
   return 0;
 }

@@ -3,11 +3,12 @@
 // (Algorithm R vs Algorithm L, OASRS allocation policies, ScaSRS vs
 // Bernoulli, grouping cost of STS).
 //
-// Before the google-benchmark suite runs, main() measures the skip-ahead
-// kernel ablation (per-record Algorithm R / batched Algorithm R / per-record
-// skip-ahead / bulk skip-ahead kernel, each at 1% / 10% / 50% effective
-// sampling fractions) and saves it to BENCH_micro_samplers.json, so CI can
-// schema-check and archive the trajectory like the fig_* benches.
+// Before the google-benchmark suite runs, main() measures the OASRS offer
+// paths (per-record skip-ahead offers vs the bulk skip-ahead kernel, each at
+// 1% / 10% / 50% effective sampling fractions) and saves them to
+// BENCH_micro_samplers.json, so CI can schema-check and archive the
+// trajectory like the fig_* benches. The Algorithm R vs L comparison lives
+// at reservoir level above.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -213,11 +214,10 @@ std::vector<Record> chunked_stream(std::size_t n) {
   return records;
 }
 
-sampling::OasrsConfig ablation_config(std::size_t budget, bool skip_ahead) {
+sampling::OasrsConfig ablation_config(std::size_t budget) {
   sampling::OasrsConfig config;
   config.total_budget = budget;
   config.seed = 0xbeef;
-  config.skip_ahead = skip_ahead;
   return config;
 }
 
@@ -226,10 +226,9 @@ sampling::OasrsConfig ablation_config(std::size_t budget, bool skip_ahead) {
 template <typename OfferAll>
 bench::Json measure_mode(const char* mode, const std::vector<Record>& records,
                          std::size_t budget, double fraction, int passes,
-                         bool skip_ahead, OfferAll&& offer_all) {
+                         OfferAll&& offer_all) {
   const auto one_pass = [&] {
-    auto sampler =
-        sampling::make_oasrs<Record>(ablation_config(budget, skip_ahead));
+    auto sampler = sampling::make_oasrs<Record>(ablation_config(budget));
     offer_all(sampler);
     auto sample = sampler.take();
     benchmark::DoNotOptimize(sample.strata.data());
@@ -252,7 +251,7 @@ bench::Json measure_mode(const char* mode, const std::vector<Record>& records,
   return run;
 }
 
-/// The skip-ahead ablation: four offer paths at three effective sampling
+/// The skip-ahead ablation: two offer paths at three effective sampling
 /// fractions. At 1% the reservoirs saturate almost immediately, which is the
 /// regime the bulk kernel's O(accepted) claim is about.
 void write_skip_ahead_json() {
@@ -268,23 +267,16 @@ void write_skip_ahead_json() {
     const auto per_record = [&](auto& sampler) {
       for (const auto& record : records) sampler.offer(record);
     };
-    const auto batched = [&](auto& sampler) {
-      sampler.offer_batch(records.data(), records.size());
-    };
     const auto bulk_runs = [&](auto& sampler) {
       for (std::size_t i = 0; i < records.size(); i += kRunLength) {
         const std::size_t len = std::min(kRunLength, records.size() - i);
         sampler.offer_run(records[i].stratum, records.data() + i, len);
       }
     };
-    runs.push(measure_mode("algorithm_r_offer", records, budget, fraction,
-                           passes, /*skip_ahead=*/false, per_record));
-    runs.push(measure_mode("algorithm_r_offer_batch", records, budget,
-                           fraction, passes, /*skip_ahead=*/false, batched));
     runs.push(measure_mode("skip_ahead_offer", records, budget, fraction,
-                           passes, /*skip_ahead=*/true, per_record));
+                           passes, per_record));
     runs.push(measure_mode("skip_ahead_bulk_kernel", records, budget,
-                           fraction, passes, /*skip_ahead=*/true, bulk_runs));
+                           fraction, passes, bulk_runs));
   }
 
   auto body = bench::Json::object();

@@ -49,10 +49,9 @@ int main() {
                            /*z=*/3.0);
   config.queries.histogram("values", {0.0, 12000.0, 24});
   // Parallel sampling: 4 workers even though the topic has 3 partitions —
-  // the repartitioning exchange (on by default) re-keys partition batches by
-  // stratum hash, so worker count is independent of partition count. Tune
-  // the morsel size with config.exchange_batch_size, or set
-  // config.use_exchange = false to pin workers to partitions.
+  // the repartitioning exchange re-keys partition batches by stratum hash,
+  // so worker count is independent of partition count. Tune the morsel size
+  // with config.exchange_batch_size.
   config.workers = 4;
 
   core::StreamApprox system(broker, config);

@@ -5,9 +5,13 @@
 //
 //   sa_cli --system flink-approx --workload netflow --fraction 0.4
 //          --duration 10 --window 4 --slide 2 --workers 4 [--per-stratum]
+//
+// A rejected configuration (e.g. --slide larger than --window) prints
+// "sa_cli: error: <reason>" to stderr and exits with status 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "common/table.h"
@@ -135,10 +139,8 @@ Options parse_args(int argc, char** argv) {
   return options;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options options = parse_args(argc, argv);
+/// Runs one configuration end to end; throws on an invalid configuration.
+void run(const Options& options) {
   const auto kind = parse_system(options.system);
   const auto records = make_workload(options);
 
@@ -184,5 +186,16 @@ int main(int argc, char** argv) {
   std::printf("\nthroughput: %.2fM items/s   latency: %.2fs   accuracy loss: "
               "%.4f%%\n",
               result.throughput() / 1e6, result.wall_seconds, 100.0 * loss);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    run(parse_args(argc, argv));
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "sa_cli: error: %s\n", error.what());
+    return 2;
+  }
   return 0;
 }

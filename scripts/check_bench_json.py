@@ -21,18 +21,18 @@ def fail(path, message):
 
 
 def check_micro_exchange_run(path, index, run):
-    """Routing-kernel ablation runs carry the ablation axes explicitly:
-    which kernel ran, the run-length regime of the stream, the stratum
-    count, and the headline records/s."""
+    """Routing-kernel runs carry their axes explicitly: the kernel (the
+    two-pass 'bulk' router is the only one), the run-length regime of the
+    stream, the stratum count, and the headline records/s."""
     ok = True
     for key in ("kernel", "regime", "strata", "records_per_sec"):
         if key not in run:
             ok = fail(path, f"runs[{index}] missing key '{key}'")
     if not ok:
         return False
-    if run["kernel"] not in ("bulk", "per_record"):
+    if run["kernel"] != "bulk":
         ok = fail(path, f"runs[{index}].kernel = {run['kernel']!r} is not "
-                        "'bulk' or 'per_record'")
+                        "'bulk'")
     if not isinstance(run["regime"], str) or not run["regime"]:
         ok = fail(path, f"runs[{index}].regime is not a non-empty string")
     if not isinstance(run["strata"], int) or run["strata"] < 1:

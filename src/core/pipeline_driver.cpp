@@ -244,7 +244,6 @@ sampling::OasrsConfig PipelineDriver::slide_sampler_config(
     std::int64_t slide, std::size_t shard, std::size_t shards,
     std::size_t shard_strata, std::size_t total_strata) const {
   sampling::OasrsConfig oasrs;
-  oasrs.skip_ahead = config_.skip_ahead_sampling;
   oasrs.seed = config_.seed +
                static_cast<std::uint64_t>(slide) * 1099511628211ULL +
                static_cast<std::uint64_t>(shard) * 0x9e3779b97f4a7c15ULL;

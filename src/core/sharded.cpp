@@ -1,54 +1,49 @@
 // Sharded execution of the StreamApprox facade — the paper's central
 // "no synchronisation between workers" claim (§3.2, Algorithm 3) realised
-// over a batched morsel data plane. Two ingest front-ends share one
-// watermark-gated merger:
+// over a batched morsel data plane:
 //
-//   exchange mode    (default) E exchange shards each poll their partition
-//                    subset in batches and re-key them by stratum hash onto
-//                    per-worker SPSC channels (ingest/exchange.h), so the
-//                    worker count is independent of the topic's partition
-//                    count; each batch carries that shard's resolved
-//                    low-watermark, and workers report absorption through a
-//                    per-channel completion tracker so the merger's
-//                    min-combined watermark never runs ahead of the samples;
-//   group mode       (use_exchange = false) a consumer group splits the
-//                    partitions across N workers, each polling its subset
-//                    directly; per-partition clocks drive the watermark.
+//   exchange         E exchange shards each poll their partition subset in
+//                    batches and re-key them by stratum hash onto per-worker
+//                    SPSC channels (ingest/exchange.h), so the worker count
+//                    is independent of the topic's partition count; each
+//                    batch carries that shard's resolved low-watermark, and
+//                    workers report absorption through a per-channel
+//                    completion tracker so the merger's min-combined
+//                    watermark never runs ahead of the samples.
 //
-// Work-stealing morsel scheduler (exchange mode, config.work_stealing).
-// Workers are no longer statically bound to their channels: each worker
-// drains its own inboxes into a per-worker StealDeque (common/queue.h) and
-// works LIFO off the bottom; when its own work runs out it pops the shared
-// overflow injector, then steals the OLDEST morsel off another worker's
-// deque. A stolen morsel is absorbed into the THIEF's local per-slide
-// samplers — safe because OASRS samplers merge associatively at slide close
-// (the merger concatenates whatever shard holds each stratum's reservoir),
-// so per-window records_seen is schedule-independent. Deque overflow spills
-// to the injector; when both are full the owner absorbs in place, so the
-// exchange can never deadlock against a full topology. Out-of-order
-// completion is reconciled by ChannelProgress below.
+// Work-stealing morsel scheduler. Workers are not statically bound to their
+// channels: each worker drains its own inboxes into a per-worker StealDeque
+// (common/queue.h) and works LIFO off the bottom; when its own work runs out
+// it pops the shared overflow injector, then steals the OLDEST morsel off
+// another worker's deque. A stolen morsel is absorbed into the THIEF's local
+// per-slide samplers — safe because OASRS samplers merge associatively at
+// slide close (the merger concatenates whatever shard holds each stratum's
+// reservoir), so per-window records_seen is schedule-independent. Deque
+// overflow spills to the injector; when both are full the owner absorbs in
+// place, so the exchange can never deadlock against a full topology.
+// Out-of-order completion is reconciled by ChannelProgress below.
 //
-// In both modes every worker samples with LOCAL per-slide OASRS samplers —
-// no lock is shared between two workers on the sampling hot path (each
-// worker's mutex exists only to hand closed slides to the merger) — and all
-// ingest is batch-at-a-time: one mutex acquisition and one slide-map lookup
-// per run of same-slide records, never a per-record offer() loop.
+// Every worker samples with LOCAL per-slide OASRS samplers — no lock is
+// shared between two workers on the sampling hot path (each worker's mutex
+// exists only to hand closed slides to the merger) — and all ingest is
+// batch-at-a-time: one mutex acquisition and one slide-map lookup per run of
+// same-slide records, never a per-record offer() loop.
 //
 //   merger           once the low-watermark passes a slide's end, extracts
 //                    that slide's sampler from every worker, concatenates
 //                    them with OasrsSampler::merge(), and closes the slide
 //                    through the shared PipelineDriver — estimator inputs
 //                    identical to the sequential path modulo stratum order,
-//                    because routing (broker partitioning or exchange
-//                    stratum hash) sends each stratum to exactly one worker.
+//                    because the exchange's stratum hash sends each stratum
+//                    to exactly one channel.
 //
 // The adaptive feedback loop still works: the merger re-tunes the driver's
 // budget as windows complete (max across every registered query's accuracy
 // target — see core/query.h), and workers read the atomic budget when they
 // open samplers for new slides. The per-slide budget is split across
 // workers by STRATUM OCCUPANCY (budget · my_strata/total_strata, stamped on
-// exchange batches or discovered locally in group mode), not by the flat
-// budget/workers share that undershoots when strata spread unevenly. Query
+// exchange batches), not by the flat budget/workers share that undershoots
+// when strata spread unevenly. Query
 // evaluation itself lives entirely behind the driver's query registry, so
 // the sharded data plane is byte-for-byte the same whether one query or N
 // are registered — and queries may attach/detach mid-run: the merger
@@ -64,16 +59,13 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/queue.h"
 #include "common/thread_pool.h"
 #include "core/stream_approx.h"
 #include "core/watermark.h"
 #include "engine/record_batch.h"
-#include "ingest/broker.h"
 #include "ingest/exchange.h"
 
 namespace streamapprox::core {
@@ -109,9 +101,6 @@ struct Shard {
   /// quickstart's 3 strata over 4 workers sampled ~half the budget).
   std::size_t occupancy_my = 0;
   std::size_t occupancy_total = 0;
-  /// Group mode only: the strata this worker has discovered in its own
-  /// partition subset (owner-thread access only).
-  std::unordered_set<sampling::StratumId> local_strata;
 };
 
 void atomic_min(std::atomic<std::int64_t>& target, std::int64_t value) {
@@ -178,7 +167,7 @@ struct SchedulerCounters {
   std::atomic<std::uint64_t> records{0};
 };
 
-/// Everything the ingest front-ends and the merger share.
+/// Everything the workers and the merger share.
 struct ShardedPlan {
   PipelineDriver& driver;
   std::vector<Shard>& shards;
@@ -190,9 +179,6 @@ struct ShardedPlan {
   std::atomic<std::int64_t> closed_through{
       std::numeric_limits<std::int64_t>::min()};
   std::atomic<std::size_t> workers_done{0};
-  /// Group mode only: total strata discovered across all workers (exchange
-  /// mode carries the deterministic equivalent on every batch stamp).
-  std::atomic<std::size_t> total_strata{0};
   /// Skip-ahead kernel totals, accumulated by the merger at each slide close
   /// (worker sampler stats ride along through OasrsSampler::merge).
   std::atomic<std::uint64_t> sampler_bulk_runs{0};
@@ -226,25 +212,24 @@ void apply_occupancy_locked(ShardedPlan& plan, std::size_t w, Shard& shard,
   }
 }
 
-/// Routes one batch into worker `w`'s local per-slide samplers: one mutex
-/// acquisition per batch, one slide-map lookup per run of consecutive
-/// same-slide records, one OASRS bulk offer per run. `runs`/`run_count` are
-/// the batch's stratum run descriptors when the producer stamped them
-/// (exchange mode) — each slide run is intersected with them and fed to the
-/// sampler's offer_run fast path, which skips key extraction per record and
-/// (with skip-ahead on) never reads the records a saturated reservoir
-/// rejects; nullptr/0 falls back to per-record keying. `my_strata` /
-/// `total_strata` is the stratum-occupancy stamp in force for this batch
-/// (exchange mode: carried on the batch; group mode: worker-local
-/// discovery), driving the occupancy-aware budget split. `apply_stamp` is
-/// false when a thief absorbs a STOLEN morsel: the victim channel's stamp
-/// describes the victim's stratum set, not the thief's, so the thief keeps
-/// its own occupancy share (records_seen is unaffected either way).
+/// Routes one exchange batch into worker `w`'s local per-slide samplers: one
+/// mutex acquisition per batch, one slide-map lookup per run of consecutive
+/// same-slide records, one OASRS bulk offer per stratum run. Each slide run
+/// is intersected with the batch's stratum run descriptors (stamped by the
+/// exchange) and fed to the sampler's offer_run fast path, which skips key
+/// extraction per record and never reads the records a saturated reservoir
+/// rejects. `my_strata` / `total_strata` is the stratum-occupancy stamp in
+/// force for this batch, driving the occupancy-aware budget split.
+/// `apply_stamp` is false when a thief absorbs a STOLEN morsel: the victim
+/// channel's stamp describes the victim's stratum set, not the thief's, so
+/// the thief keeps its own occupancy share (records_seen is unaffected
+/// either way).
 void absorb_batch(ShardedPlan& plan, std::size_t w,
-                  const engine::Record* records, std::size_t count,
-                  const engine::StratumRun* runs, std::size_t run_count,
-                  std::size_t my_strata, std::size_t total_strata,
-                  bool apply_stamp = true) {
+                  const engine::RecordBatch& batch, std::size_t my_strata,
+                  std::size_t total_strata, bool apply_stamp) {
+  const engine::Record* records = batch.records.data();
+  const engine::StratumRun* runs = batch.stratum_runs.data();
+  const std::size_t run_count = batch.stratum_runs.size();
   Shard& shard = plan.shards[w];
   std::lock_guard lock(shard.mutex);
   if (apply_stamp) {
@@ -258,7 +243,7 @@ void absorb_batch(ShardedPlan& plan, std::size_t w,
   // (or a late-dropped slide consumed part of it).
   std::size_t ri = 0;
   engine::for_each_slide_run(
-      records, count, plan.slide_us,
+      records, batch.size(), plan.slide_us,
       [&](std::int64_t slide, const engine::Record* run, std::size_t n) {
         if (slide < frozen) return;  // late beyond merged watermark
         auto it = shard.slides.find(slide);
@@ -277,10 +262,6 @@ void absorb_batch(ShardedPlan& plan, std::size_t w,
         // whichever worker the run landed on — merge exactness makes the
         // final per-slide state independent of that placement.
         it->second.sketches.absorb(run, n);
-        if (run_count == 0) {
-          it->second.sampler.offer_batch(run, n);
-          return;
-        }
         const std::size_t begin = static_cast<std::size_t>(run - records);
         const std::size_t slide_end = begin + n;
         while (ri < run_count &&
@@ -301,13 +282,11 @@ void absorb_batch(ShardedPlan& plan, std::size_t w,
 }
 
 /// The merger: watermark-gated slide closing, run in the calling thread
-/// until every worker finished. `clocks` are per-partition high-water clocks
-/// in group mode and per-worker republished watermarks in exchange mode;
-/// `apply_idle_grace` is false in exchange mode because the exchange already
-/// resolved the idleness policy into the values it forwarded.
+/// until every worker finished. `clocks` are the per-channel republished
+/// watermarks; the exchanges already resolved the idleness policy into the
+/// values they forwarded, so no grace applies here.
 void merge_until_done(ShardedPlan& plan,
                       std::vector<std::atomic<std::int64_t>>& clocks,
-                      bool apply_idle_grace, std::int64_t idle_timeout_ms,
                       const std::function<void(std::int64_t)>& after_close) {
   const auto close_one = [&](std::int64_t slide) {
     // Freeze the slide first: a racing worker either got its records in
@@ -349,25 +328,22 @@ void merge_until_done(ShardedPlan& plan,
 
   std::optional<std::int64_t> next;
   bool any_closed = false;
-  Stopwatch idle_watch;
   std::vector<std::int64_t> clock_snapshot(clocks.size());
   for (;;) {
     const bool all_done =
         plan.workers_done.load(std::memory_order_acquire) == plan.workers;
-    const bool grace_over =
-        apply_idle_grace &&
-        idle_watch.millis() > static_cast<double>(idle_timeout_ms);
     for (std::size_t c = 0; c < clocks.size(); ++c) {
       clock_snapshot[c] = clocks[c].load(std::memory_order_acquire);
     }
-    const auto view = evaluate_watermark(clock_snapshot, grace_over);
+    const auto view =
+        evaluate_watermark(clock_snapshot, /*idle_grace_over=*/false);
     const std::int64_t lo = plan.first_slide.load(std::memory_order_acquire);
     bool progressed = false;
     if (lo != kNoSlide && !view.blocked) {
       if (!next) {
         next = lo;
       } else if (!any_closed) {
-        // Nothing closed yet: a slow partition may have delivered an even
+        // Nothing closed yet: a slow channel may have delivered an even
         // earlier slide since the pin — include it rather than strand it.
         *next = std::min(*next, lo);
       }
@@ -405,12 +381,7 @@ void merge_until_done(ShardedPlan& plan,
 
 void StreamApprox::run_sharded(
     const std::function<void(const WindowOutput&)>& on_window) {
-  auto& topic = broker_.topic(config_.topic);
-  const std::size_t partitions = topic.partition_count();
-  const bool use_exchange = config_.use_exchange;
-  // Without the exchange, parallelism is capped by the partition split.
-  const std::size_t workers =
-      use_exchange ? config_.workers : std::min(config_.workers, partitions);
+  const std::size_t workers = config_.workers;
   const std::int64_t slide_us = config_.window.slide_us;
 
   PipelineDriver driver(driver_config(), on_window);
@@ -420,373 +391,250 @@ void StreamApprox::run_sharded(
   std::vector<Shard> shards(workers);
   ShardedPlan plan(driver, shards, workers, slide_us);
 
-  if (use_exchange) {
-    // ---- Exchange mode: E exchange shards repartition their partition
-    // subsets onto per-worker channels; workers run the morsel scheduler.
-    const std::size_t exchange_count =
-        std::max<std::size_t>(1, config_.exchanges);
-    const bool stealing = config_.work_stealing;
-    const std::size_t deque_capacity =
-        std::max<std::size_t>(2, config_.steal_deque_capacity);
-    run_stats_.exchanges = exchange_count;
-    run_stats_.workers = workers;
-    run_stats_.per_worker_records.assign(workers, 0);
+  // E exchange shards repartition their partition subsets onto per-worker
+  // channels; workers run the morsel scheduler.
+  const std::size_t exchange_count =
+      std::max<std::size_t>(1, config_.exchanges);
+  const std::size_t deque_capacity =
+      std::max<std::size_t>(2, config_.steal_deque_capacity);
+  run_stats_.exchanges = exchange_count;
+  run_stats_.workers = workers;
+  run_stats_.per_worker_records.assign(workers, 0);
 
-    std::vector<std::unique_ptr<ingest::Exchange>> exchanges;
-    exchanges.reserve(exchange_count);
-    for (std::size_t e = 0; e < exchange_count; ++e) {
-      ingest::ExchangeConfig exchange_config;
-      exchange_config.workers = workers;
-      exchange_config.batch_size = config_.exchange_batch_size;
-      exchange_config.ring_capacity = config_.exchange_ring_capacity;
-      exchange_config.idle_partition_timeout_ms =
-          config_.idle_partition_timeout_ms;
-      exchange_config.exchange_index = e;
-      exchange_config.exchange_count = exchange_count;
-      exchange_config.bulk_routing = config_.bulk_exchange_routing;
-      exchanges.push_back(std::make_unique<ingest::Exchange>(
-          broker_, config_.topic, exchange_config));
-    }
+  std::vector<std::unique_ptr<ingest::Exchange>> exchanges;
+  exchanges.reserve(exchange_count);
+  for (std::size_t e = 0; e < exchange_count; ++e) {
+    ingest::ExchangeConfig exchange_config;
+    exchange_config.workers = workers;
+    exchange_config.batch_size = config_.exchange_batch_size;
+    exchange_config.ring_capacity = config_.exchange_ring_capacity;
+    exchange_config.idle_partition_timeout_ms =
+        config_.idle_partition_timeout_ms;
+    exchange_config.exchange_index = e;
+    exchange_config.exchange_count = exchange_count;
+    exchanges.push_back(std::make_unique<ingest::Exchange>(
+        broker_, config_.topic, exchange_config));
+  }
 
-    // One watermark clock per CHANNEL (= exchange e × worker w, index
-    // e·W + w), advanced only by the completion tracker — so a clock covers
-    // exactly the contiguously absorbed prefix of its channel, and the
-    // merger's min over all E·W clocks min-combines the per-shard
-    // watermarks (core::resolve_watermark explains why that composes).
-    const std::size_t channels = exchange_count * workers;
-    std::vector<std::atomic<std::int64_t>> clocks(channels);
-    for (auto& clock : clocks) {
-      clock.store(kNoClock, std::memory_order_relaxed);
-    }
-    ChannelProgress progress(channels, clocks);
+  // One watermark clock per CHANNEL (= exchange e × worker w, index e·W + w),
+  // advanced only by the completion tracker — so a clock covers exactly the
+  // contiguously absorbed prefix of its channel, and the merger's min over
+  // all E·W clocks min-combines the per-shard watermarks
+  // (core::resolve_watermark explains why that composes).
+  const std::size_t channels = exchange_count * workers;
+  std::vector<std::atomic<std::int64_t>> clocks(channels);
+  for (auto& clock : clocks) {
+    clock.store(kNoClock, std::memory_order_relaxed);
+  }
+  ChannelProgress progress(channels, clocks);
 
-    // The scheduler's queues: one steal deque per worker plus the shared
-    // overflow injector (deque full → injector; both full → absorb in
-    // place, so backpressure can never deadlock the topology).
-    std::vector<std::unique_ptr<StealDeque<engine::RecordBatch*>>> deques;
-    deques.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      deques.push_back(std::make_unique<StealDeque<engine::RecordBatch*>>(
-          deque_capacity));
-    }
-    BoundedQueue<engine::RecordBatch*> injector(
-        std::max<std::size_t>(64, workers * deque_capacity));
-    SchedulerCounters counters;
+  // The scheduler's queues: one steal deque per worker plus the shared
+  // overflow injector (deque full → injector; both full → absorb in place,
+  // so backpressure can never deadlock the topology).
+  std::vector<std::unique_ptr<StealDeque<engine::RecordBatch*>>> deques;
+  deques.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    deques.push_back(
+        std::make_unique<StealDeque<engine::RecordBatch*>>(deque_capacity));
+  }
+  BoundedQueue<engine::RecordBatch*> injector(
+      std::max<std::size_t>(64, workers * deque_capacity));
+  SchedulerCounters counters;
 
-    const auto after_close = [&](std::int64_t slide) {
-      slide_budget_ = driver.current_budget();
-      // Watermark lag: how far ingest had run ahead of this close.
-      std::int64_t max_event = engine::kNoWatermark;
-      for (const auto& exchange : exchanges) {
-        max_event = std::max(max_event, exchange->max_routed_event_us());
-      }
-      if (max_event != engine::kNoWatermark) {
-        run_stats_.watermark_lag_us.push_back(max_event -
-                                              (slide + 1) * slide_us);
-      }
-    };
-
-    {
-      ThreadPool pool(workers + exchange_count);
-      for (std::size_t e = 0; e < exchange_count; ++e) {
-        pool.submit([&, e] {
-          set_current_thread_name(("sa-exch-" + std::to_string(e)).c_str());
-          exchanges[e]->run();
-        });
-      }
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.submit([&, w] {
-          set_current_thread_name(("sa-work-" + std::to_string(w)).c_str());
-          // Volatile-sunk at exit so the parse-work model survives
-          // optimisation.
-          double ingest_acc = 0.0;
-          // This worker's occupancy stamps, one per OWN channel. Strata are
-          // disjoint across exchange shards (each stratum lives on exactly
-          // one partition), so the summed stamps are the worker's true
-          // occupancy share across the sharded exchange.
-          std::vector<std::uint32_t> stamp_my(exchange_count, 0);
-          std::vector<std::uint32_t> stamp_total(exchange_count, 0);
-          std::uint64_t n_owner = 0, n_steal = 0, n_inj_push = 0,
-                        n_inj_pop = 0, n_batches = 0, n_heartbeats = 0,
-                        n_records = 0;
-
-          const auto summed_occupancy = [&](std::size_t& my,
-                                            std::size_t& total) {
-            my = 0;
-            total = 0;
-            for (std::size_t e = 0; e < exchange_count; ++e) {
-              my += stamp_my[e];
-              total += stamp_total[e];
-            }
-          };
-
-          // Absorbs one data morsel into THIS worker's local samplers.
-          // Owner morsels refresh the occupancy stamp; stolen ones keep the
-          // thief's share (absorb_batch comment). Completion is reported
-          // after the samplers hold the records — the watermark invariant.
-          const auto absorb = [&](engine::RecordBatch* raw) {
-            ingest::Exchange::BatchPtr batch(raw);
-            const std::size_t e = batch->channel / workers;
-            const bool own = batch->channel % workers == w;
-            for (const auto& record : batch->records) {
-              ingest_acc += config_.ingest_cost.charge(record.value);
-            }
-            if (own) {
-              stamp_my[e] = batch->route_strata;
-              stamp_total[e] = batch->total_strata;
-            }
-            std::size_t my = 0, total = 0;
-            summed_occupancy(my, total);
-            absorb_batch(plan, w, batch->records.data(), batch->size(),
-                         batch->stratum_runs.data(),
-                         batch->stratum_runs.size(), my, total,
-                         /*apply_stamp=*/own);
-            ++n_batches;
-            n_records += batch->size();
-            progress.complete(batch->channel, batch->seq,
-                              batch->watermark_us);
-            exchanges[e]->recycle(std::move(batch));
-          };
-
-          // Heartbeats never enter the deques (no records to steal): the
-          // owner applies the occupancy stamp and completes them inline. A
-          // heartbeat can shrink open samplers when another channel
-          // discovered a stratum.
-          const auto handle_heartbeat =
-              [&](ingest::Exchange::BatchPtr batch) {
-                const std::size_t e = batch->channel / workers;
-                stamp_my[e] = batch->route_strata;
-                stamp_total[e] = batch->total_strata;
-                std::size_t my = 0, total = 0;
-                summed_occupancy(my, total);
-                if (total > 0) {
-                  Shard& shard = plan.shards[w];
-                  std::lock_guard lock(shard.mutex);
-                  apply_occupancy_locked(plan, w, shard, my, total);
-                }
-                ++n_heartbeats;
-                progress.complete(batch->channel, batch->seq,
-                                  batch->watermark_us);
-                exchanges[e]->recycle(std::move(batch));
-              };
-
-          StealDeque<engine::RecordBatch*>& deque = *deques[w];
-          std::vector<ingest::Exchange::BatchPtr> inbox;
-          inbox.reserve(deque_capacity);
-
-          // Drains this worker's own inboxes (one ring per exchange shard)
-          // into its deque, spilling overflow to the injector.
-          const auto refill = [&]() -> bool {
-            bool any = false;
-            for (std::size_t e = 0; e < exchange_count; ++e) {
-              inbox.clear();
-              exchanges[e]->pop_n(w, inbox, deque_capacity);
-              for (auto& polled : inbox) {
-                any = true;
-                if (polled->heartbeat) {
-                  handle_heartbeat(std::move(polled));
-                  continue;
-                }
-                engine::RecordBatch* raw = polled.release();
-                if (!deque.push_bottom(raw)) {
-                  if (injector.try_push(raw)) {
-                    ++n_inj_push;
-                  } else {
-                    // Deque and injector both full: absorb in place so the
-                    // exchange's backpressure can always drain.
-                    absorb(raw);
-                    ++n_owner;
-                  }
-                }
-              }
-            }
-            return any;
-          };
-
-          if (stealing) {
-            for (;;) {
-              // 1. Own deque, newest first (cache-warm LIFO).
-              if (auto raw = deque.pop_bottom()) {
-                absorb(*raw);
-                ++n_owner;
-                continue;
-              }
-              // 2. Refill from own inboxes (also exposes backlog to
-              // thieves).
-              if (refill()) continue;
-              // 3. Shared injector overflow.
-              if (auto raw = injector.try_pop()) {
-                absorb(*raw);
-                ++n_inj_pop;
-                continue;
-              }
-              // 4. Steal the oldest morsel off another worker's deque.
-              bool stole = false;
-              for (std::size_t offset = 1; offset < workers && !stole;
-                   ++offset) {
-                if (auto raw = deques[(w + offset) % workers]->steal_top()) {
-                  absorb(*raw);
-                  ++n_steal;
-                  stole = true;
-                }
-              }
-              if (stole) continue;
-              // 5. Exit only with own inboxes drained and both queues this
-              // worker could still be responsible for empty. A worker that
-              // spilled to the injector always reaches this check again, so
-              // injector morsels can never be orphaned.
-              bool inputs_done = true;
-              for (std::size_t e = 0; e < exchange_count; ++e) {
-                inputs_done = inputs_done && exchanges[e]->drained(w);
-              }
-              if (inputs_done && deque.empty() && injector.size() == 0) {
-                break;
-              }
-              std::this_thread::sleep_for(std::chrono::microseconds(50));
-            }
-          } else {
-            // Static binding (the steal-skew benchmark's baseline, and the
-            // PR 2 behaviour): each worker consumes exactly its own
-            // channels.
-            for (;;) {
-              bool any = false;
-              for (std::size_t e = 0; e < exchange_count; ++e) {
-                while (auto batch = exchanges[e]->pop(w)) {
-                  any = true;
-                  if (batch->heartbeat) {
-                    handle_heartbeat(std::move(batch));
-                  } else {
-                    absorb(batch.release());
-                    ++n_owner;
-                  }
-                }
-              }
-              if (!any) {
-                bool inputs_done = true;
-                for (std::size_t e = 0; e < exchange_count; ++e) {
-                  inputs_done = inputs_done && exchanges[e]->drained(w);
-                }
-                if (inputs_done) break;
-                std::this_thread::sleep_for(std::chrono::microseconds(100));
-              }
-            }
-          }
-
-          volatile double ingest_sink = ingest_acc;
-          (void)ingest_sink;
-          counters.owner_pops.fetch_add(n_owner, std::memory_order_relaxed);
-          counters.steals.fetch_add(n_steal, std::memory_order_relaxed);
-          counters.injector_pushes.fetch_add(n_inj_push,
-                                             std::memory_order_relaxed);
-          counters.injector_pops.fetch_add(n_inj_pop,
-                                           std::memory_order_relaxed);
-          counters.batches.fetch_add(n_batches, std::memory_order_relaxed);
-          counters.heartbeats.fetch_add(n_heartbeats,
-                                        std::memory_order_relaxed);
-          counters.records.fetch_add(n_records, std::memory_order_relaxed);
-          run_stats_.per_worker_records[w] = n_records;
-          plan.workers_done.fetch_add(1, std::memory_order_release);
-        });
-      }
-      // The exchanges resolved the idleness policy already; the merger
-      // applies the forwarded values verbatim.
-      merge_until_done(plan, clocks, /*apply_idle_grace=*/false,
-                       config_.idle_partition_timeout_ms, after_close);
-    }  // joins the pool: counters and per-worker records are final below
-
-    run_stats_.owner_pops = counters.owner_pops.load();
-    run_stats_.steals = counters.steals.load();
-    run_stats_.injector_pushes = counters.injector_pushes.load();
-    run_stats_.injector_pops = counters.injector_pops.load();
-    run_stats_.batches_absorbed = counters.batches.load();
-    run_stats_.heartbeats_absorbed = counters.heartbeats.load();
-    run_stats_.records_absorbed = counters.records.load();
-    // Routing-loop accounting: plain counters per exchange thread, summed
-    // here after the join made them final.
+  const auto after_close = [&](std::int64_t slide) {
+    slide_budget_ = driver.current_budget();
+    // Watermark lag: how far ingest had run ahead of this close.
+    std::int64_t max_event = engine::kNoWatermark;
     for (const auto& exchange : exchanges) {
-      const auto& stats = exchange->stats();
-      run_stats_.exchange_rounds += stats.rounds;
-      run_stats_.exchange_records_routed += stats.records;
-      run_stats_.exchange_runs_walked += stats.runs;
-      run_stats_.exchange_table_probes += stats.table_probes;
-      run_stats_.exchange_scatter_reserves += stats.scatter_reserves;
+      max_event = std::max(max_event, exchange->max_routed_event_us());
     }
-  } else {
-    // ---- Group mode: the consumer group owns the partition split; each
-    // worker thread drives exactly one member (no offset state is shared
-    // between threads).
-    run_stats_.workers = workers;
-    const auto after_close = [&](std::int64_t) {
-      slide_budget_ = driver.current_budget();
-    };
-    ingest::ConsumerGroup group(broker_, config_.topic, workers);
-    // Per-partition high-water event-time clocks: kNoClock until the
-    // partition's first record, kPartitionDrained once sealed and drained
-    // (the shared low-watermark policy of core/watermark.h).
-    std::vector<std::atomic<std::int64_t>> clocks(partitions);
-    for (auto& clock : clocks) {
-      clock.store(kNoClock, std::memory_order_relaxed);
+    if (max_event != engine::kNoWatermark) {
+      run_stats_.watermark_lag_us.push_back(max_event -
+                                            (slide + 1) * slide_us);
     }
+  };
 
-    ThreadPool pool(workers, "sa-group");
+  {
+    ThreadPool pool(workers + exchange_count);
+    for (std::size_t e = 0; e < exchange_count; ++e) {
+      pool.submit([&, e] {
+        set_current_thread_name(("sa-exch-" + std::to_string(e)).c_str());
+        exchanges[e]->run();
+      });
+    }
     for (std::size_t w = 0; w < workers; ++w) {
       pool.submit([&, w] {
-        ingest::Consumer& consumer = group.member(w);
-        const auto& assignment = consumer.assignment();
-        std::vector<std::int64_t> batch_clock(partitions, kNoClock);
-        // Reused poll buffer: steady-state polling is allocation-free.
-        std::vector<engine::Record> records;
-        records.reserve(config_.poll_batch);
+        set_current_thread_name(("sa-work-" + std::to_string(w)).c_str());
+        // Volatile-sunk at exit so the parse-work model survives
+        // optimisation.
         double ingest_acc = 0.0;
+        // This worker's occupancy stamps, one per OWN channel. Strata are
+        // disjoint across exchange shards (each stratum lives on exactly one
+        // partition), so the summed stamps are the worker's true occupancy
+        // share across the sharded exchange.
+        std::vector<std::uint32_t> stamp_my(exchange_count, 0);
+        std::vector<std::uint32_t> stamp_total(exchange_count, 0);
+        std::uint64_t n_owner = 0, n_steal = 0, n_inj_push = 0, n_inj_pop = 0,
+                      n_batches = 0, n_heartbeats = 0, n_records = 0;
+
+        const auto summed_occupancy = [&](std::size_t& my,
+                                          std::size_t& total) {
+          my = 0;
+          total = 0;
+          for (std::size_t e = 0; e < exchange_count; ++e) {
+            my += stamp_my[e];
+            total += stamp_total[e];
+          }
+        };
+
+        // Absorbs one data morsel into THIS worker's local samplers. Owner
+        // morsels refresh the occupancy stamp; stolen ones keep the thief's
+        // share (absorb_batch comment). Completion is reported after the
+        // samplers hold the records — the watermark invariant.
+        const auto absorb = [&](engine::RecordBatch* raw) {
+          ingest::Exchange::BatchPtr batch(raw);
+          const std::size_t e = batch->channel / workers;
+          const bool own = batch->channel % workers == w;
+          for (const auto& record : batch->records) {
+            ingest_acc += config_.ingest_cost.charge(record.value);
+          }
+          if (own) {
+            stamp_my[e] = batch->route_strata;
+            stamp_total[e] = batch->total_strata;
+          }
+          std::size_t my = 0, total = 0;
+          summed_occupancy(my, total);
+          absorb_batch(plan, w, *batch, my, total, /*apply_stamp=*/own);
+          ++n_batches;
+          n_records += batch->size();
+          progress.complete(batch->channel, batch->seq, batch->watermark_us);
+          exchanges[e]->recycle(std::move(batch));
+        };
+
+        // Heartbeats never enter the deques (no records to steal): the owner
+        // applies the occupancy stamp and completes them inline. A heartbeat
+        // can shrink open samplers when another channel discovered a
+        // stratum.
+        const auto handle_heartbeat = [&](ingest::Exchange::BatchPtr batch) {
+          const std::size_t e = batch->channel / workers;
+          stamp_my[e] = batch->route_strata;
+          stamp_total[e] = batch->total_strata;
+          std::size_t my = 0, total = 0;
+          summed_occupancy(my, total);
+          if (total > 0) {
+            Shard& shard = plan.shards[w];
+            std::lock_guard lock(shard.mutex);
+            apply_occupancy_locked(plan, w, shard, my, total);
+          }
+          ++n_heartbeats;
+          progress.complete(batch->channel, batch->seq, batch->watermark_us);
+          exchanges[e]->recycle(std::move(batch));
+        };
+
+        StealDeque<engine::RecordBatch*>& deque = *deques[w];
+        std::vector<ingest::Exchange::BatchPtr> inbox;
+        inbox.reserve(deque_capacity);
+
+        // Drains this worker's own inboxes (one ring per exchange shard)
+        // into its deque, spilling overflow to the injector.
+        const auto refill = [&]() -> bool {
+          bool any = false;
+          for (std::size_t e = 0; e < exchange_count; ++e) {
+            inbox.clear();
+            exchanges[e]->pop_n(w, inbox, deque_capacity);
+            for (auto& polled : inbox) {
+              any = true;
+              if (polled->heartbeat) {
+                handle_heartbeat(std::move(polled));
+                continue;
+              }
+              engine::RecordBatch* raw = polled.release();
+              if (!deque.push_bottom(raw)) {
+                if (injector.try_push(raw)) {
+                  ++n_inj_push;
+                } else {
+                  // Deque and injector both full: absorb in place so the
+                  // exchange's backpressure can always drain.
+                  absorb(raw);
+                  ++n_owner;
+                }
+              }
+            }
+          }
+          return any;
+        };
+
         for (;;) {
-          consumer.poll(records, config_.poll_batch, /*timeout_ms=*/50);
-          if (!records.empty()) {
-            for (const std::size_t p : assignment) batch_clock[p] = kNoClock;
-            Shard& own = plan.shards[w];
-            for (const auto& record : records) {
-              ingest_acc += config_.ingest_cost.charge(record.value);
-              const std::size_t p = topic.partition_for_key(record.stratum);
-              batch_clock[p] = std::max(batch_clock[p], record.event_time_us);
-              // Occupancy discovery (no exchange to stamp it): this worker's
-              // stratum set is owner-local, only the total is shared.
-              if (own.local_strata.insert(record.stratum).second) {
-                plan.total_strata.fetch_add(1, std::memory_order_acq_rel);
-              }
-            }
-            absorb_batch(plan, w, records.data(), records.size(),
-                         /*runs=*/nullptr, /*run_count=*/0,
-                         own.local_strata.size(),
-                         plan.total_strata.load(std::memory_order_acquire));
-            // Publish clocks after the samplers absorbed the batch, so the
-            // merger can never observe a watermark ahead of the samples.
-            for (const std::size_t p : assignment) {
-              if (batch_clock[p] == kNoClock) continue;
-              const std::int64_t previous =
-                  clocks[p].load(std::memory_order_relaxed);
-              if (batch_clock[p] > previous) {
-                clocks[p].store(batch_clock[p], std::memory_order_release);
-              }
+          // 1. Own deque, newest first (cache-warm LIFO).
+          if (auto raw = deque.pop_bottom()) {
+            absorb(*raw);
+            ++n_owner;
+            continue;
+          }
+          // 2. Refill from own inboxes (also exposes backlog to thieves).
+          if (refill()) continue;
+          // 3. Shared injector overflow.
+          if (auto raw = injector.try_pop()) {
+            absorb(*raw);
+            ++n_inj_pop;
+            continue;
+          }
+          // 4. Steal the oldest morsel off another worker's deque.
+          bool stole = false;
+          for (std::size_t offset = 1; offset < workers && !stole; ++offset) {
+            if (auto raw = deques[(w + offset) % workers]->steal_top()) {
+              absorb(*raw);
+              ++n_steal;
+              stole = true;
             }
           }
-          // Partitions drained to a sealed end stop gating the watermark,
-          // so an idle partition cannot stall every window behind it.
-          for (std::size_t slot = 0; slot < assignment.size(); ++slot) {
-            if (consumer.partition_exhausted(slot)) {
-              clocks[assignment[slot]].store(kPartitionDrained,
-                                             std::memory_order_release);
-            }
+          if (stole) continue;
+          // 5. Exit only with own inboxes drained and both queues this
+          // worker could still be responsible for empty. A worker that
+          // spilled to the injector always reaches this check again, so
+          // injector morsels can never be orphaned.
+          bool inputs_done = true;
+          for (std::size_t e = 0; e < exchange_count; ++e) {
+            inputs_done = inputs_done && exchanges[e]->drained(w);
           }
-          if (records.empty() && consumer.exhausted()) break;
+          if (inputs_done && deque.empty() && injector.size() == 0) break;
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
+
         volatile double ingest_sink = ingest_acc;
         (void)ingest_sink;
+        counters.owner_pops.fetch_add(n_owner, std::memory_order_relaxed);
+        counters.steals.fetch_add(n_steal, std::memory_order_relaxed);
+        counters.injector_pushes.fetch_add(n_inj_push,
+                                           std::memory_order_relaxed);
+        counters.injector_pops.fetch_add(n_inj_pop, std::memory_order_relaxed);
+        counters.batches.fetch_add(n_batches, std::memory_order_relaxed);
+        counters.heartbeats.fetch_add(n_heartbeats, std::memory_order_relaxed);
+        counters.records.fetch_add(n_records, std::memory_order_relaxed);
+        run_stats_.per_worker_records[w] = n_records;
         plan.workers_done.fetch_add(1, std::memory_order_release);
       });
     }
-    merge_until_done(plan, clocks, /*apply_idle_grace=*/true,
-                     config_.idle_partition_timeout_ms, after_close);
-  }
+    merge_until_done(plan, clocks, after_close);
+  }  // joins the pool: counters and per-worker records are final below
 
+  run_stats_.owner_pops = counters.owner_pops.load();
+  run_stats_.steals = counters.steals.load();
+  run_stats_.injector_pushes = counters.injector_pushes.load();
+  run_stats_.injector_pops = counters.injector_pops.load();
+  run_stats_.batches_absorbed = counters.batches.load();
+  run_stats_.heartbeats_absorbed = counters.heartbeats.load();
+  run_stats_.records_absorbed = counters.records.load();
+  // Routing-loop accounting: plain counters per exchange thread, summed here
+  // after the join made them final.
+  for (const auto& exchange : exchanges) {
+    const auto& stats = exchange->stats();
+    run_stats_.exchange_rounds += stats.rounds;
+    run_stats_.exchange_records_routed += stats.records;
+    run_stats_.exchange_runs_walked += stats.runs;
+    run_stats_.exchange_table_probes += stats.table_probes;
+    run_stats_.exchange_scatter_reserves += stats.scatter_reserves;
+  }
   run_stats_.sampler_bulk_runs = plan.sampler_bulk_runs.load();
   run_stats_.sampler_accepts = plan.sampler_accepts.load();
   run_stats_.sampler_skipped = plan.sampler_skipped.load();

@@ -124,7 +124,6 @@ PipelineDriverConfig StreamApprox::driver_config() const {
   driver.z = config_.z;
   driver.histogram = config_.histogram;
   driver.seed = config_.seed;
-  driver.skip_ahead_sampling = config_.skip_ahead_sampling;
   return driver;
 }
 
@@ -132,11 +131,9 @@ void StreamApprox::run(
     const std::function<void(const WindowOutput&)>& on_window) {
   run_stats_ = ShardedRunStats{};
   run_stats_.workers = 1;
-  // The exchange decouples workers from partitions, so any workers > 1 can
-  // shard; without it, sharding needs at least two partitions to split.
-  if (config_.workers > 1 &&
-      (config_.use_exchange ||
-       broker_.topic(config_.topic).partition_count() > 1)) {
+  // The exchange decouples workers from partitions, so any workers > 1
+  // shards, whatever the topic's partition count.
+  if (config_.workers > 1) {
     run_sharded(on_window);
   } else {
     run_sequential(on_window);

@@ -12,12 +12,13 @@
 //
 //   workers == 1   one thread consumes every partition and owns every
 //                  per-slide sampler (the original sequential path);
-//   workers >= 2   a consumer group splits the topic's partitions across N
-//                  worker threads, each sampling its sub-streams with LOCAL
-//                  per-slide OASRS samplers — no synchronisation during
-//                  sampling (paper §3.2 Algorithm 3) — while a merger thread
-//                  closes slides by OasrsSampler::merge()-ing worker-local
-//                  samplers once the global low-watermark passes.
+//   workers >= 2   exchange threads re-key the topic's partition batches by
+//                  stratum hash onto N work-stealing worker threads, each
+//                  sampling its sub-streams with LOCAL per-slide OASRS
+//                  samplers — no synchronisation during sampling (paper
+//                  §3.2 Algorithm 3) — while a merger thread closes slides
+//                  by OasrsSampler::merge()-ing worker-local samplers once
+//                  the global low-watermark passes (core/sharded.cpp).
 //
 // Dynamic query lifecycle: attach_query() / detach_query() work while the
 // pipeline is RUNNING, in both modes. Operations take effect at the next
@@ -78,51 +79,26 @@ struct StreamApproxConfig {
   /// parallelises.
   engine::QueryCost ingest_cost{};
   /// Worker threads for the sharded execution mode. 1 (or 0) = sequential.
-  /// With the exchange enabled (the default) the worker count is
-  /// independent of the topic's partition count; with it disabled, workers
-  /// consume partitions directly and parallelism is capped at the
-  /// partition count.
+  /// The repartitioning exchange polls the partitions in batches and re-keys
+  /// them by stratum hash onto `workers` SPSC channels, so the worker count
+  /// is independent of the topic's partition count.
   std::size_t workers = 1;
-  /// Repartitioning exchange (sharded mode only): when true, one exchange
-  /// stage polls every partition in batches and re-keys them by stratum
-  /// hash onto `workers` SPSC channels — decoupling worker count from
-  /// partition count and moving data between threads batch-at-a-time. When
-  /// false, the consumer-group mode splits partitions across workers.
-  bool use_exchange = true;
   /// Records per exchange batch (the morsel size of the batched data plane).
   std::size_t exchange_batch_size = 1024;
   /// Batches buffered per exchange channel before backpressure.
   std::size_t exchange_ring_capacity = 64;
-  /// Exchange shards (sharded+exchange mode): E instances each own the
+  /// Exchange shards (sharded mode): E instances each own the
   /// topic partitions p with p % E == index and repartition them on their
   /// own thread; the merger min-combines the per-shard watermarks. 1 (or 0)
   /// keeps the classic single-exchange layout.
   std::size_t exchanges = 1;
-  /// Work-stealing morsel scheduler (sharded+exchange mode): when true,
-  /// each worker transfers its channel backlog into a per-worker deque that
-  /// idle workers steal from (oldest morsel first), with a shared injector
-  /// queue for overflow — a skewed stratum mix no longer leaves workers
-  /// idle. Stolen morsels are absorbed into the THIEF's local samplers,
-  /// which OasrsSampler::merge() reconciles at slide close, so per-window
-  /// records_seen is identical to the static schedule. When false, workers
-  /// stay statically bound to their channels (the PR 2 behaviour — also the
-  /// baseline the steal-skew benchmark measures against).
-  bool work_stealing = true;
   /// Morsel capacity of each worker's steal deque (rounded up to a power of
-  /// two). Small values force overflow through the injector queue; the
-  /// equivalence tests use that to exercise stealing deterministically.
+  /// two). Sharded workers drain their channel backlog into a per-worker
+  /// deque that idle workers steal from (oldest morsel first), with a
+  /// shared injector queue for overflow. Small values force overflow
+  /// through the injector; the equivalence tests use that to exercise
+  /// stealing deterministically.
   std::size_t steal_deque_capacity = 64;
-  /// Sample with the skip-ahead kernel (Algorithm L + bulk offers over the
-  /// exchange's stratum run descriptors): per-record cost is O(accepted /
-  /// arrived) amortised on saturated reservoirs, with identical sampling
-  /// distribution, C_i / W_i counters, watermarks and budget accounting.
-  /// false restores the bit-exact per-record Algorithm R path.
-  bool skip_ahead_sampling = true;
-  /// Route in the exchanges with the two-pass bulk kernel (pass 1: per-run
-  /// route + histogram + stratum-table occupancy; pass 2: one reserve per
-  /// destination then channel-by-channel scatter). Output-identical to the
-  /// record-at-a-time loop; false restores it (the micro_exchange baseline).
-  bool bulk_exchange_routing = true;
   /// Grace period after which a partition that has NEVER delivered a record
   /// stops gating the watermark (Kafka's idleness rule), so a topic with
   /// more partitions than sub-streams still emits windows on a live,
@@ -159,20 +135,18 @@ struct ShardedRunStats {
   std::uint64_t batches_absorbed = 0;
   std::uint64_t heartbeats_absorbed = 0;
   std::uint64_t records_absorbed = 0;
-  /// Skip-ahead kernel totals (exchange mode): bulk runs fed to samplers,
-  /// records accepted into reservoirs, and records skipped (arrived while
-  /// the reservoir was saturated and never written — with skip-ahead on,
-  /// never even read). accepts + skipped can trail records_absorbed when
-  /// late runs are dropped before reaching a sampler.
+  /// Skip-ahead kernel totals: bulk runs fed to samplers, records accepted
+  /// into reservoirs, and records skipped (arrived while the reservoir was
+  /// saturated, so never written and never even read). accepts + skipped
+  /// can trail records_absorbed when late runs are dropped before reaching
+  /// a sampler.
   std::uint64_t sampler_bulk_runs = 0;
   std::uint64_t sampler_accepts = 0;
   std::uint64_t sampler_skipped = 0;
-  /// Exchange routing totals (exchange mode, summed over shards): polling
-  /// rounds that routed data and records routed, plus the bulk kernel's
-  /// cost accounting — same-stratum runs walked by pass 1, StratumTable
-  /// slot probes, and pass-2 destination reserves. The kernel fields stay 0
-  /// when bulk_exchange_routing is false (or in group mode, which has no
-  /// exchange).
+  /// Exchange routing totals (summed over shards): polling rounds that
+  /// routed data and records routed, plus the routing kernel's cost
+  /// accounting — same-stratum runs walked by pass 1, StratumTable slot
+  /// probes, and pass-2 destination reserves.
   std::uint64_t exchange_rounds = 0;
   std::uint64_t exchange_records_routed = 0;
   std::uint64_t exchange_runs_walked = 0;
@@ -290,7 +264,7 @@ class StreamApprox {
   /// Single-threaded execution: one consumer, driver-owned samplers.
   void run_sequential(const std::function<void(const WindowOutput&)>& on_window);
 
-  /// Sharded execution: partition-split workers + watermark-gated merger.
+  /// Sharded execution: exchange-fed workers + watermark-gated merger.
   void run_sharded(const std::function<void(const WindowOutput&)>& on_window);
 
   ingest::Broker& broker_;

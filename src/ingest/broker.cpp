@@ -207,26 +207,4 @@ bool Consumer::exhausted() const {
   return true;
 }
 
-// ------------------------------------------------------------ ConsumerGroup
-
-std::vector<std::vector<std::size_t>> ConsumerGroup::assign(
-    std::size_t partitions, std::size_t members) {
-  if (members == 0) members = 1;
-  std::vector<std::vector<std::size_t>> out(members);
-  for (std::size_t p = 0; p < partitions; ++p) {
-    out[p % members].push_back(p);
-  }
-  return out;
-}
-
-ConsumerGroup::ConsumerGroup(Broker& broker, const std::string& topic,
-                             std::size_t members) {
-  const auto assignments =
-      assign(broker.topic(topic).partition_count(), members);
-  members_.reserve(assignments.size());
-  for (const auto& assignment : assignments) {
-    members_.emplace_back(broker, topic, assignment);
-  }
-}
-
 }  // namespace streamapprox::ingest

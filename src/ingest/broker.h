@@ -6,9 +6,9 @@
 // an append-only log addressed by offset; producers append (optionally
 // keyed, so one sub-stream maps deterministically onto one partition);
 // consumers poll from their tracked offsets and never remove data, so
-// several consumers/groups can read the same stream independently. Out of
-// scope (documented in DESIGN.md): replication, persistence, consumer-group
-// rebalancing protocol.
+// several consumers can read the same stream independently. Out of scope
+// (documented in DESIGN.md): replication, persistence, consumer groups and
+// their rebalancing protocol.
 #pragma once
 
 #include <condition_variable>
@@ -152,8 +152,8 @@ class Producer {
 
 /// Reads an assigned subset of a topic's partitions from tracked offsets
 /// (all partitions unless an explicit assignment is given — Kafka's
-/// assign() model, which is how consumer-group sharding reaches the ingest
-/// layer without re-scanning).
+/// assign() model, which is how each exchange shard reads only the
+/// partitions it owns).
 class Consumer {
  public:
   /// Binds the consumer to every partition of a topic, offset 0 everywhere.
@@ -162,8 +162,7 @@ class Consumer {
   /// Binds the consumer to an explicit partition assignment. Throws
   /// std::out_of_range for partition indices beyond the topic, and
   /// std::invalid_argument for duplicate indices. An empty assignment is
-  /// permitted (a group member left without partitions) and is immediately
-  /// exhausted.
+  /// permitted and is immediately exhausted.
   Consumer(Broker& broker, const std::string& topic,
            std::vector<std::size_t> assignment);
 
@@ -209,32 +208,6 @@ class Consumer {
   std::vector<Offset> offsets_;          ///< next offset per slot
   std::uint64_t consumed_ = 0;
   std::size_t next_slot_ = 0;
-};
-
-/// A consumer group: splits a topic's partitions across `members` consumers
-/// round-robin (partition p -> member p % members), the static equivalent of
-/// Kafka's group rebalancing. Each member is an independent Consumer over a
-/// disjoint partition subset, so N threads can consume one topic with no
-/// shared offset state.
-class ConsumerGroup {
- public:
-  /// Creates `members` >= 1 consumers over the topic's partitions.
-  ConsumerGroup(Broker& broker, const std::string& topic, std::size_t members);
-
-  /// Number of members.
-  std::size_t size() const noexcept { return members_.size(); }
-
-  /// Access to one member's consumer.
-  Consumer& member(std::size_t index) { return members_.at(index); }
-
-  /// The round-robin partition split: result[m] lists the partitions of
-  /// member m. Exposed for callers that need the assignment shape without
-  /// constructing consumers.
-  static std::vector<std::vector<std::size_t>> assign(std::size_t partitions,
-                                                      std::size_t members);
-
- private:
-  std::vector<Consumer> members_;
 };
 
 }  // namespace streamapprox::ingest

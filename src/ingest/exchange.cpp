@@ -1,7 +1,6 @@
 #include "ingest/exchange.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/backoff.h"
 #include "common/clock.h"
@@ -44,7 +43,6 @@ void Exchange::push_channel(std::size_t w, BatchPtr batch) {
 void Exchange::run() {
   const std::size_t partitions = inputs_.size();
   const std::size_t workers = config_.workers;
-  const bool bulk = config_.bulk_routing;
 
   // Per-partition high-water clocks (exchange-thread local: the exchange is
   // the only gate keeper; receivers see only resolved watermarks).
@@ -53,10 +51,8 @@ void Exchange::run() {
   std::vector<BatchPtr> out(workers);
   // Stratum-occupancy bookkeeping for the budget split: this thread sees
   // every record in deterministic order, so the counts stamped onto batches
-  // are reproducible regardless of downstream thread timing. The bulk path
-  // keeps occupancy in the flat StratumTable (one probe chain per run
-  // boundary); the legacy path keeps the original per-record unordered_set.
-  std::unordered_set<sampling::StratumId> strata_seen;
+  // are reproducible regardless of downstream thread timing. Occupancy lives
+  // in the flat StratumTable (one probe chain per run boundary).
   StratumTable strata_table;
   std::vector<std::uint32_t> channel_strata(workers, 0);
   // The last watermark each channel was told, so heartbeats only go to
@@ -73,7 +69,7 @@ void Exchange::run() {
   Stopwatch grace;
   IdleBackoff backoff;
 
-  // Bulk-kernel scratch, reused across rounds so the steady state allocates
+  // Routing-kernel scratch, reused across rounds so the steady state allocates
   // nothing. A RouteRun is pass 1's product: a same-stratum run of the
   // polled batch plus the channel it routes to.
   struct RouteRun {
@@ -102,13 +98,13 @@ void Exchange::run() {
   // sorted / strongly run-structured streams), the scatter collapses to a
   // vector swap: the records move wholesale, zero per-record work.
   //
-  // Output-identical to the legacy loop: channels are filled in the same
+  // The output is that of a record-at-a-time router: channels are filled in
   // per-round partition order, records keep their input order (pass 2
   // iterates runs in offset order per channel), and occupancy increments
   // happen at each stratum's first occurrence in record order, so the
-  // stamps every receiver uses for the budget split are byte-identical.
-  const auto route_bulk = [&](engine::RecordBatch& src,
-                              std::int64_t& partition_clock) {
+  // stamps every receiver uses for the budget split are deterministic.
+  const auto route_batch = [&](engine::RecordBatch& src,
+                               std::int64_t& partition_clock) {
     const engine::Record* recs = src.records.data();
     const std::size_t n = src.records.size();
     route_runs.clear();
@@ -161,37 +157,6 @@ void Exchange::run() {
     }
   };
 
-  // The original record-at-a-time loop, kept verbatim behind
-  // bulk_routing=false: the equivalence oracle for the tests and the
-  // baseline of bench/micro_exchange.
-  const auto route_per_record = [&](const engine::RecordBatch& src,
-                                    std::int64_t& partition_clock) {
-    for (const auto& record : src.records) {
-      const std::size_t w = route(record.stratum, workers);
-      if (strata_seen.insert(record.stratum).second) ++channel_strata[w];
-      if (!out[w]) out[w] = pool_.acquire();
-      out[w]->records.push_back(record);
-      // Stratum run descriptors for the bulk sampling kernel: the routing
-      // decision already read record.stratum, so extending (or opening) the
-      // batch's trailing run costs one compare here and saves a key_ call
-      // plus map probe per record downstream.
-      auto& runs = out[w]->stratum_runs;
-      if (runs.empty() || runs.back().stratum != record.stratum) {
-        runs.push_back(
-            {static_cast<std::uint32_t>(out[w]->records.size() - 1), 1,
-             record.stratum});
-      } else {
-        ++runs.back().length;
-      }
-      partition_clock = std::max(partition_clock, record.event_time_us);
-      if (record.event_time_us >
-          max_routed_event_us_.load(std::memory_order_relaxed)) {
-        max_routed_event_us_.store(record.event_time_us,
-                                   std::memory_order_relaxed);
-      }
-    }
-  };
-
   for (;;) {
     bool any_data = false;
     std::fill(round_clock.begin(), round_clock.end(), core::kNoClock);
@@ -201,30 +166,22 @@ void Exchange::run() {
       if (scratch->empty()) continue;
       any_data = true;
       stats_.records += scratch->records.size();
-      if (bulk) {
-        route_bulk(*scratch, round_clock[p]);
-      } else {
-        route_per_record(*scratch, round_clock[p]);
-      }
+      route_batch(*scratch, round_clock[p]);
     }
 
     if (any_data) {
       ++stats_.rounds;
       grace.restart();
       backoff.reset();
-      if (bulk) {
-        // One relaxed store per data round (the legacy loop pays up to two
-        // atomic ops per record): fold the round's clock maxes, publish if
-        // they advanced the high-water mark. Monotonicity is preserved —
-        // this thread is the only writer.
-        std::int64_t round_max = engine::kNoWatermark;
-        for (std::size_t p = 0; p < partitions; ++p) {
-          round_max = std::max(round_max, round_clock[p]);
-        }
-        if (round_max >
-            max_routed_event_us_.load(std::memory_order_relaxed)) {
-          max_routed_event_us_.store(round_max, std::memory_order_relaxed);
-        }
+      // One relaxed store per data round: fold the round's clock maxes,
+      // publish if they advanced the high-water mark. Monotonicity is
+      // preserved — this thread is the only writer.
+      std::int64_t round_max = engine::kNoWatermark;
+      for (std::size_t p = 0; p < partitions; ++p) {
+        round_max = std::max(round_max, round_clock[p]);
+      }
+      if (round_max > max_routed_event_us_.load(std::memory_order_relaxed)) {
+        max_routed_event_us_.store(round_max, std::memory_order_relaxed);
       }
     }
 
@@ -253,8 +210,8 @@ void Exchange::run() {
     // sentinels, so the policy-complete value is forwarded unchanged.
     const std::int64_t resolved = core::resolve_watermark(view);
 
-    const auto total_strata = static_cast<std::uint32_t>(
-        bulk ? strata_table.size() : strata_seen.size());
+    const auto total_strata =
+        static_cast<std::uint32_t>(strata_table.size());
     for (std::size_t w = 0; w < workers; ++w) {
       if (out[w] && !out[w]->empty()) {
         out[w]->watermark_us = resolved;

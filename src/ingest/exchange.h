@@ -65,24 +65,18 @@ struct ExchangeConfig {
   /// that composes). Defaults describe the classic single-exchange layout.
   std::size_t exchange_index = 0;
   std::size_t exchange_count = 1;
-  /// Route with the two-pass bulk kernel (O(runs) bookkeeping + one reserve
-  /// per destination per round) instead of the record-at-a-time loop. The
-  /// two paths are output-identical — this flag exists as an escape hatch
-  /// and as the ablation axis of bench/micro_exchange.
-  bool bulk_routing = true;
 };
 
 /// Routing-loop accounting, written by the exchange thread while run() is
 /// live and safe to read after it returns. `runs` / `table_probes` /
-/// `scatter_reserves` are the bulk kernel's O(runs + routed) cost made
-/// observable; they stay 0 on the per-record path (which has no such
-/// aggregate steps to count).
+/// `scatter_reserves` make the two-pass routing kernel's O(runs + routed)
+/// cost observable.
 struct ExchangeStats {
   /// Polling rounds that routed at least one record.
   std::uint64_t rounds = 0;
   /// Records routed (same total as records_routed(), counted at poll time).
   std::uint64_t records = 0;
-  /// Same-stratum runs walked by the bulk kernel's pass 1.
+  /// Same-stratum runs walked by the routing kernel's pass 1.
   std::uint64_t runs = 0;
   /// StratumTable slot inspections (one probe chain per run boundary).
   std::uint64_t table_probes = 0;

@@ -9,7 +9,6 @@
 #include <functional>
 #include <unordered_map>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,11 +30,6 @@ struct OasrsConfig {
   AllocationPolicy policy = AllocationPolicy::kEqual;
   /// RNG seed; each stratum forks its own generator deterministically.
   std::uint64_t seed = 0x0a5125ULL;
-  /// Use the skip-ahead sampling kernel (FastReservoirSampler, Algorithm L)
-  /// per stratum: distribution-identical to Algorithm R but O(accepted)
-  /// instead of O(arrived) on saturated reservoirs. Off restores the
-  /// bit-exact per-record Algorithm R path.
-  bool skip_ahead = true;
 };
 
 /// Counters from the skip-ahead bulk kernel, accumulated across offer_run
@@ -54,6 +48,11 @@ struct OasrsKernelStats {
 /// (§3.2). Call take() at the end of every time interval (batch or window
 /// slide) to obtain the (sample, W) pair of Algorithm 3 and reset counters
 /// for the next interval.
+///
+/// Every stratum samples with the skip-ahead kernel (FastReservoirSampler,
+/// Algorithm L): distribution-identical to Algorithm R (ReservoirSampler,
+/// kept as the reference implementation) but O(accepted) instead of
+/// O(arrived) on saturated reservoirs.
 template <typename T, typename KeyFn = std::function<StratumId(const T&)>>
 class OasrsSampler {
  public:
@@ -65,19 +64,18 @@ class OasrsSampler {
   /// stratum counter C_i and the stratum reservoir.
   void offer(const T& item) {
     ++interval_seen_;
-    std::visit([&](auto& r) { r.offer(item); }, reservoir_for(key_(item)));
+    reservoir_for(key_(item)).offer(item);
   }
 
   /// Offers a contiguous same-stratum run of items whose stratum the caller
   /// already knows (the exchange stamps run descriptors at routing time) —
-  /// the production hot path. With skip-ahead enabled, a saturated reservoir
-  /// reads only its accepted positions inside the run; the skipped records
-  /// are never touched. Returns the number of items written to the sample.
+  /// the production hot path. A saturated reservoir reads only its accepted
+  /// positions inside the run; the skipped records are never touched.
+  /// Returns the number of items written to the sample.
   std::size_t offer_run(const StratumId id, const T* items, std::size_t n) {
     if (n == 0) return 0;
     interval_seen_ += n;
-    const std::size_t accepted = std::visit(
-        [&](auto& r) { return r.offer_run(items, n); }, reservoir_for(id));
+    const std::size_t accepted = reservoir_for(id).offer_run(items, n);
     ++stats_.bulk_runs;
     stats_.accepted += accepted;
     stats_.skipped += n - accepted;
@@ -116,17 +114,14 @@ class OasrsSampler {
     std::vector<std::uint64_t> counts;
     counts.reserve(order_.size());
     for (const StratumId id : order_) {
-      std::visit(
-          [&](auto& reservoir) {
-            counts.push_back(reservoir.seen());
-            StratumSample<T> s;
-            s.stratum = id;
-            s.seen = reservoir.seen();
-            s.weight = reservoir.weight();
-            s.items = reservoir.take_items();
-            if (s.seen > 0) result.strata.push_back(std::move(s));
-          },
-          reservoirs_.at(id));
+      Reservoir& reservoir = reservoirs_.at(id);
+      counts.push_back(reservoir.seen());
+      StratumSample<T> s;
+      s.stratum = id;
+      s.seen = reservoir.seen();
+      s.weight = reservoir.weight();
+      s.items = reservoir.take_items();
+      if (s.seen > 0) result.strata.push_back(std::move(s));
     }
     const auto capacities =
         config_.total_budget > 0
@@ -136,8 +131,7 @@ class OasrsSampler {
                                        config_.per_stratum_capacity);
     max_capacity_ = 0;
     for (std::size_t i = 0; i < order_.size(); ++i) {
-      std::visit([&](auto& r) { r.reset(capacities[i]); },
-                 reservoirs_.at(order_[i]));
+      reservoirs_.at(order_[i]).reset(capacities[i]);
       max_capacity_ = std::max(max_capacity_, capacities[i]);
     }
     interval_seen_ = 0;
@@ -149,17 +143,14 @@ class OasrsSampler {
     StratifiedSample<T> result;
     result.strata.reserve(order_.size());
     for (const StratumId id : order_) {
-      std::visit(
-          [&](const auto& reservoir) {
-            if (reservoir.seen() == 0) return;
-            StratumSample<T> s;
-            s.stratum = id;
-            s.seen = reservoir.seen();
-            s.weight = reservoir.weight();
-            s.items = reservoir.items();
-            result.strata.push_back(std::move(s));
-          },
-          reservoirs_.at(id));
+      const Reservoir& reservoir = reservoirs_.at(id);
+      if (reservoir.seen() == 0) continue;
+      StratumSample<T> s;
+      s.stratum = id;
+      s.seen = reservoir.seen();
+      s.weight = reservoir.weight();
+      s.items = reservoir.items();
+      result.strata.push_back(std::move(s));
     }
     return result;
   }
@@ -174,15 +165,11 @@ class OasrsSampler {
     if (budget == 0) return;
     const std::size_t capacity = capacity_for(order_.size());
     for (auto& [id, reservoir] : reservoirs_) {
-      std::visit(
-          [&](auto& r) {
-            if (r.seen() == 0) {
-              r.reset(capacity);
-            } else {
-              r.shrink_capacity(capacity);
-            }
-          },
-          reservoir);
+      if (reservoir.seen() == 0) {
+        reservoir.reset(capacity);
+      } else {
+        reservoir.shrink_capacity(capacity);
+      }
     }
     if (!reservoirs_.empty()) max_capacity_ = capacity;
   }
@@ -226,33 +213,18 @@ class OasrsSampler {
         order_.push_back(id);
         max_capacity_ = std::max(max_capacity_, capacity);
       }
-      // Cross-implementation merge: move the other side's items out and run
-      // this side's binomial slot allocation, whichever variant each holds.
-      std::visit(
-          [&](auto& mine) {
-            std::visit(
-                [&](auto& t) { mine.merge_from(t.take_items(), t.seen()); },
-                theirs);
-          },
-          it->second);
+      // Move the other side's items out and run this side's binomial slot
+      // allocation.
+      it->second.merge_from(theirs.take_items(), theirs.seen());
     }
   }
 
  private:
-  /// Either reservoir implementation; which one is decided per config at
-  /// stratum discovery (all strata of one sampler use the same kind).
-  using Reservoir = std::variant<ReservoirSampler<T>, FastReservoirSampler<T>>;
+  using Reservoir = FastReservoirSampler<T>;
 
-  /// Builds a reservoir of the configured kind. Forks the stratum seed the
-  /// same way in both modes so the Algorithm R path draws a bit-identical
-  /// seed sequence whether or not other samplers in the process skip ahead.
+  /// Builds a stratum reservoir with its own forked seed.
   Reservoir make_reservoir(std::size_t capacity) {
-    const std::uint64_t seed = rng_.fork().next();
-    if (config_.skip_ahead) {
-      return Reservoir{std::in_place_type<FastReservoirSampler<T>>, capacity,
-                       seed};
-    }
-    return Reservoir{std::in_place_type<ReservoirSampler<T>>, capacity, seed};
+    return Reservoir(capacity, rng_.fork().next());
   }
 
   /// Looks up (or discovers) the reservoir of stratum `id`.
@@ -271,7 +243,7 @@ class OasrsSampler {
       const std::size_t capacity = capacity_for(order_.size());
       if (config_.total_budget > 0 && capacity < max_capacity_) {
         for (auto& [existing_id, reservoir] : reservoirs_) {
-          std::visit([&](auto& r) { r.shrink_capacity(capacity); }, reservoir);
+          reservoir.shrink_capacity(capacity);
         }
       }
       // Whether the pass ran (everything shrunk to `capacity`) or was

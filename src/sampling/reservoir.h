@@ -2,8 +2,9 @@
 // skip-ahead production kernel (Li's Algorithm L extended with a bulk-offer
 // path), plus the distributed two-reservoir merge used by OASRS's
 // synchronisation-free distributed execution (paper §3.2, "Distributed
-// execution"). The two classes expose the same surface so OasrsSampler can
-// swap them behind a runtime flag (OasrsConfig::skip_ahead).
+// execution"). OasrsSampler samples with FastReservoirSampler; the two
+// classes expose the same surface so tests and benches can hold the
+// Algorithm R reference side by side with it.
 #pragma once
 
 #include <cassert>
@@ -127,7 +128,7 @@ class ReservoirSampler {
   /// source's STREAM count (binomial allocation of slots — the standard
   /// distributed reservoir merge, unbiased in expectation), then takes a
   /// uniformly random not-yet-taken item from that source. Public so
-  /// OasrsSampler can merge across reservoir implementations.
+  /// OasrsSampler can merge moved-out samples.
   void merge_from(std::vector<T> theirs, std::uint64_t their_seen) {
     if (their_seen == 0) return;
     if (seen_ == 0) {

@@ -223,55 +223,6 @@ TEST(Consumer, PartitionExhaustedTracksPerPartitionProgress) {
   EXPECT_TRUE(consumer.exhausted());
 }
 
-TEST(ConsumerGroup, RoundRobinAssignmentCoversAllPartitionsDisjointly) {
-  const auto assignments = ConsumerGroup::assign(10, 3);
-  ASSERT_EQ(assignments.size(), 3u);
-  std::vector<bool> covered(10, false);
-  for (const auto& assignment : assignments) {
-    for (const std::size_t p : assignment) {
-      EXPECT_FALSE(covered[p]) << "partition assigned twice";
-      covered[p] = true;
-    }
-  }
-  for (const bool c : covered) EXPECT_TRUE(c);
-  EXPECT_EQ(assignments[0], (std::vector<std::size_t>{0, 3, 6, 9}));
-  EXPECT_EQ(assignments[1], (std::vector<std::size_t>{1, 4, 7}));
-}
-
-TEST(ConsumerGroup, MembersPartitionTheStream) {
-  Broker broker;
-  broker.create_topic("t", 5);
-  Producer producer(broker, "t");
-  for (int i = 0; i < 1000; ++i) {
-    producer.send(make_record(static_cast<sampling::StratumId>(i % 5), i));
-  }
-  producer.finish();
-
-  ConsumerGroup group(broker, "t", 2);
-  ASSERT_EQ(group.size(), 2u);
-  std::size_t total = 0;
-  for (std::size_t m = 0; m < group.size(); ++m) {
-    auto& member = group.member(m);
-    while (!member.exhausted()) total += member.poll(64, 10).size();
-  }
-  EXPECT_EQ(total, 1000u);  // disjoint cover: every record exactly once
-}
-
-TEST(ConsumerGroup, MoreMembersThanPartitions) {
-  Broker broker;
-  broker.create_topic("t", 2);
-  Producer producer(broker, "t");
-  for (int i = 0; i < 100; ++i) producer.send(make_record(0, i));
-  producer.finish();
-  ConsumerGroup group(broker, "t", 4);
-  std::size_t total = 0;
-  for (std::size_t m = 0; m < group.size(); ++m) {
-    auto& member = group.member(m);
-    while (!member.exhausted()) total += member.poll(64, 10).size();
-  }
-  EXPECT_EQ(total, 100u);
-}
-
 TEST(PartitionLog, BatchOutReadFillsCallerBatch) {
   PartitionLog log;
   for (int i = 0; i < 10; ++i) log.append(make_record(0, i, i * 100));

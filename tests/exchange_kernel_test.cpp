@@ -1,19 +1,24 @@
-// Kernel equivalence: the exchange's two-pass bulk routing kernel
-// (bulk_routing=true) must be bit-identical to the legacy record-at-a-time
-// loop on every externally observable axis — per-channel record order,
-// StratumRun descriptors, route_strata/total_strata occupancy stamps, and
-// the watermark/heartbeat sequence. On a pre-loaded SEALED topic the
-// exchange's round structure is deterministic (every poll drains batch_size
-// records per partition until exhaustion, with no idle rounds), so the two
-// paths can be compared as full transcripts, batch by batch.
+// Kernel equivalence: the exchange's two-pass routing kernel must be
+// bit-identical to a record-at-a-time reference router on every externally
+// observable axis — per-channel record order, StratumRun descriptors,
+// route_strata/total_strata occupancy stamps, sequence numbers, and the
+// watermark/heartbeat sequence. On a pre-loaded SEALED topic the exchange's
+// round structure is deterministic (every poll drains batch_size records per
+// partition until exhaustion, with no idle rounds), so the test-local
+// reference below replays those rounds and the two are compared as full
+// transcripts, batch by batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/watermark.h"
 #include "engine/record_batch.h"
 #include "ingest/broker.h"
 #include "ingest/exchange.h"
@@ -42,16 +47,18 @@ struct ExchangeRun {
   std::int64_t max_routed_event_us = engine::kNoWatermark;
 };
 
-/// Loads `records` into a sealed `partitions`-way topic and runs one
-/// exchange over it, capturing the full per-channel transcript.
-ExchangeRun run_exchange(const std::vector<engine::Record>& records,
-                         std::size_t partitions, ExchangeConfig config) {
-  Broker broker;
+/// Loads `records` into a sealed `partitions`-way topic "t".
+void load_topic(Broker& broker, const std::vector<engine::Record>& records,
+                std::size_t partitions) {
   broker.create_topic("t", partitions);
   Producer producer(broker, "t");
   producer.send_batch(records);
   producer.finish();
+}
 
+/// Runs one exchange over topic "t", capturing the full per-channel
+/// transcript.
+ExchangeRun run_exchange(Broker& broker, const ExchangeConfig& config) {
   Exchange exchange(broker, "t", config);
   std::thread runner([&] { exchange.run(); });
 
@@ -88,49 +95,140 @@ ExchangeRun run_exchange(const std::vector<engine::Record>& records,
   return out;
 }
 
-/// Runs the same topic through both kernels.
-std::pair<ExchangeRun, ExchangeRun> run_both(
-    const std::vector<engine::Record>& records, std::size_t partitions,
-    ExchangeConfig config) {
-  config.bulk_routing = true;
-  auto bulk = run_exchange(records, partitions, config);
-  config.bulk_routing = false;
-  auto legacy = run_exchange(records, partitions, config);
-  return {std::move(bulk), std::move(legacy)};
+/// The reference router: replays the exchange's rounds over a sealed topic
+/// with its own consumers (each round polls up to batch_size records from
+/// every owned, unexhausted partition in index order) and routes record by
+/// record — occupancy in a plain set, runs by trailing-stratum compare, the
+/// watermark resolved from per-partition clocks after every round, and a
+/// heartbeat to each channel whose last-sent watermark is stale.
+ExchangeRun reference_route(Broker& broker, const ExchangeConfig& config) {
+  const std::size_t workers = config.workers;
+  std::vector<Consumer> inputs;
+  const std::size_t partitions = broker.topic("t").partition_count();
+  for (std::size_t p = config.exchange_index; p < partitions;
+       p += config.exchange_count) {
+    inputs.emplace_back(broker, "t", std::vector<std::size_t>{p});
+  }
+  std::vector<std::int64_t> clocks(inputs.size(), core::kNoClock);
+  std::unordered_set<sampling::StratumId> strata_seen;
+  std::vector<std::uint32_t> channel_strata(workers, 0);
+  std::vector<std::int64_t> last_sent(workers, engine::kNoWatermark);
+  std::vector<std::uint64_t> next_seq(workers, 0);
+  std::vector<engine::Record> polled;
+
+  ExchangeRun out;
+  out.channels.resize(workers);
+  for (;;) {
+    std::vector<BatchTranscript> round(workers);
+    bool any_data = false;
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      if (inputs[p].exhausted()) continue;
+      inputs[p].poll(polled, config.batch_size, /*timeout_ms=*/0);
+      if (polled.empty()) continue;
+      any_data = true;
+      out.stats.records += polled.size();
+      for (const auto& record : polled) {
+        const std::size_t w = Exchange::route(record.stratum, workers);
+        if (strata_seen.insert(record.stratum).second) ++channel_strata[w];
+        auto& batch = round[w];
+        batch.records.push_back(record);
+        if (batch.runs.empty() || batch.runs.back().stratum != record.stratum) {
+          batch.runs.push_back(
+              {static_cast<std::uint32_t>(batch.records.size() - 1), 1,
+               record.stratum});
+        } else {
+          ++batch.runs.back().length;
+        }
+        clocks[p] = std::max(clocks[p], record.event_time_us);
+        out.max_routed_event_us =
+            std::max(out.max_routed_event_us, record.event_time_us);
+      }
+    }
+    if (any_data) ++out.stats.rounds;
+
+    bool all_drained = true;
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      if (inputs[p].exhausted()) {
+        clocks[p] = core::kPartitionDrained;
+      } else {
+        all_drained = false;
+      }
+    }
+    // Every partition of a sealed topic delivers in round one or is already
+    // drained, so no silent partition is ever left to apply grace to.
+    const std::int64_t resolved = core::resolve_watermark(
+        core::evaluate_watermark(clocks, /*idle_grace_over=*/false));
+    for (std::size_t w = 0; w < workers; ++w) {
+      BatchTranscript& batch = round[w];
+      batch.heartbeat = batch.records.empty();
+      if (batch.heartbeat && last_sent[w] == resolved) continue;
+      batch.seq = next_seq[w]++;
+      batch.channel =
+          static_cast<std::uint32_t>(config.exchange_index * workers + w);
+      batch.watermark_us = resolved;
+      batch.route_strata = channel_strata[w];
+      batch.total_strata = static_cast<std::uint32_t>(strata_seen.size());
+      if (batch.heartbeat) {
+        ++out.heartbeats_emitted;
+      } else {
+        ++out.batches_emitted;
+        out.records_routed += batch.records.size();
+      }
+      last_sent[w] = resolved;
+      out.channels[w].push_back(std::move(batch));
+    }
+    if (all_drained) break;
+    if (!any_data) {
+      ADD_FAILURE() << "reference: idle round on a sealed topic";
+      break;
+    }
+  }
+  return out;
 }
 
-void expect_identical(const ExchangeRun& bulk, const ExchangeRun& legacy,
+/// Runs the exchange and the reference router over the same sealed topic.
+std::pair<ExchangeRun, ExchangeRun> run_both(
+    const std::vector<engine::Record>& records, std::size_t partitions,
+    const ExchangeConfig& config) {
+  Broker broker;
+  load_topic(broker, records, partitions);
+  auto actual = run_exchange(broker, config);
+  auto reference = reference_route(broker, config);
+  return {std::move(actual), std::move(reference)};
+}
+
+void expect_identical(const ExchangeRun& actual, const ExchangeRun& reference,
                       const std::string& label) {
-  ASSERT_EQ(bulk.channels.size(), legacy.channels.size()) << label;
-  for (std::size_t w = 0; w < bulk.channels.size(); ++w) {
-    const auto& b = bulk.channels[w];
-    const auto& l = legacy.channels[w];
-    ASSERT_EQ(b.size(), l.size()) << label << " channel " << w;
-    for (std::size_t i = 0; i < b.size(); ++i) {
+  ASSERT_EQ(actual.channels.size(), reference.channels.size()) << label;
+  for (std::size_t w = 0; w < actual.channels.size(); ++w) {
+    const auto& a = actual.channels[w];
+    const auto& r = reference.channels[w];
+    ASSERT_EQ(a.size(), r.size()) << label << " channel " << w;
+    for (std::size_t i = 0; i < a.size(); ++i) {
       const std::string at =
           label + " channel " + std::to_string(w) + " batch " +
           std::to_string(i);
-      EXPECT_EQ(b[i].seq, l[i].seq) << at;
-      EXPECT_EQ(b[i].channel, l[i].channel) << at;
-      EXPECT_EQ(b[i].heartbeat, l[i].heartbeat) << at;
-      EXPECT_EQ(b[i].watermark_us, l[i].watermark_us) << at;
-      EXPECT_EQ(b[i].route_strata, l[i].route_strata) << at;
-      EXPECT_EQ(b[i].total_strata, l[i].total_strata) << at;
-      ASSERT_EQ(b[i].records, l[i].records) << at;
-      ASSERT_EQ(b[i].runs.size(), l[i].runs.size()) << at;
-      for (std::size_t r = 0; r < b[i].runs.size(); ++r) {
-        EXPECT_EQ(b[i].runs[r].offset, l[i].runs[r].offset) << at;
-        EXPECT_EQ(b[i].runs[r].length, l[i].runs[r].length) << at;
-        EXPECT_EQ(b[i].runs[r].stratum, l[i].runs[r].stratum) << at;
+      EXPECT_EQ(a[i].seq, r[i].seq) << at;
+      EXPECT_EQ(a[i].channel, r[i].channel) << at;
+      EXPECT_EQ(a[i].heartbeat, r[i].heartbeat) << at;
+      EXPECT_EQ(a[i].watermark_us, r[i].watermark_us) << at;
+      EXPECT_EQ(a[i].route_strata, r[i].route_strata) << at;
+      EXPECT_EQ(a[i].total_strata, r[i].total_strata) << at;
+      ASSERT_EQ(a[i].records, r[i].records) << at;
+      ASSERT_EQ(a[i].runs.size(), r[i].runs.size()) << at;
+      for (std::size_t k = 0; k < a[i].runs.size(); ++k) {
+        EXPECT_EQ(a[i].runs[k].offset, r[i].runs[k].offset) << at;
+        EXPECT_EQ(a[i].runs[k].length, r[i].runs[k].length) << at;
+        EXPECT_EQ(a[i].runs[k].stratum, r[i].runs[k].stratum) << at;
       }
     }
   }
-  EXPECT_EQ(bulk.batches_emitted, legacy.batches_emitted) << label;
-  EXPECT_EQ(bulk.heartbeats_emitted, legacy.heartbeats_emitted) << label;
-  EXPECT_EQ(bulk.records_routed, legacy.records_routed) << label;
-  EXPECT_EQ(bulk.max_routed_event_us, legacy.max_routed_event_us) << label;
-  EXPECT_EQ(bulk.stats.rounds, legacy.stats.rounds) << label;
-  EXPECT_EQ(bulk.stats.records, legacy.stats.records) << label;
+  EXPECT_EQ(actual.batches_emitted, reference.batches_emitted) << label;
+  EXPECT_EQ(actual.heartbeats_emitted, reference.heartbeats_emitted) << label;
+  EXPECT_EQ(actual.records_routed, reference.records_routed) << label;
+  EXPECT_EQ(actual.max_routed_event_us, reference.max_routed_event_us) << label;
+  EXPECT_EQ(actual.stats.rounds, reference.stats.rounds) << label;
+  EXPECT_EQ(actual.stats.records, reference.stats.records) << label;
 }
 
 /// Record stream with geometric-ish run lengths over `strata` strata:
@@ -183,15 +281,15 @@ TEST(ExchangeKernel, IdenticalOnRandomizedRunLengthMixes) {
     ExchangeConfig config;
     config.workers = c.workers;
     config.batch_size = c.batch_size;
-    const auto [bulk, legacy] = run_both(records, c.partitions, config);
-    expect_identical(bulk, legacy,
+    const auto [actual, reference] = run_both(records, c.partitions, config);
+    expect_identical(actual, reference,
                      "strata=" + std::to_string(c.strata) +
                          " workers=" + std::to_string(c.workers));
   }
 }
 
 TEST(ExchangeKernel, IdenticalOnStratumSortedStream) {
-  // The best case for the bulk kernel: one run per stratum block.
+  // The best case for the two-pass kernel: one run per stratum block.
   std::vector<engine::Record> records;
   for (sampling::StratumId s = 0; s < 64; ++s) {
     for (int i = 0; i < 500; ++i) {
@@ -205,8 +303,8 @@ TEST(ExchangeKernel, IdenticalOnStratumSortedStream) {
   ExchangeConfig config;
   config.workers = 4;
   config.batch_size = 512;
-  const auto [bulk, legacy] = run_both(records, 2, config);
-  expect_identical(bulk, legacy, "sorted");
+  const auto [actual, reference] = run_both(records, 2, config);
+  expect_identical(actual, reference, "sorted");
 }
 
 TEST(ExchangeKernel, IdenticalOnSingleRecordAndEmptyTopics) {
@@ -218,17 +316,17 @@ TEST(ExchangeKernel, IdenticalOnSingleRecordAndEmptyTopics) {
   record.value = 1.0;
   record.event_time_us = 123;
   {
-    const auto [bulk, legacy] =
+    const auto [actual, reference] =
         run_both(std::vector<engine::Record>{record}, 2, config);
-    expect_identical(bulk, legacy, "single-record");
+    expect_identical(actual, reference, "single-record");
   }
   {
-    const auto [bulk, legacy] = run_both({}, 2, config);
-    expect_identical(bulk, legacy, "empty-topic");
+    const auto [actual, reference] = run_both({}, 2, config);
+    expect_identical(actual, reference, "empty-topic");
   }
 }
 
-TEST(ExchangeKernel, StatsAccountForBulkWorkAndStayZeroOnLegacy) {
+TEST(ExchangeKernel, StatsAccountForKernelWork) {
   // Skew 0.9, not 1.0: Rng::zipf hits the rejection-inversion singularity
   // at s == 1 and collapses to a single stratum, which would route every
   // scratch through the pass-through swap (no reserves to count).
@@ -236,25 +334,21 @@ TEST(ExchangeKernel, StatsAccountForBulkWorkAndStayZeroOnLegacy) {
   ExchangeConfig config;
   config.workers = 4;
   config.batch_size = 512;
-  const auto [bulk, legacy] = run_both(records, 2, config);
+  Broker broker;
+  load_topic(broker, records, 2);
+  const auto run = run_exchange(broker, config);
 
-  // Both paths account rounds and records at poll time.
-  EXPECT_GT(bulk.stats.rounds, 0u);
-  EXPECT_EQ(bulk.stats.records, records.size());
-  EXPECT_EQ(legacy.stats.records, records.size());
+  // Rounds and records are accounted at poll time.
+  EXPECT_GT(run.stats.rounds, 0u);
+  EXPECT_EQ(run.stats.records, records.size());
 
-  // The bulk kernel's aggregate steps are counted...
-  EXPECT_GT(bulk.stats.runs, 0u);
-  EXPECT_GT(bulk.stats.table_probes, 0u);
-  EXPECT_GT(bulk.stats.scatter_reserves, 0u);
+  // The kernel's aggregate steps are counted...
+  EXPECT_GT(run.stats.runs, 0u);
+  EXPECT_GT(run.stats.table_probes, 0u);
+  EXPECT_GT(run.stats.scatter_reserves, 0u);
   // ...and are genuinely sub-record: runs (hence table probe chains) must
   // be far fewer than records on this run-friendly mix.
-  EXPECT_LT(bulk.stats.runs, bulk.stats.records);
-
-  // The legacy loop has no such aggregate steps to count.
-  EXPECT_EQ(legacy.stats.runs, 0u);
-  EXPECT_EQ(legacy.stats.table_probes, 0u);
-  EXPECT_EQ(legacy.stats.scatter_reserves, 0u);
+  EXPECT_LT(run.stats.runs, run.stats.records);
 }
 
 }  // namespace
