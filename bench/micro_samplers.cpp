@@ -197,8 +197,8 @@ BENCHMARK(BM_OasrsAllocationPolicy)
 // ---- Saved skip-ahead ablation: BENCH_micro_samplers.json -----------------
 
 /// Exchange-shaped workload: same-stratum chunks of `kRunLength` records
-/// rotating over `kStrata` strata — the run shape the repartitioning
-/// exchange stamps into its run descriptors.
+/// rotating over `kStrata` strata — the run shape a worker's offer_batch
+/// segments out of a long-run exchange batch.
 constexpr std::size_t kStrata = 4;
 constexpr std::size_t kRunLength = 1024;
 

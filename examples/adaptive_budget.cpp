@@ -24,7 +24,8 @@ int main() {
 
   core::StreamApproxConfig config;
   config.topic = "adaptive";
-  config.query = {core::Aggregation::kSum, /*per_stratum=*/false};
+  config.queries.aggregate("query",
+                           {core::Aggregation::kSum, /*per_stratum=*/false});
   // Query budget: a 95%-confidence relative error bound of 0.5%.
   config.budget = estimation::QueryBudget::relative_error(0.005);
   config.window = {2'000'000, 1'000'000};

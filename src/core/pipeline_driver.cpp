@@ -53,16 +53,7 @@ PipelineDriver::PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
       slide_budget_(config_.initial_budget) {
   sketch_plan_ = std::make_shared<const sketch::SketchPlan>();
   if (!config_.evaluate) return;
-  // Seed the query registry: the configured set, or — for backward
-  // compatibility — a set synthesised from the legacy single-query fields.
-  auto seeds = config_.queries.clone_sinks();
-  if (seeds.empty()) {
-    QuerySet legacy;
-    legacy.aggregate("query", config_.query);
-    if (config_.histogram) legacy.histogram("histogram", *config_.histogram);
-    seeds = legacy.clone_sinks();
-  }
-  for (auto& sink : seeds) {
+  for (auto& sink : config_.queries.clone_sinks()) {
     register_sink(std::move(sink), nullptr, /*attach_slide=*/0,
                   config_.initial_budget);
   }
@@ -263,35 +254,14 @@ sampling::OasrsConfig PipelineDriver::slide_sampler_config(
   return oasrs;
 }
 
-PipelineDriver::OpenSlide& PipelineDriver::slide_for(std::int64_t slide) {
+PipelineDriver::SlideState& PipelineDriver::slide_for(std::int64_t slide) {
   auto it = open_slides_.find(slide);
   if (it == open_slides_.end()) {
     it = open_slides_
-             .try_emplace(
-                 slide,
-                 OpenSlide{Sampler(slide_sampler_config(slide),
-                                   engine::RecordStratum{}),
-                           sketch::SlideSketches(*sketch_plan())})
+             .try_emplace(slide, slide_sampler_config(slide), *sketch_plan())
              .first;
   }
   return it->second;
-}
-
-bool PipelineDriver::offer(const engine::Record& record) {
-  const std::int64_t slide =
-      record.event_time_us / config_.window.slide_us;
-  if (closed_any_) {
-    if (next_to_close_ && slide < *next_to_close_) return false;  // late
-  } else {
-    // Cold start: the first slide to close is the earliest slide observed,
-    // not slide 0 — a stream starting at a large event time (epoch-stamped
-    // taxi data) must not sweep through millions of empty slides.
-    next_to_close_ = next_to_close_ ? std::min(*next_to_close_, slide) : slide;
-  }
-  OpenSlide& open = slide_for(slide);
-  open.sampler.offer(record);
-  open.sketches.absorb(&record, 1);
-  return true;
 }
 
 std::size_t PipelineDriver::offer_batch(const engine::Record* records,
@@ -303,12 +273,14 @@ std::size_t PipelineDriver::offer_batch(const engine::Record* records,
         if (closed_any_) {
           if (next_to_close_ && slide < *next_to_close_) return;  // late run
         } else {
+          // Cold start: the first slide to close is the earliest slide
+          // observed, not slide 0 — a stream starting at a large event time
+          // (epoch-stamped taxi data) must not sweep through millions of
+          // empty slides.
           next_to_close_ =
               next_to_close_ ? std::min(*next_to_close_, slide) : slide;
         }
-        OpenSlide& open = slide_for(slide);
-        open.sampler.offer_batch(run, n);
-        open.sketches.absorb(run, n);
+        slide_for(slide).absorb(run, n);
         accepted += n;
       });
   return accepted;
@@ -434,10 +406,10 @@ void PipelineDriver::complete_slide(
         output.records_sampled += cell.sampled;
       }
       output.budget_in_force = slide_budget_.load(std::memory_order_relaxed);
-      // The legacy mirror always carries the window's bounds, even when no
-      // query is eligible for it (e.g. every query detached, or a freshly
-      // attached one still waiting for its first whole window) — consumers
-      // identify outputs by estimate.window_end_us.
+      // The estimate always carries the window's bounds, even when no query
+      // is eligible for it (an empty registry, every query detached, or a
+      // freshly attached one still waiting for its first whole window) —
+      // consumers identify outputs by estimate.window_end_us.
       output.estimate.window_start_us = window->window_start_us;
       output.estimate.window_end_us = window->window_end_us;
       // Window fan-out: every registered query evaluates the same window —
@@ -460,21 +432,12 @@ void PipelineDriver::complete_slide(
           own.records_seen = output.records_seen;
           own.records_sampled = output.records_sampled;
           own.budget_in_force = output.budget_in_force;
-          own.histogram = mine.histogram;
           own.queries.push_back(mine);
           q.subscription->publish(std::move(own));
         }
       }
-      // Legacy mirrors: the first query is THE query of a single-query
-      // config, and the first histogram its optional histogram.
       if (!output.queries.empty()) {
         output.estimate = output.queries.front().estimate;
-      }
-      for (const auto& query : output.queries) {
-        if (query.histogram) {
-          output.histogram = query.histogram;
-          break;
-        }
       }
       if (on_output_) on_output_(output);
       if (on_window_) on_window_(std::move(*window));

@@ -14,11 +14,12 @@
 // That lifecycle used to live inline in StreamApprox::run(); it is extracted
 // here so three execution paths can share it:
 //
-//   * the sequential live path  — offer()/advance(watermark)/finish(), the
-//     driver owns one sampler per open slide; the caller owns the watermark;
-//   * the sharded live path     — N workers sample their partition subsets
-//     locally, a merger OasrsSampler::merge()s them and hands the merged
-//     sample to close_slide_sample();
+//   * the sequential live path  — offer_batch()/advance(watermark)/finish(),
+//     the driver owns one SlideState per open slide; the caller owns the
+//     watermark;
+//   * the sharded live path     — N workers absorb their share of the stream
+//     into local SlideStates, a merger OasrsSampler::merge()s them and hands
+//     the merged sample to close_slide_sample();
 //   * the evaluation harness    — engines produce per-slide cells directly
 //     and hand them to close_slide_cells() (core/systems.cpp).
 //
@@ -56,14 +57,12 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/queue.h"
 #include "core/query.h"
 #include "engine/query_cost.h"
 #include "engine/window.h"
 #include "estimation/cost_function.h"
 #include "estimation/feedback.h"
-#include "estimation/histogram_query.h"
 #include "sampling/oasrs.h"
 
 namespace streamapprox::core {
@@ -73,15 +72,13 @@ namespace streamapprox::core {
 /// sampling counters are per WINDOW, not per query — the stream is sampled
 /// once regardless of how many queries are registered.
 struct WindowOutput {
-  /// The first registered query's estimate (the single query of a legacy
-  /// config); `queries` carries every registered query's output.
+  /// The first registered query's estimate; `queries` carries every
+  /// registered query's output. The window bounds are set even when no query
+  /// evaluated the window.
   WindowEstimate estimate;
   std::uint64_t records_seen = 0;     ///< Σ C_i in the window
   std::uint64_t records_sampled = 0;  ///< Σ Y_i in the window
   std::size_t budget_in_force = 0;    ///< per-slide sample budget used
-  /// The first registered HISTOGRAM query's histogram (the legacy config's
-  /// optional histogram): bucket masses estimate full-population counts.
-  std::optional<Histogram> histogram;
   /// Every registered query's output, in registration order. Queries
   /// attached mid-stream appear only from their first whole window on.
   std::vector<QueryOutput> queries;
@@ -147,12 +144,9 @@ class QuerySubscription {
 
 /// Configuration of the slide lifecycle.
 struct PipelineDriverConfig {
-  /// The registered queries evaluated per window. When empty (and `evaluate`
-  /// is true) the legacy single-query fields below are mapped onto a
-  /// one-entry set: `query` (+ `histogram` when set) at confidence `z`.
+  /// The registered queries evaluated per window. May be empty: windows are
+  /// still emitted with their bounds and sampling counters.
   QuerySet queries;
-  /// Legacy single streaming query, used only when `queries` is empty.
-  QuerySpec query{};
   /// The user's query budget (fraction / latency / tokens / accuracy). An
   /// accuracy budget becomes the default target of registered aggregate
   /// queries that carry no explicit per-query target.
@@ -164,9 +158,6 @@ struct PipelineDriverConfig {
   /// Default confidence (standard deviations) for bounds and the feedback
   /// loop; individual queries may override it per sink.
   double z = 2.0;
-  /// Legacy optional approximate HISTOGRAM query (§3.2), used only when
-  /// `queries` is empty.
-  std::optional<estimation::HistogramSpec> histogram;
   /// RNG seed; per-slide sampler seeds are derived deterministically.
   std::uint64_t seed = 2017;
   /// Sample budget before any arrival statistics exist; the cost function /
@@ -184,6 +175,28 @@ class PipelineDriver {
   /// The per-slide OASRS sampler type shared by all execution paths.
   using Sampler =
       sampling::OasrsSampler<engine::Record, engine::RecordStratum>;
+
+  /// One open slide's state on every live path (the sequential driver's own
+  /// slides and each sharded worker's): the OASRS sampler plus the sketch
+  /// states collecting beside it over the full, unsampled record stream.
+  /// Both merge at slide close — the sampler distribution-identically, the
+  /// sketches exactly.
+  struct SlideState {
+    Sampler sampler;
+    sketch::SlideSketches sketches;
+
+    SlideState(sampling::OasrsConfig config, const sketch::SketchPlan& plan)
+        : sampler(std::move(config), engine::RecordStratum{}),
+          sketches(plan) {}
+
+    /// The one place records reach a sampler and sketches: the sampler
+    /// segments the run into maximal same-stratum runs for its skip-ahead
+    /// kernel, the sketches digest every record.
+    void absorb(const engine::Record* run, std::size_t n) {
+      sampler.offer_batch(run, n);
+      sketches.absorb(run, n);
+    }
+  };
   using OutputFn = std::function<void(const WindowOutput&)>;
   /// Takes the window by value: raw-window mode moves it out, keeping the
   /// evaluation harness's timed loop free of per-window cell copies.
@@ -201,15 +214,16 @@ class PipelineDriver {
 
   // ---- Sequential ingest path (lifecycle thread only) --------------------
 
-  /// Routes one record into its slide's sampler. Records belonging to
-  /// already-closed slides (late beyond the watermark) are dropped. Returns
-  /// true when the record was accepted.
-  bool offer(const engine::Record& record);
+  /// Routes one record into its slide's sampler: offer_batch over one
+  /// record. Returns true when the record was accepted.
+  bool offer(const engine::Record& record) {
+    return offer_batch(&record, 1) == 1;
+  }
 
   /// Batched hot path: routes a whole batch with one slide lookup per run of
   /// consecutive same-slide records (event-time-ordered input makes runs
-  /// long), dropping late records per the offer() rule. Returns the number
-  /// of records accepted.
+  /// long). Records belonging to already-closed slides (late beyond the
+  /// watermark) are dropped. Returns the number of records accepted.
   std::size_t offer_batch(const engine::Record* records, std::size_t count);
 
   /// Convenience overload over a whole vector.
@@ -376,15 +390,8 @@ class PipelineDriver {
   /// is accuracy-kind).
   std::optional<double> fallback_target() const;
 
-  /// Per-open-slide state on the sequential path: the OASRS sampler plus
-  /// the sketch states collecting beside it over the full record stream.
-  struct OpenSlide {
-    Sampler sampler;
-    sketch::SlideSketches sketches;
-  };
-
   /// Looks up (or opens) the state of `slide` on the sequential path.
-  OpenSlide& slide_for(std::int64_t slide);
+  SlideState& slide_for(std::int64_t slide);
 
   /// Rebuilds the published sketch plan from the live registry. Lifecycle
   /// thread only (constructor seeding and registration boundaries).
@@ -444,7 +451,7 @@ class PipelineDriver {
   /// Next sketch-spec id to assign (ids are unique per driver).
   std::uint64_t next_sketch_id_ = 1;
 
-  std::map<std::int64_t, OpenSlide> open_slides_;
+  std::map<std::int64_t, SlideState> open_slides_;
   std::optional<std::int64_t> next_to_close_;
   bool closed_any_ = false;
 

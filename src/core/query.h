@@ -153,7 +153,7 @@ class QuerySink {
 };
 
 /// SUM / MEAN / COUNT over all strata or per stratum — stateless across
-/// slides; the legacy single-`QuerySpec` path maps onto one of these.
+/// slides.
 class AggregateSink : public QuerySink {
  public:
   AggregateSink(std::string name, QuerySpec spec)
@@ -188,8 +188,9 @@ class HistogramSink : public QuerySink {
   QueryOutput evaluate(const engine::WindowResult& window) override;
 
   /// Histograms never inherit the config-level accuracy budget — only an
-  /// explicit per-query target registers a feedback controller (the legacy
-  /// mapping must keep exactly one controller: the aggregate query's).
+  /// explicit per-query target registers a feedback controller, so a
+  /// registry of one aggregate and one histogram under an accuracy budget
+  /// keeps exactly one controller: the aggregate query's.
   std::optional<double> accuracy_target(
       std::optional<double> fallback) const override {
     (void)fallback;

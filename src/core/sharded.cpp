@@ -73,27 +73,12 @@ namespace {
 
 constexpr std::int64_t kNoSlide = std::numeric_limits<std::int64_t>::max();
 
-/// One worker's state for one open slide: the OASRS sampler plus the sketch
-/// states collecting beside it over the full (unsampled) record stream. Both
-/// merge at slide close — the sampler distribution-identically, the sketches
-/// exactly, which is what makes sharded sketch answers bit-identical to the
-/// sequential path's.
-struct WorkerSlide {
-  PipelineDriver::Sampler sampler;
-  sketch::SlideSketches sketches;
-
-  WorkerSlide(sampling::OasrsConfig config,
-              std::shared_ptr<const sketch::SketchPlan> plan)
-      : sampler(std::move(config), engine::RecordStratum{}),
-        sketches(*plan) {}
-};
-
-/// Worker-local state the merger reaches into: the per-slide samplers of one
+/// Worker-local state the merger reaches into: the per-slide states of one
 /// shard, guarded by a mutex the owning worker holds only while applying a
 /// polled batch (never across polls, never against another worker).
 struct Shard {
   std::mutex mutex;
-  std::map<std::int64_t, WorkerSlide> slides;
+  std::map<std::int64_t, PipelineDriver::SlideState> slides;
   /// The stratum-occupancy share last applied to this shard's samplers:
   /// `occupancy_my` of `occupancy_total` strata route here, so new slide
   /// samplers get budget · my/total instead of the flat budget/workers
@@ -212,13 +197,10 @@ void apply_occupancy_locked(ShardedPlan& plan, std::size_t w, Shard& shard,
   }
 }
 
-/// Routes one exchange batch into worker `w`'s local per-slide samplers: one
-/// mutex acquisition per batch, one slide-map lookup per run of consecutive
-/// same-slide records, one OASRS bulk offer per stratum run. Each slide run
-/// is intersected with the batch's stratum run descriptors (stamped by the
-/// exchange) and fed to the sampler's offer_run fast path, which skips key
-/// extraction per record and never reads the records a saturated reservoir
-/// rejects. `my_strata` / `total_strata` is the stratum-occupancy stamp in
+/// Routes one exchange batch into worker `w`'s local per-slide states: one
+/// mutex acquisition per batch, one slide-map lookup and one
+/// SlideState::absorb per run of consecutive same-slide records.
+/// `my_strata` / `total_strata` is the stratum-occupancy stamp in
 /// force for this batch, driving the occupancy-aware budget split.
 /// `apply_stamp` is false when a thief absorbs a STOLEN morsel: the victim
 /// channel's stamp describes the victim's stratum set, not the thief's, so
@@ -227,9 +209,6 @@ void apply_occupancy_locked(ShardedPlan& plan, std::size_t w, Shard& shard,
 void absorb_batch(ShardedPlan& plan, std::size_t w,
                   const engine::RecordBatch& batch, std::size_t my_strata,
                   std::size_t total_strata, bool apply_stamp) {
-  const engine::Record* records = batch.records.data();
-  const engine::StratumRun* runs = batch.stratum_runs.data();
-  const std::size_t run_count = batch.stratum_runs.size();
   Shard& shard = plan.shards[w];
   std::lock_guard lock(shard.mutex);
   if (apply_stamp) {
@@ -237,13 +216,8 @@ void absorb_batch(ShardedPlan& plan, std::size_t w,
   }
   const std::int64_t frozen =
       plan.closed_through.load(std::memory_order_acquire);
-  // Cursor into the stratum run descriptors, shared across slide runs: both
-  // segmentations walk the batch left to right, so one forward pass covers
-  // every intersection even when a stratum run straddles a slide boundary
-  // (or a late-dropped slide consumed part of it).
-  std::size_t ri = 0;
   engine::for_each_slide_run(
-      records, batch.size(), plan.slide_us,
+      batch.records.data(), batch.size(), plan.slide_us,
       [&](std::int64_t slide, const engine::Record* run, std::size_t n) {
         if (slide < frozen) return;  // late beyond merged watermark
         auto it = shard.slides.find(slide);
@@ -254,30 +228,14 @@ void absorb_batch(ShardedPlan& plan, std::size_t w,
                                     slide, w, plan.workers,
                                     shard.occupancy_my,
                                     shard.occupancy_total),
-                                plan.driver.sketch_plan())
+                                *plan.driver.sketch_plan())
                    .first;
           atomic_min(plan.first_slide, slide);
         }
         // Sketches digest the FULL stream (sampling happens beside them),
         // whichever worker the run landed on — merge exactness makes the
         // final per-slide state independent of that placement.
-        it->second.sketches.absorb(run, n);
-        const std::size_t begin = static_cast<std::size_t>(run - records);
-        const std::size_t slide_end = begin + n;
-        while (ri < run_count &&
-               runs[ri].offset + runs[ri].length <= begin) {
-          ++ri;
-        }
-        std::size_t pos = begin;
-        while (pos < slide_end) {
-          const engine::StratumRun& sr = runs[ri];
-          const std::size_t sr_end = sr.offset + sr.length;
-          const std::size_t take =
-              std::min<std::size_t>(sr_end, slide_end) - pos;
-          it->second.sampler.offer_run(sr.stratum, records + pos, take);
-          pos += take;
-          if (sr_end <= pos) ++ri;
-        }
+        it->second.absorb(run, n);
       });
 }
 
@@ -297,7 +255,7 @@ void merge_until_done(ShardedPlan& plan,
                                    engine::RecordStratum{});
     sketch::SlideSketches merged_sketches;
     for (auto& shard : plan.shards) {
-      std::map<std::int64_t, WorkerSlide>::node_type node;
+      std::map<std::int64_t, PipelineDriver::SlideState>::node_type node;
       {
         std::lock_guard lock(shard.mutex);
         // Stranded entries below the closing slide are late beyond the

@@ -63,16 +63,10 @@ bool StreamApprox::detach_query(const std::string& name) {
 }
 
 bool StreamApprox::config_has_query(const std::string& name) const {
-  if (!config_.queries.empty()) {
-    for (const auto& sink : config_.queries.sinks()) {
-      if (sink->name() == name) return true;
-    }
-    return false;
+  for (const auto& sink : config_.queries.sinks()) {
+    if (sink->name() == name) return true;
   }
-  // An empty set synthesizes the legacy sinks "query" (+ "histogram") at
-  // driver construction; pre-run control must address them by those names
-  // exactly as a running driver would.
-  return name == "query" || (config_.histogram && name == "histogram");
+  return false;
 }
 
 StreamApprox::~StreamApprox() {
@@ -87,12 +81,8 @@ StreamApprox::~StreamApprox() {
 std::size_t StreamApprox::query_count() const {
   std::lock_guard lock(control_mutex_);
   if (live_driver_ != nullptr) return live_driver_->query_count();
-  // Mirror the driver's construction rule: an empty set synthesizes the
-  // legacy "query" sink plus "histogram" when configured.
-  const std::size_t configured =
-      config_.queries.empty() ? (config_.histogram ? 2 : 1)
-                              : config_.queries.size();
-  const std::size_t total = configured + pre_run_attaches_.size();
+  const std::size_t total =
+      config_.queries.size() + pre_run_attaches_.size();
   return total > pre_run_detaches_.size() ? total - pre_run_detaches_.size()
                                           : 0;
 }
@@ -117,12 +107,10 @@ void StreamApprox::uninstall_driver() {
 PipelineDriverConfig StreamApprox::driver_config() const {
   PipelineDriverConfig driver;
   driver.queries = config_.queries;
-  driver.query = config_.query;
   driver.budget = config_.budget;
   driver.window = config_.window;
   driver.query_cost = config_.query_cost;
   driver.z = config_.z;
-  driver.histogram = config_.histogram;
   driver.seed = config_.seed;
   return driver;
 }
@@ -163,6 +151,10 @@ void StreamApprox::run_sequential(
   records.reserve(config_.poll_batch);
   for (;;) {
     consumer.poll(records, config_.poll_batch, /*timeout_ms=*/50);
+    // The grace window is measured from the LAST poll that returned data,
+    // so a partition that never delivered keeps gating while the others
+    // still deliver (the exchange applies the same rule per round).
+    if (!records.empty()) idle_watch.restart();
     for (const auto& record : records) {
       ingest_acc += config_.ingest_cost.charge(record.value);  // parse work
       auto& clock = clocks[topic.partition_for_key(record.stratum)];

@@ -38,17 +38,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "core/pipeline_driver.h"
 #include "core/query.h"
 #include "engine/query_cost.h"
 #include "estimation/cost_function.h"
 #include "estimation/feedback.h"
-#include "estimation/histogram_query.h"
 #include "ingest/broker.h"
 
 namespace streamapprox::core {
@@ -59,12 +56,9 @@ struct StreamApproxConfig {
   std::string topic;
   /// The registered queries, evaluated concurrently over ONE sampled stream
   /// (ingested, exchanged, sampled and windowed once; every WindowOutput
-  /// carries all of their results in `WindowOutput::queries`). When empty,
-  /// the legacy single-query fields below (`query`, `histogram`, `z`) map
-  /// onto a one-entry set for backward compatibility.
+  /// carries all of their results in `WindowOutput::queries`). May be empty:
+  /// windows are still emitted with their bounds and sampling counters.
   QuerySet queries;
-  /// Legacy single streaming query, used only when `queries` is empty.
-  QuerySpec query{};
   /// The user's query budget (fraction / latency / tokens / accuracy).
   estimation::QueryBudget budget = estimation::QueryBudget::fraction(0.6);
   /// Sliding-window geometry.
@@ -111,11 +105,6 @@ struct StreamApproxConfig {
   /// (95 %). Registered queries may override it per sink, so a 95 %-
   /// confidence SUM can coexist with a 99 %-confidence MEAN.
   double z = 2.0;
-  /// Legacy optional approximate HISTOGRAM query (§3.2), used only when
-  /// `queries` is empty: when set, every window output carries a weighted
-  /// histogram of the sampled values estimating the full-population value
-  /// distribution.
-  std::optional<estimation::HistogramSpec> histogram;
   /// RNG seed.
   std::uint64_t seed = 2017;
 };
@@ -235,8 +224,7 @@ class StreamApprox {
   /// Maps the facade configuration onto the slide-lifecycle driver's.
   PipelineDriverConfig driver_config() const;
 
-  /// True when `name` addresses a config-registered query, including the
-  /// legacy sinks ("query", "histogram") a legacy config synthesizes.
+  /// True when `name` addresses a config-registered query.
   bool config_has_query(const std::string& name) const;
 
   /// Hands queued pre-run control operations to the freshly built driver

@@ -1,7 +1,8 @@
 // The morsel of the batched data plane: a reusable vector of records plus
 // the transport metadata the repartitioning exchange forwards alongside the
-// data (source partition, low-watermark). Batches are recycled through a
-// BatchPool so steady-state polling and exchange hops allocate nothing
+// data (low-watermark, occupancy stamp, morsel identity). Batches are
+// recycled through a BatchPool so steady-state polling and exchange hops
+// allocate nothing
 // (morsel-driven execution, Leis et al. SIGMOD'14 — batch-at-a-time transfer
 // between operators instead of one virtual call per record).
 #pragma once
@@ -27,27 +28,9 @@ inline constexpr std::int64_t kNoWatermark =
 inline constexpr std::int64_t kWatermarkFlush =
     std::numeric_limits<std::int64_t>::max();
 
-/// Descriptor of a contiguous same-stratum run inside a RecordBatch:
-/// records [offset, offset + length) all carry `stratum`. The repartitioning
-/// exchange stamps these at routing time — it already reads every record's
-/// stratum to route it — so downstream samplers can feed whole runs to the
-/// skip-ahead bulk kernel without re-deriving the key per record.
-struct StratumRun {
-  std::uint32_t offset = 0;
-  std::uint32_t length = 0;
-  sampling::StratumId stratum = 0;
-};
-
 /// One batch of records moving between data-plane stages.
 struct RecordBatch {
-  /// Sentinel for `source_partition`: records from several partitions.
-  static constexpr std::size_t kMixedSources =
-      std::numeric_limits<std::size_t>::max();
-
   std::vector<Record> records;
-  /// The partition every record came from, when the batch was filled from
-  /// exactly one partition; kMixedSources otherwise.
-  std::size_t source_partition = kMixedSources;
   /// Low-watermark travelling with the batch (min-combined over the source
   /// partitions by the exchange): every record at or below it that will ever
   /// be forwarded to this receiver has already been forwarded. kNoWatermark
@@ -80,25 +63,14 @@ struct RecordBatch {
   /// a dedicated zero-reserve pool so idle channels never pin full-capacity
   /// record buffers.
   bool heartbeat = false;
-  /// Same-stratum run descriptors covering `records` exactly, in order, when
-  /// the producer stamps them (the repartitioning exchange does); empty when
-  /// it does not. Consumers must treat an empty list on a non-empty batch as
-  /// "not stamped", not "zero runs".
-  std::vector<StratumRun> stratum_runs;
 
   std::size_t size() const noexcept { return records.size(); }
   bool empty() const noexcept { return records.empty(); }
 
-  /// Appends a same-stratum run of `count` records and maintains the
-  /// `stratum_runs` descriptor list: extends the trailing descriptor when it
-  /// carries the same stratum (runs merge across producer-side batch
-  /// boundaries, exactly like the record-at-a-time trailing-run update),
-  /// opens a new one otherwise. The scatter pass of the exchange's bulk
-  /// routing kernel is one call per routed run instead of one compare per
-  /// record.
-  void append_run(const Record* run, std::size_t count,
-                  sampling::StratumId stratum) {
-    const auto offset = static_cast<std::uint32_t>(records.size());
+  /// Appends a run of `count` records. The scatter pass of the exchange's
+  /// bulk routing kernel is one call per routed run instead of one copy
+  /// decision per record.
+  void append_run(const Record* run, std::size_t count) {
     if (count == 1) {
       // Length-1 runs are the common case on shuffled streams; push_back
       // skips the range-insert machinery for them.
@@ -106,26 +78,18 @@ struct RecordBatch {
     } else {
       records.insert(records.end(), run, run + count);
     }
-    if (!stratum_runs.empty() && stratum_runs.back().stratum == stratum) {
-      stratum_runs.back().length += static_cast<std::uint32_t>(count);
-    } else {
-      stratum_runs.push_back(
-          {offset, static_cast<std::uint32_t>(count), stratum});
-    }
   }
 
   /// Clears data and metadata, keeping the records' capacity — the whole
   /// point of pooling.
   void reset() noexcept {
     records.clear();
-    source_partition = kMixedSources;
     watermark_us = kNoWatermark;
     route_strata = 0;
     total_strata = 0;
     channel = kNoChannel;
     seq = 0;
     heartbeat = false;
-    stratum_runs.clear();
   }
 };
 

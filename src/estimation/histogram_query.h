@@ -5,8 +5,7 @@
 // sampled values themselves, so estimation happens where the sample is
 // still materialised: core::HistogramSink's slide hook receives the closed
 // slide's stratified sample and keeps a window-aligned ring of per-slide
-// histograms (register one via core::QuerySet::histogram, or the legacy
-// StreamApproxConfig::histogram field).
+// histograms (register one via core::QuerySet::histogram).
 #pragma once
 
 #include <cstddef>

@@ -189,9 +189,6 @@ std::size_t Consumer::poll(std::vector<engine::Record>& out,
 std::size_t Consumer::poll(engine::RecordBatch& out, std::size_t max_records,
                            std::int64_t timeout_ms) {
   out.reset();
-  out.source_partition = assignment_.size() == 1
-                             ? assignment_.front()
-                             : engine::RecordBatch::kMixedSources;
   return poll(out.records, max_records, timeout_ms);
 }
 

@@ -40,7 +40,7 @@ class PartitionLog {
 
   /// Batch-out overload: appends into a caller-owned batch under one lock
   /// acquisition — the data plane's allocation-free fill path. Metadata
-  /// (source_partition, watermark) is the caller's to stamp.
+  /// (watermark, occupancy, identity) is the caller's to stamp.
   Offset read(Offset from, std::size_t max_records,
               engine::RecordBatch& out) const {
     return read(from, max_records, out.records);
@@ -180,9 +180,7 @@ class Consumer {
   std::size_t poll(std::vector<engine::Record>& out, std::size_t max_records,
                    std::int64_t timeout_ms = 100);
 
-  /// Batch-out overload: fills a caller-owned batch and stamps its
-  /// source_partition (the partition index when the assignment has exactly
-  /// one partition, RecordBatch::kMixedSources otherwise). The watermark is
+  /// Batch-out overload: resets and fills a caller-owned batch. Metadata is
   /// left for the transport layer to stamp. Returns the records fetched.
   std::size_t poll(engine::RecordBatch& out, std::size_t max_records,
                    std::int64_t timeout_ms = 100);

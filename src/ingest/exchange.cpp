@@ -75,7 +75,6 @@ void Exchange::run() {
   struct RouteRun {
     std::uint32_t offset;
     std::uint32_t length;
-    sampling::StratumId stratum;
     std::uint32_t channel;
   };
   std::vector<RouteRun> route_runs;
@@ -91,9 +90,7 @@ void Exchange::run() {
   // over event times (no hash, no branch on route).
   //
   // Pass 2 (reserve / scatter) sizes each destination batch once from the
-  // histogram, then copies records run-by-run with append_run — which also
-  // maintains the StratumRun descriptors, merging with the destination's
-  // trailing run exactly like the record-at-a-time compare. When the WHOLE
+  // histogram, then copies records run-by-run with append_run. When the WHOLE
   // polled batch routes to one still-empty destination (the steady state on
   // sorted / strongly run-structured streams), the scatter collapses to a
   // vector swap: the records move wholesale, zero per-record work.
@@ -117,7 +114,7 @@ void Exchange::run() {
       const auto w = static_cast<std::uint32_t>(route(stratum, workers));
       if (strata_table.insert(stratum)) ++channel_strata[w];
       route_runs.push_back({static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(end - i), stratum, w});
+                            static_cast<std::uint32_t>(end - i), w});
       scatter_counts[w] += static_cast<std::uint32_t>(end - i);
       i = end;
     }
@@ -128,18 +125,13 @@ void Exchange::run() {
     }
     partition_clock = clock;
     // Morsel pass-through: every run routed to one channel whose batch is
-    // still empty this round -> move the vector, emit the descriptors
-    // as-is (offsets are unchanged; consecutive runs differ by
-    // construction, so no trailing merge can apply on an empty batch).
+    // still empty this round -> move the vector.
     if (!route_runs.empty() &&
         scatter_counts[route_runs.front().channel] == n) {
       const std::uint32_t w = route_runs.front().channel;
       if (!out[w]) out[w] = pool_.acquire();
       if (out[w]->records.empty()) {
         out[w]->records.swap(src.records);
-        for (const RouteRun& rr : route_runs) {
-          out[w]->stratum_runs.push_back({rr.offset, rr.length, rr.stratum});
-        }
         return;
       }
     }
@@ -153,7 +145,7 @@ void Exchange::run() {
     // write cursor (runs arrive in offset order and every channel was sized
     // above), so the scatter is O(runs) dispatch + O(routed) copying.
     for (const RouteRun& rr : route_runs) {
-      out[rr.channel]->append_run(recs + rr.offset, rr.length, rr.stratum);
+      out[rr.channel]->append_run(recs + rr.offset, rr.length);
     }
   };
 

@@ -68,10 +68,10 @@ class OasrsSampler {
   }
 
   /// Offers a contiguous same-stratum run of items whose stratum the caller
-  /// already knows (the exchange stamps run descriptors at routing time) —
-  /// the production hot path. A saturated reservoir reads only its accepted
-  /// positions inside the run; the skipped records are never touched.
-  /// Returns the number of items written to the sample.
+  /// already knows — the skip-ahead bulk kernel, fed by offer_batch. A
+  /// saturated reservoir reads only its accepted positions inside the run;
+  /// the skipped records' values are never copied. Returns the number of
+  /// items written to the sample.
   std::size_t offer_run(const StratumId id, const T* items, std::size_t n) {
     if (n == 0) return 0;
     interval_seen_ += n;
@@ -83,8 +83,9 @@ class OasrsSampler {
   }
 
   /// Offers a contiguous run of mixed-stratum items, segmenting it into
-  /// same-stratum runs (one key_ call per item, like the old cached-lookup
-  /// path) and feeding each to offer_run.
+  /// maximal same-stratum runs (one key_ call per item: each stratum field
+  /// is read once) and feeding each to offer_run — the one path records
+  /// take into a sampler on every live execution path.
   void offer_batch(const T* items, std::size_t count) {
     std::size_t i = 0;
     while (i < count) {

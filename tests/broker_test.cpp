@@ -255,7 +255,7 @@ TEST(Consumer, ReuseBufferPollIsClearedAndFilled) {
   EXPECT_EQ(total, 500u);
 }
 
-TEST(Consumer, BatchOutPollStampsSingleSourcePartition) {
+TEST(Consumer, BatchOutPollReadsAssignedPartitions) {
   Broker broker;
   broker.create_topic("t", 3);
   Producer producer(broker, "t");
@@ -264,18 +264,19 @@ TEST(Consumer, BatchOutPollStampsSingleSourcePartition) {
   }
   producer.finish();
 
-  // Single-partition assignment: the batch is tagged with its source.
+  // Single-partition assignment: only that partition's records.
   Consumer single(broker, "t", {1});
   engine::RecordBatch batch;
   single.poll(batch, 64, 10);
-  EXPECT_EQ(batch.source_partition, 1u);
   EXPECT_FALSE(batch.empty());
   for (const auto& record : batch.records) EXPECT_EQ(record.stratum % 3, 1u);
 
-  // Multi-partition assignment: mixed sources.
+  // Multi-partition assignment: the refill resets the batch first.
+  batch.watermark_us = 7;
   Consumer all(broker, "t");
   all.poll(batch, 64, 10);
-  EXPECT_EQ(batch.source_partition, engine::RecordBatch::kMixedSources);
+  EXPECT_FALSE(batch.empty());
+  EXPECT_EQ(batch.watermark_us, engine::kNoWatermark);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ Record make_record(int i) {
 PipelineDriverConfig driver_config_1s_windows() {
   PipelineDriverConfig config;
   config.window = {1'000'000, 500'000};  // 2 slides per window
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   return config;
 }
 
@@ -242,7 +242,7 @@ std::vector<WindowOutput> run_sealed(
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.workers = workers;
   config.seed = 99;
   config.idle_partition_timeout_ms = 30'000;
@@ -326,7 +326,7 @@ TEST(DynamicQuery, ExchangeAttachDetachLeavesOthersEquivalent) {
   // IDENTICAL per window; estimates agree within summed 3-sigma bounds
   // (sharded sampled counts are timing-dependent — workers race the merger
   // for the atomic budget — so bit-identity is a sequential-only contract;
-  // see ParallelEquivalence.RegistrySingleQueryMatchesLegacyWhenSharded).
+  // see ParallelEquivalence.EstimatesAgreeWithinErrorBounds).
   const auto records = gaussian_stream(4.0, 20000.0, 22);
   const auto baseline = run_sealed(records, 4, 2);
 
@@ -392,7 +392,7 @@ TEST(DynamicQuery, DetachOnlyTargetedQueryFallsBackToConfigBudget) {
         config.topic = "input";
         config.window = {1'000'000, 500'000};
         config.budget = estimation::QueryBudget::fraction(0.20);
-        config.query = {Aggregation::kMean, false};
+        config.queries.aggregate("query", {Aggregation::kMean, false});
         config.seed = 7;
         StreamApprox system(broker, config);
         std::vector<std::size_t> budgets;
@@ -454,7 +454,7 @@ TEST(DynamicQuery, AttachDuringIdlePartitionStallAppliesOnResume) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.idle_partition_timeout_ms = 100;
   StreamApprox system(broker, config);
 
@@ -505,10 +505,10 @@ TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   {
     StreamApprox system(broker, config);
-    // Legacy configs synthesize one "query" sink at driver construction;
-    // the pre-run count mirrors that.
+    // The pre-run count is the configured set.
     EXPECT_EQ(system.query_count(), 1u);
     auto subscription = system.attach_query(
         std::make_unique<AggregateSink>(
@@ -520,8 +520,8 @@ TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
     EXPECT_TRUE(system.detach_query("pre"));
     EXPECT_TRUE(subscription->finished());
     EXPECT_EQ(system.query_count(), 1u);
-    // The legacy sink is addressable pre-run under its synthesized name —
-    // once: a repeat detach of an already-slated query is a no-op.
+    // A config-registered query is addressable pre-run by its name — once:
+    // a repeat detach of an already-slated query is a no-op.
     EXPECT_TRUE(system.detach_query("query"));
     EXPECT_EQ(system.query_count(), 0u);
     EXPECT_FALSE(system.detach_query("query"));
@@ -556,7 +556,7 @@ TEST(DynamicQuery, AttachDetachStormUnderExchangeSharding) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.workers = 4;
   config.idle_partition_timeout_ms = 30'000;
   StreamApprox system(broker, config);

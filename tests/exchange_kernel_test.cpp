@@ -1,10 +1,10 @@
 // Kernel equivalence: the exchange's two-pass routing kernel must be
 // bit-identical to a record-at-a-time reference router on every externally
-// observable axis — per-channel record order, StratumRun descriptors,
-// route_strata/total_strata occupancy stamps, sequence numbers, and the
-// watermark/heartbeat sequence. On a pre-loaded SEALED topic the exchange's
-// round structure is deterministic (every poll drains batch_size records per
-// partition until exhaustion, with no idle rounds), so the test-local
+// observable axis — per-channel record order, route_strata/total_strata
+// occupancy stamps, sequence numbers, and the watermark/heartbeat sequence.
+// On a pre-loaded SEALED topic the exchange's round structure is
+// deterministic (every poll drains batch_size records per partition until
+// exhaustion, with no idle rounds), so the test-local
 // reference below replays those rounds and the two are compared as full
 // transcripts, batch by batch.
 #include <gtest/gtest.h>
@@ -35,7 +35,6 @@ struct BatchTranscript {
   std::uint32_t route_strata = 0;
   std::uint32_t total_strata = 0;
   std::vector<engine::Record> records;
-  std::vector<engine::StratumRun> runs;
 };
 
 struct ExchangeRun {
@@ -76,7 +75,6 @@ ExchangeRun run_exchange(Broker& broker, const ExchangeConfig& config) {
         entry.route_strata = batch->route_strata;
         entry.total_strata = batch->total_strata;
         entry.records = batch->records;
-        entry.runs = batch->stratum_runs;
         out.channels[w].push_back(std::move(entry));
         exchange.recycle(std::move(batch));
       }
@@ -98,9 +96,9 @@ ExchangeRun run_exchange(Broker& broker, const ExchangeConfig& config) {
 /// The reference router: replays the exchange's rounds over a sealed topic
 /// with its own consumers (each round polls up to batch_size records from
 /// every owned, unexhausted partition in index order) and routes record by
-/// record — occupancy in a plain set, runs by trailing-stratum compare, the
-/// watermark resolved from per-partition clocks after every round, and a
-/// heartbeat to each channel whose last-sent watermark is stale.
+/// record — occupancy in a plain set, the watermark resolved from
+/// per-partition clocks after every round, and a heartbeat to each channel
+/// whose last-sent watermark is stale.
 ExchangeRun reference_route(Broker& broker, const ExchangeConfig& config) {
   const std::size_t workers = config.workers;
   std::vector<Consumer> inputs;
@@ -130,15 +128,7 @@ ExchangeRun reference_route(Broker& broker, const ExchangeConfig& config) {
       for (const auto& record : polled) {
         const std::size_t w = Exchange::route(record.stratum, workers);
         if (strata_seen.insert(record.stratum).second) ++channel_strata[w];
-        auto& batch = round[w];
-        batch.records.push_back(record);
-        if (batch.runs.empty() || batch.runs.back().stratum != record.stratum) {
-          batch.runs.push_back(
-              {static_cast<std::uint32_t>(batch.records.size() - 1), 1,
-               record.stratum});
-        } else {
-          ++batch.runs.back().length;
-        }
+        round[w].records.push_back(record);
         clocks[p] = std::max(clocks[p], record.event_time_us);
         out.max_routed_event_us =
             std::max(out.max_routed_event_us, record.event_time_us);
@@ -215,12 +205,6 @@ void expect_identical(const ExchangeRun& actual, const ExchangeRun& reference,
       EXPECT_EQ(a[i].route_strata, r[i].route_strata) << at;
       EXPECT_EQ(a[i].total_strata, r[i].total_strata) << at;
       ASSERT_EQ(a[i].records, r[i].records) << at;
-      ASSERT_EQ(a[i].runs.size(), r[i].runs.size()) << at;
-      for (std::size_t k = 0; k < a[i].runs.size(); ++k) {
-        EXPECT_EQ(a[i].runs[k].offset, r[i].runs[k].offset) << at;
-        EXPECT_EQ(a[i].runs[k].length, r[i].runs[k].length) << at;
-        EXPECT_EQ(a[i].runs[k].stratum, r[i].runs[k].stratum) << at;
-      }
     }
   }
   EXPECT_EQ(actual.batches_emitted, reference.batches_emitted) << label;

@@ -94,8 +94,8 @@ TEST(FeedbackBank, EmptyBankKeepsInitialBudget) {
 }
 
 TEST(FeedbackBank, SingleTargetMatchesPlainController) {
-  // The legacy single-query path must be reproduced exactly: one target in
-  // the bank follows the standalone controller's trajectory bit for bit.
+  // A single targeted query must be reproduced exactly: one target in the
+  // bank follows the standalone controller's trajectory bit for bit.
   FeedbackController controller(config_with_target(0.01), 1024);
   FeedbackBank bank(FeedbackConfig{}, 1024);
   const std::size_t id = bank.add_target(0.01);

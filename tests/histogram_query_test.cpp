@@ -78,20 +78,22 @@ TEST(WeightedHistogram, FacadeDeliversWindowHistograms) {
 
   core::StreamApproxConfig config;
   config.topic = "hist";
-  config.query = {core::Aggregation::kMean, false};
+  config.queries.aggregate("query", {core::Aggregation::kMean, false});
+  config.queries.histogram("histogram", {0.0, 100.0, 20});
   config.budget = QueryBudget::fraction(0.2);
   config.window = {1'000'000, 500'000};
-  config.histogram = HistogramSpec{0.0, 100.0, 20};
 
   core::StreamApprox system(broker, config);
   std::size_t with_histogram = 0;
   std::size_t windows = 0;
   system.run([&](const core::WindowOutput& output) {
     ++windows;
-    if (!output.histogram) return;
+    ASSERT_EQ(output.queries.size(), 2u);
+    const auto& histogram = output.queries[1].histogram;
+    if (!histogram) return;
     ++with_histogram;
     // Bimodal input: mass near 20 and near 50, nothing near 80.
-    const auto& h = *output.histogram;
+    const auto& h = *histogram;
     EXPECT_GT(h.total(), 0.0);
     const double near20 = h.bucket(4);   // [20,25)
     const double near80 = h.bucket(16);  // [80,85)
@@ -103,54 +105,6 @@ TEST(WeightedHistogram, FacadeDeliversWindowHistograms) {
   replay.wait();
   ASSERT_GT(windows, 0u);
   EXPECT_EQ(with_histogram, windows);
-}
-
-TEST(WeightedHistogram, RegistryHistogramMatchesLegacyConfigField) {
-  // A HISTOGRAM query registered on the QuerySet and the legacy
-  // `config.histogram` field are the same sink: a seeded sequential run
-  // produces bucket-identical window histograms either way.
-  workload::SyntheticStream stream(
-      {{0, workload::Gaussian{50.0, 10.0}, 20000.0},
-       {1, workload::Gaussian{20.0, 5.0}, 20000.0}},
-      24);
-  const auto records = stream.generate(3.0);
-
-  const auto run = [&](bool via_registry) {
-    ingest::Broker broker;
-    broker.create_topic("hist", 1);
-    ingest::ReplayTool replay(broker, "hist", records, {});
-    core::StreamApproxConfig config;
-    config.topic = "hist";
-    config.budget = QueryBudget::fraction(0.2);
-    config.window = {1'000'000, 500'000};
-    if (via_registry) {
-      config.queries.aggregate("mean", {core::Aggregation::kMean, false});
-      config.queries.histogram("hist", {0.0, 100.0, 20});
-    } else {
-      config.query = {core::Aggregation::kMean, false};
-      config.histogram = HistogramSpec{0.0, 100.0, 20};
-    }
-    core::StreamApprox system(broker, config);
-    std::vector<Histogram> histograms;
-    system.run([&](const core::WindowOutput& output) {
-      ASSERT_TRUE(output.histogram.has_value());
-      histograms.push_back(*output.histogram);
-    });
-    replay.wait();
-    return histograms;
-  };
-
-  const auto legacy = run(false);
-  const auto registry = run(true);
-  ASSERT_GT(legacy.size(), 2u);
-  ASSERT_EQ(legacy.size(), registry.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    ASSERT_EQ(legacy[i].bucket_count(), registry[i].bucket_count());
-    EXPECT_EQ(legacy[i].total(), registry[i].total());
-    for (std::size_t k = 0; k < legacy[i].bucket_count(); ++k) {
-      EXPECT_EQ(legacy[i].bucket(k), registry[i].bucket(k)) << i << "/" << k;
-    }
-  }
 }
 
 TEST(WeightedHistogram, QuantilesFromWeightedSampleMatchPopulation) {

@@ -28,7 +28,7 @@ StreamApproxConfig base_config(std::size_t workers) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.workers = workers;
   config.seed = 99;
   // These tests replay-and-seal; idleness is not under test (the dedicated
@@ -247,35 +247,48 @@ TEST(ParallelEquivalence, IdlePartitionResumesWithoutDroppingLiveRecords) {
   }
 }
 
-TEST(ParallelEquivalence, RegistrySingleQueryMatchesLegacyWhenSharded) {
-  // Backward compatibility on the exchange-sharded path. Sampled counts are
-  // timing-dependent in sharded mode (workers pick up the atomic budget when
-  // they first open a slide, racing the merger's re-tuning — a pre-existing
-  // property, registry or not), so the equivalence contract here is the
-  // sharded one: identical records_seen per window and estimates that agree
-  // within their error bounds. Bit-identity is asserted on the sequential
-  // path (pipeline_driver_test.RegistrySingleQueryBitIdenticalToLegacy).
-  const auto records = make_stream(3.0, 20000.0, 15);
-  const auto legacy = run_mode(records, 4, 2);
-  const auto registry =
-      run_mode(records, 4, 2, [](StreamApproxConfig& c) {
-        c.queries.aggregate("mean", {Aggregation::kMean, false});
-      });
-  ASSERT_GT(legacy.size(), 2u);
-  ASSERT_EQ(legacy.size(), registry.size());
-  std::size_t within = 0;
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].records_seen, registry[i].records_seen);
-    EXPECT_EQ(legacy[i].estimate.window_end_us,
-              registry[i].estimate.window_end_us);
-    const auto& a = legacy[i].estimate.overall;
-    const auto& b = registry[i].estimate.overall;
-    if (std::abs(a.estimate - b.estimate) <=
-        a.error_bound(3.0) + b.error_bound(3.0)) {
-      ++within;
+TEST(ParallelEquivalence, IdleGraceWindowRestartsOnDataPolls) {
+  // Regression, the facade-level twin of
+  // Exchange.IdleGraceWindowRestartsOnDataRounds: the sequential path's
+  // grace stopwatch used to start once and never restart, so once
+  // idle_partition_timeout_ms of wall time had passed, a partition that
+  // never delivered stopped gating for good — even while the other
+  // partition kept delivering. Its first record then arrived behind the
+  // watermark and was late-dropped, while the sharded path (whose exchange
+  // restarts grace on every data round) counted it. Grace now restarts on
+  // every poll that returned records, so both modes count every record.
+  constexpr std::uint64_t kLive = 15;
+  std::vector<std::uint64_t> seen_by_mode;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    ingest::Broker broker;
+    broker.create_topic("input", 2);
+    ingest::Producer producer(broker, "input");
+    auto config = base_config(workers);
+    config.window = {1'000'000, 1'000'000};  // tumbling: each record once
+    config.idle_partition_timeout_ms = 1000;
+    StreamApprox system(broker, config);
+    std::uint64_t seen = 0;
+    std::thread runner([&] {
+      system.run(
+          [&](const WindowOutput& output) { seen += output.records_seen; });
+    });
+    // Stratum s feeds partition s % 2. Stratum 0 delivers for 1.5 s of wall
+    // time (longer than the timeout) in 100 ms steps (each gap far below
+    // it) while partition 1 stays silent...
+    for (std::uint64_t i = 0; i < kLive; ++i) {
+      producer.send(engine::Record{
+          0, 1.0, static_cast<std::int64_t>(i + 1) * 1'000'000});
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
+    // ...then partition 1 wakes with a record older than every live one.
+    producer.send(engine::Record{1, 2.0, 500'000});
+    producer.finish();
+    runner.join();
+    seen_by_mode.push_back(seen);
   }
-  EXPECT_GE(within, legacy.size() - 1);  // slack for a tiny edge window
+  EXPECT_EQ(seen_by_mode[0], kLive + 1)
+      << "the sequential path late-dropped the woken partition's record";
+  EXPECT_EQ(seen_by_mode[1], seen_by_mode[0]);
 }
 
 TEST(ParallelEquivalence, ThreeQueriesShardedSampleTheStreamOnce) {
@@ -286,6 +299,7 @@ TEST(ParallelEquivalence, ThreeQueriesShardedSampleTheStreamOnce) {
   // windowed exactly once no matter how many queries are registered.
   const auto records = make_stream(3.0, 20000.0, 16);
   const auto register_three = [](StreamApproxConfig& c) {
+    c.queries = QuerySet{};
     c.queries.aggregate("sum by substream", {Aggregation::kSum, true});
     c.queries.aggregate("overall mean", {Aggregation::kMean, false});
     c.queries.histogram("values", {0.0, 12000.0, 24});

@@ -16,10 +16,17 @@ namespace {
 
 using engine::Record;
 
-PipelineDriverConfig small_window_config() {
+/// 1 s windows sliding every 0.5 s, no query registered.
+PipelineDriverConfig bare_window_config() {
   PipelineDriverConfig config;
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  return config;
+}
+
+/// bare_window_config plus one overall MEAN query named "query".
+PipelineDriverConfig small_window_config() {
+  auto config = bare_window_config();
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   return config;
 }
 
@@ -289,47 +296,6 @@ void expect_estimates_bit_identical(const WindowEstimate& a,
   }
 }
 
-TEST(PipelineDriver, RegistrySingleQueryBitIdenticalToLegacy) {
-  // Backward compatibility (satellite acceptance): a seeded run whose single
-  // query goes through the registry must produce bit-identical WindowOutputs
-  // to the legacy single-QuerySpec config — same sampling, same estimates,
-  // same feedback-driven budget trajectory, same histogram.
-  const auto records = mixed_stream(30000);
-
-  auto legacy = small_window_config();
-  legacy.query = {Aggregation::kSum, /*per_stratum=*/true};
-  legacy.histogram = estimation::HistogramSpec{0.0, 8.0, 16};
-  legacy.budget = estimation::QueryBudget::relative_error(0.01);
-
-  auto registry = small_window_config();
-  registry.budget = estimation::QueryBudget::relative_error(0.01);
-  registry.queries.aggregate("sum", {Aggregation::kSum, true});
-  registry.queries.histogram("hist", {0.0, 8.0, 16});
-
-  const auto a = run_driver(std::move(legacy), records);
-  const auto b = run_driver(std::move(registry), records);
-
-  ASSERT_GT(a.size(), 3u);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].records_seen, b[i].records_seen);
-    EXPECT_EQ(a[i].records_sampled, b[i].records_sampled);
-    EXPECT_EQ(a[i].budget_in_force, b[i].budget_in_force);
-    expect_estimates_bit_identical(a[i].estimate, b[i].estimate);
-    ASSERT_TRUE(a[i].histogram.has_value());
-    ASSERT_TRUE(b[i].histogram.has_value());
-    ASSERT_EQ(a[i].histogram->bucket_count(), b[i].histogram->bucket_count());
-    for (std::size_t k = 0; k < a[i].histogram->bucket_count(); ++k) {
-      EXPECT_EQ(a[i].histogram->bucket(k), b[i].histogram->bucket(k));
-    }
-    // The registry view carries the same results: query 0 is the aggregate,
-    // query 1 the histogram.
-    ASSERT_EQ(b[i].queries.size(), 2u);
-    expect_estimates_bit_identical(b[i].queries[0].estimate, b[i].estimate);
-    EXPECT_TRUE(b[i].queries[1].histogram.has_value());
-  }
-}
-
 TEST(PipelineDriver, MultiQuerySamplesTheStreamOnce) {
   // Three concurrent queries (per-stratum SUM, overall MEAN, HISTOGRAM) over
   // one driver: the stream is sampled once, so per-window seen/sampled
@@ -337,17 +303,17 @@ TEST(PipelineDriver, MultiQuerySamplesTheStreamOnce) {
   // corresponding single-query runs with the same seed.
   const auto records = mixed_stream(30000);
 
-  auto multi = small_window_config();
+  auto multi = bare_window_config();
   multi.queries.aggregate("sum/stratum", {Aggregation::kSum, true});
   multi.queries.aggregate("mean", {Aggregation::kMean, false});
   multi.queries.histogram("hist", {0.0, 8.0, 16});
   const auto combined = run_driver(std::move(multi), records);
 
-  auto single_sum = small_window_config();
+  auto single_sum = bare_window_config();
   single_sum.queries.aggregate("sum/stratum", {Aggregation::kSum, true});
-  auto single_mean = small_window_config();
+  auto single_mean = bare_window_config();
   single_mean.queries.aggregate("mean", {Aggregation::kMean, false});
-  auto single_hist = small_window_config();
+  auto single_hist = bare_window_config();
   single_hist.queries.histogram("hist", {0.0, 8.0, 16});
   const std::vector<std::vector<WindowOutput>> singles = {
       run_driver(std::move(single_sum), records),
@@ -378,7 +344,7 @@ TEST(PipelineDriver, MultiQuerySamplesTheStreamOnce) {
 TEST(PipelineDriver, PerQueryConfidenceCoexists) {
   // Per-query z (satellite): a 95%-confidence and a 99.7%-confidence copy of
   // the same MEAN query report bounds in exact z ratio within one window.
-  auto config = small_window_config();
+  auto config = bare_window_config();
   config.queries.aggregate("mean95", {Aggregation::kMean, false},
                            /*z=*/2.0);
   config.queries.aggregate("mean3sigma", {Aggregation::kMean, false},
@@ -405,12 +371,12 @@ TEST(PipelineDriver, StrictestAccuracyTargetDrivesBudget) {
   // as large a budget as it would alone — the max-across-controllers rule.
   const auto records = mixed_stream(40000);
 
-  auto strict_alone = small_window_config();
+  auto strict_alone = bare_window_config();
   strict_alone.queries.aggregate("mean", {Aggregation::kMean, false},
                                  std::nullopt, /*accuracy_target=*/0.001);
   const auto strict = run_driver(std::move(strict_alone), records);
 
-  auto both = small_window_config();
+  auto both = bare_window_config();
   both.queries.aggregate("loose", {Aggregation::kMean, false}, std::nullopt,
                          /*accuracy_target=*/0.5);
   both.queries.aggregate("mean", {Aggregation::kMean, false}, std::nullopt,
@@ -431,7 +397,7 @@ TEST(PipelineDriver, HistogramOnlyRegistryStillAdaptsToAccuracyBudget) {
   // A registry holding only a HISTOGRAM query plus an accuracy budget: no
   // sink inherits the fallback target, but adaptation must not silently
   // die — the first query's observed bound drives one controller.
-  auto config = small_window_config();
+  auto config = bare_window_config();
   config.budget = estimation::QueryBudget::relative_error(1e-6);  // very strict
   config.queries.histogram("hist", {0.0, 8.0, 16});
   const auto outputs = run_driver(std::move(config), mixed_stream(30000));

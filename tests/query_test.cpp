@@ -203,8 +203,8 @@ TEST(QueryRegistry, PerQueryConfidenceOverridesDefault) {
 
 TEST(QueryRegistry, AccuracyTargetInheritanceRules) {
   // Aggregates inherit the config-level accuracy budget when they carry no
-  // explicit target; histograms never inherit (the legacy mapping must keep
-  // exactly one feedback controller).
+  // explicit target; histograms never inherit (an aggregate plus a histogram
+  // under an accuracy budget keeps exactly one feedback controller).
   AggregateSink plain("plain", {Aggregation::kSum, false});
   AggregateSink targeted("targeted", {Aggregation::kSum, false});
   targeted.set_accuracy_target(0.005);

@@ -13,18 +13,15 @@ namespace {
 TEST(RecordBatch, DefaultsAndReset) {
   RecordBatch batch;
   EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.source_partition, RecordBatch::kMixedSources);
   EXPECT_EQ(batch.watermark_us, kNoWatermark);
 
   batch.records.push_back({1, 2.0, 3});
-  batch.source_partition = 4;
   batch.watermark_us = 5;
   EXPECT_EQ(batch.size(), 1u);
 
   const std::size_t capacity = batch.records.capacity();
   batch.reset();
   EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.source_partition, RecordBatch::kMixedSources);
   EXPECT_EQ(batch.watermark_us, kNoWatermark);
   EXPECT_EQ(batch.records.capacity(), capacity);
 }

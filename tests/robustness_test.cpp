@@ -87,7 +87,7 @@ TEST_P(FacadeBudgetKinds, RunsToCompletionWithSaneOutputs) {
 
   StreamApproxConfig config;
   config.topic = "budget";
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.budget = GetParam();
   config.window = {1'000'000, 500'000};
   StreamApprox system(broker, config);
@@ -147,7 +147,7 @@ TEST(Robustness, FacadeSingleRecord) {
   StreamApproxConfig config;
   config.topic = "single";
   config.window = {1'000'000, 1'000'000};  // tumbling
-  config.query = {Aggregation::kSum, false};
+  config.queries.aggregate("query", {Aggregation::kSum, false});
   StreamApprox system(broker, config);
   std::size_t windows = 0;
   system.run([&](const WindowOutput& output) {

@@ -2,18 +2,20 @@
 // bulk offer path with per-record Algorithm R (every stream position sampled
 // with probability N/i), exact re-priming after shrink, bit-exact OASRS
 // bookkeeping (seen / weight / sample size) against per-stratum Algorithm R
-// references, and the ShardedRunStats kernel counters on the forced-steal
-// sharded path.
+// references, the per-slide absorb path over runs that straddle slides, and
+// the ShardedRunStats kernel counters on the forced-steal sharded path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
 #include "core/stream_approx.h"
+#include "engine/record_batch.h"
 #include "ingest/replay.h"
 #include "sampling/oasrs.h"
 #include "sampling/reservoir.h"
@@ -253,10 +255,10 @@ TEST(SkipAheadOasrs, IntervalSeenTracksOfferAndMerge) {
   EXPECT_EQ(a.interval_seen(), 1000u);
 }
 
-// The known-stratum offer_run path (what the sharded
-// worker feeds from exchange run descriptors) is bit-identical to per-record
-// offer(): same reservoirs, same RNG order.
-TEST(SkipAheadOasrs, OfferRunWithDescriptorsMatchesPerRecordOffer) {
+// The known-stratum offer_run path (what offer_batch feeds with each
+// maximal same-stratum run) is bit-identical to per-record offer(): same
+// reservoirs, same RNG order.
+TEST(SkipAheadOasrs, OfferRunMatchesPerRecordOffer) {
   const auto records = stratified_stream(8000);
   sampling::OasrsConfig config;
   config.total_budget = 96;
@@ -281,6 +283,90 @@ TEST(SkipAheadOasrs, OfferRunWithDescriptorsMatchesPerRecordOffer) {
   }
 }
 
+// The per-slide absorb path a sharded worker runs — slide runs from
+// for_each_slide_run, late slides dropped, every kept run handed to
+// SlideState::absorb — against per-record offer() into per-slide samplers.
+// The batch has a stratum run that crosses a slide boundary and a whole
+// late-dropped slide, so the sampler must segment each kept slide run on
+// its own: its bulk runs are exactly the maximal same-stratum runs inside
+// that slide run.
+TEST(SkipAheadOasrs, SlideRunsStraddlingSlidesMatchPerRecordOffer) {
+  constexpr std::int64_t kSlideUs = 1000;
+  std::vector<engine::Record> batch;
+  std::int64_t t = 0;
+  const auto append = [&](sampling::StratumId stratum, int n,
+                          std::int64_t slide) {
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t time = std::max(t, slide * kSlideUs);
+      batch.push_back(engine::Record{stratum, static_cast<double>(batch.size()),
+                                     time});
+      t = time + 1;
+    }
+  };
+  append(5, 30, 0);  // slide 0: late-dropped below
+  append(6, 20, 0);
+  append(1, 40, 1);  // slide 1: three maximal runs...
+  append(2, 30, 1);
+  append(3, 25, 1);  // ...the last continues into slide 2
+  append(3, 35, 2);  // slide 2: four maximal runs
+  append(1, 50, 2);
+  append(2, 1, 2);
+  append(1, 2, 2);
+  const std::map<std::int64_t, std::uint64_t> expected_runs = {{1, 3},
+                                                               {2, 4}};
+  const std::int64_t frozen = 1;  // slides below this are closed
+
+  const auto config_for = [](std::int64_t slide) {
+    sampling::OasrsConfig config;
+    config.total_budget = 16;  // saturates every reservoir: skips happen
+    config.seed = 100 + static_cast<std::uint64_t>(slide);
+    return config;
+  };
+  const sketch::SketchPlan no_sketches;
+  std::map<std::int64_t, core::PipelineDriver::SlideState> absorbed;
+  engine::for_each_slide_run(
+      batch.data(), batch.size(), kSlideUs,
+      [&](std::int64_t slide, const engine::Record* run, std::size_t n) {
+        if (slide < frozen) return;
+        auto it = absorbed.find(slide);
+        if (it == absorbed.end()) {
+          it = absorbed.try_emplace(slide, config_for(slide), no_sketches)
+                   .first;
+        }
+        it->second.absorb(run, n);
+      });
+
+  std::map<std::int64_t, core::PipelineDriver::Sampler> per_record;
+  for (const auto& record : batch) {
+    const std::int64_t slide = record.event_time_us / kSlideUs;
+    if (slide < frozen) continue;
+    auto it = per_record.find(slide);
+    if (it == per_record.end()) {
+      it = per_record
+               .try_emplace(slide, config_for(slide), engine::RecordStratum{})
+               .first;
+    }
+    it->second.offer(record);
+  }
+
+  ASSERT_EQ(absorbed.size(), 2u);
+  ASSERT_EQ(per_record.size(), 2u);
+  for (auto& [slide, state] : absorbed) {
+    EXPECT_EQ(state.sampler.kernel_stats().bulk_runs,
+              expected_runs.at(slide))
+        << "slide " << slide;
+    const auto a = state.sampler.take();
+    const auto b = per_record.at(slide).take();
+    ASSERT_EQ(a.strata.size(), b.strata.size()) << "slide " << slide;
+    for (std::size_t i = 0; i < a.strata.size(); ++i) {
+      EXPECT_EQ(a.strata[i].stratum, b.strata[i].stratum);
+      EXPECT_EQ(a.strata[i].seen, b.strata[i].seen);
+      EXPECT_EQ(a.strata[i].weight, b.strata[i].weight);
+      EXPECT_EQ(a.strata[i].items, b.strata[i].items);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline level: the bulk kernel live end to end on the sharded path.
 
@@ -301,7 +387,7 @@ std::vector<core::WindowOutput> run_pipeline(
   core::StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {core::Aggregation::kMean, false};
+  config.queries.aggregate("query", {core::Aggregation::kMean, false});
   config.workers = workers;
   config.seed = 99;
   config.idle_partition_timeout_ms = 30'000;

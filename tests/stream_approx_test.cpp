@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "ingest/replay.h"
@@ -24,7 +27,7 @@ StreamApproxConfig base_config() {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   // Idleness is not under test here and every stream is replayed-and-sealed;
   // a generous grace keeps a starved replay thread on a loaded CI box from
   // tripping the idleness rule mid-stream.
@@ -131,6 +134,7 @@ TEST(StreamApprox, MultiQueryRegistrySharesOneSampledStream) {
     broker.create_topic("input", 3);
     ingest::ReplayTool replay(broker, "input", records, {});
     auto config = base_config();
+    config.queries = QuerySet{};
     mutate(config);
     StreamApprox system(broker, config);
     std::vector<WindowOutput> outputs;
@@ -180,7 +184,8 @@ TEST(StreamApprox, PerStratumQuery) {
   const auto records = make_stream(3.0, 20000.0, 5);
   ingest::ReplayTool replay(broker, "input", records, {});
   auto config = base_config();
-  config.query = {Aggregation::kMean, true};
+  config.queries = QuerySet{};
+  config.queries.aggregate("query", {Aggregation::kMean, true});
   StreamApprox system(broker, config);
   std::size_t windows_with_all_groups = 0;
   std::size_t total = 0;
@@ -191,6 +196,132 @@ TEST(StreamApprox, PerStratumQuery) {
   replay.wait();
   ASSERT_GT(total, 0u);
   EXPECT_EQ(windows_with_all_groups, total);  // no sub-stream overlooked
+}
+
+/// Runs a pre-sealed topic through the facade, so runs are deterministic.
+/// `on_window` sees the system and the 1-based index of every window.
+std::vector<WindowOutput> run_sealed(
+    const std::vector<engine::Record>& records, StreamApproxConfig config,
+    const std::function<void(StreamApprox&, std::size_t)>& on_window = {}) {
+  ingest::Broker broker;
+  broker.create_topic("input", 3);
+  ingest::Producer producer(broker, "input");
+  producer.send_batch(records);
+  producer.finish();
+  StreamApprox system(broker, std::move(config));
+  std::vector<WindowOutput> outputs;
+  system.run([&](const WindowOutput& output) {
+    outputs.push_back(output);
+    if (on_window) on_window(system, outputs.size());
+  });
+  return outputs;
+}
+
+/// base_config with no query registered.
+StreamApproxConfig empty_registry_config(std::size_t workers) {
+  auto config = base_config();
+  config.queries = QuerySet{};
+  config.workers = workers;
+  return config;
+}
+
+TEST(StreamApprox, EmptyRegistryEmitsWindowsInBothModes) {
+  // No query registered: windows still flow with their sampling counters
+  // and bounds in both execution modes, and carry no query output.
+  const auto records = make_stream(3.0, 20000.0, 41);
+  const auto sequential = run_sealed(records, empty_registry_config(1));
+  const auto sharded = run_sealed(records, empty_registry_config(2));
+  ASSERT_GT(sequential.size(), 3u);
+  ASSERT_EQ(sequential.size(), sharded.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    for (const WindowOutput* output : {&sequential[i], &sharded[i]}) {
+      EXPECT_TRUE(output->queries.empty()) << "window " << i;
+      EXPECT_GT(output->records_seen, 0u) << "window " << i;
+      EXPECT_GT(output->records_sampled, 0u) << "window " << i;
+      EXPECT_EQ(output->estimate.window_end_us -
+                    output->estimate.window_start_us,
+                1'000'000)
+          << "window " << i;
+    }
+    EXPECT_EQ(sequential[i].records_seen, sharded[i].records_seen)
+        << "window " << i;
+    EXPECT_EQ(sequential[i].estimate.window_end_us,
+              sharded[i].estimate.window_end_us)
+        << "window " << i;
+  }
+}
+
+TEST(StreamApprox, EmptyRegistryFractionBudgetFollowsCostFunction) {
+  // No accuracy target anywhere: the cost function sizes each slide from
+  // the last closed slide's arrivals, budget = ceil(0.2 · seen).
+  constexpr std::int64_t kSlideUs = 500'000;
+  const auto records = make_stream(3.0, 20000.0, 42);
+  std::map<std::int64_t, std::uint64_t> seen_per_slide;
+  for (const auto& record : records) {
+    ++seen_per_slide[record.event_time_us / kSlideUs];
+  }
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    auto config = empty_registry_config(workers);
+    config.budget = estimation::QueryBudget::fraction(0.2);
+    const auto outputs = run_sealed(records, config);
+    ASSERT_GT(outputs.size(), 3u);
+    for (const auto& output : outputs) {
+      // The window ending with slide s is emitted before slide s feeds the
+      // cost function, so the budget in force came from slide s - 1.
+      const std::int64_t previous =
+          output.estimate.window_end_us / kSlideUs - 2;
+      const auto it = seen_per_slide.find(previous);
+      const double seen =
+          it == seen_per_slide.end() ? 0.0 : static_cast<double>(it->second);
+      EXPECT_EQ(output.budget_in_force,
+                std::max<std::size_t>(
+                    1, static_cast<std::size_t>(std::ceil(0.2 * seen))))
+          << "workers=" << workers << " window ending "
+          << output.estimate.window_end_us;
+    }
+  }
+}
+
+TEST(StreamApprox, EmptyRegistryAccuracyBudgetWaitsForAttachedController) {
+  // An accuracy budget needs a feedback controller, and only a query brings
+  // one: with an empty registry the budget holds its initial value until a
+  // query attached mid-run inherits the target. That query reports from its
+  // first whole window on.
+  const std::size_t initial_budget = PipelineDriverConfig{}.initial_budget;
+  const auto records = make_stream(6.0, 30000.0, 43);
+  constexpr std::size_t kAttachAt = 3;  // 1-based window index
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    auto config = empty_registry_config(workers);
+    config.budget = estimation::QueryBudget::relative_error(0.001);
+    const auto outputs = run_sealed(
+        records, config, [](StreamApprox& system, std::size_t index) {
+          if (index == kAttachAt) {
+            system.attach_query(std::make_unique<AggregateSink>(
+                "mean", QuerySpec{Aggregation::kMean, false}));
+          }
+        });
+    // The attach applies when the next slide closes, so the query's first
+    // whole window ends one slide later: 0-based index kAttachAt + 1.
+    const std::size_t first_whole = kAttachAt + 1;
+    ASSERT_GT(outputs.size(), first_whole + 2);
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      if (i < first_whole) {
+        EXPECT_TRUE(outputs[i].queries.empty())
+            << "workers=" << workers << " window " << i;
+      } else {
+        ASSERT_EQ(outputs[i].queries.size(), 1u)
+            << "workers=" << workers << " window " << i;
+        EXPECT_EQ(outputs[i].queries[0].name, "mean");
+      }
+      // The first whole window's bound is the controller's first input.
+      if (i <= first_whole) {
+        EXPECT_EQ(outputs[i].budget_in_force, initial_budget)
+            << "workers=" << workers << " window " << i;
+      }
+    }
+    EXPECT_GT(outputs.back().budget_in_force, initial_budget)
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace
