@@ -1,4 +1,4 @@
-// Ablations beyond the paper's figures (DESIGN.md §5 "ablations"):
+// Ablations beyond the paper's figures:
 //   (1) stratification source: oracle strata vs learned strata (§7-II
 //       k-means / bootstrap-quantile) vs none (SRS) — accuracy at equal
 //       sampling budgets;

@@ -59,11 +59,8 @@ bench::Json run_json(const std::string& mode, std::size_t workers,
   entry.set("throughput", run.throughput);
   entry.set("wall_seconds", run.wall_seconds);
   entry.set("windows", run.windows);
-  entry.set("exchanges", run.stats.exchanges);
   entry.set("owner_pops", run.stats.owner_pops);
   entry.set("steals", run.stats.steals);
-  entry.set("injector_pushes", run.stats.injector_pushes);
-  entry.set("injector_pops", run.stats.injector_pops);
   entry.set("batches_absorbed", run.stats.batches_absorbed);
   entry.set("records_absorbed", run.stats.records_absorbed);
   // Exchange routing-kernel accounting.

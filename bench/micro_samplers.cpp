@@ -1,7 +1,7 @@
 // Sampler-kernel microbenchmarks (google-benchmark): per-item cost of each
-// sampling algorithm in isolation, plus the ablations DESIGN.md calls out
-// (Algorithm R vs Algorithm L, OASRS allocation policies, ScaSRS vs
-// Bernoulli, grouping cost of STS).
+// sampling algorithm in isolation, plus ablations (Algorithm R vs
+// Algorithm L, OASRS allocation policies, ScaSRS vs Bernoulli, grouping
+// cost of STS).
 //
 // Before the google-benchmark suite runs, main() measures the OASRS offer
 // paths (per-record skip-ahead offers vs the bulk skip-ahead kernel, each at

@@ -1,14 +1,15 @@
-// Inter-thread queues used by the engines and the ingest layer.
+// Inter-thread hand-off structures with lock-free fast paths.
 //
-//  * BoundedQueue<T>  — mutex/condvar MPMC queue with blocking and
-//    non-blocking operations plus close() semantics; the broker and the
-//    batched engine use it.
-//  * SpscRing<T>      — single-producer single-consumer lock-free ring used
-//    for operator-to-operator channels in the pipelined engine, where the
-//    per-record hot path must not take a lock.
+//  * SpscRing<T>      — single-producer single-consumer ring: the
+//    exchange's per-worker channels, the pipelined engine's
+//    operator-to-operator channels and the per-query subscription channels.
 //  * StealDeque<T>    — bounded Chase-Lev-style work-stealing deque: one
 //    owner pushes/pops LIFO at the bottom, any number of thieves steal FIFO
 //    from the top. The morsel scheduler's per-worker run queue.
+//
+// Together they are the sharded scheduler's only hand-off structures: the
+// exchange feeds each worker through one SpscRing, and the worker refills
+// its StealDeque from it.
 #pragma once
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <type_traits>
@@ -57,98 +57,6 @@ class StoreLoadBarrier {
 };
 
 }  // namespace detail
-
-/// Blocking bounded multi-producer multi-consumer queue.
-///
-/// push blocks while full; pop blocks while empty. close() wakes all waiters:
-/// subsequent push calls return false, and pop drains the remaining elements
-/// then returns std::nullopt.
-template <typename T>
-class BoundedQueue {
- public:
-  /// Creates a queue holding at most `capacity` elements (>= 1).
-  explicit BoundedQueue(std::size_t capacity = 1024)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Blocking push; returns false if the queue was closed.
-  bool push(T value) {
-    std::unique_lock lock(mutex_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(value));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push; returns false when full or closed.
-  bool try_push(T value) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(value));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocking pop; std::nullopt once closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::unique_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Closes the queue and wakes all blocked producers/consumers.
-  void close() {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  /// True once close() has been called.
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
-  /// Current number of queued elements.
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
 
 /// Lock-free single-producer single-consumer ring buffer.
 ///
@@ -320,10 +228,10 @@ class SpscRing {
 /// must be trivially copyable and lock-free-atomic-sized — in practice a
 /// raw pointer; ownership handoff lives outside the deque.
 ///
-/// push_bottom returns false when full (the caller spills to an injector
-/// queue or processes in place). pop_bottom/steal_top return std::nullopt
-/// when empty — and steal_top also on losing a CAS race, so thieves simply
-/// move to the next victim rather than spin.
+/// push_bottom returns false when full (the caller processes the element in
+/// place). pop_bottom/steal_top return std::nullopt when empty — and
+/// steal_top also on losing a CAS race, so thieves simply move to the next
+/// victim rather than spin.
 template <typename T>
 class StealDeque {
   static_assert(std::is_trivially_copyable_v<T>,

@@ -394,7 +394,6 @@ void PipelineDriver::complete_slide(
 
   bool fed_back = false;
   if (auto window = assembler_.push_slide(std::move(cells))) {
-    ++windows_emitted_;
     if (!config_.evaluate) {
       if (on_window_) on_window_(std::move(*window));
     } else {

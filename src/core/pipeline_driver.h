@@ -346,9 +346,6 @@ class PipelineDriver {
     return next_to_close_;
   }
 
-  /// Windows emitted so far. Lifecycle thread only.
-  std::uint64_t windows_emitted() const noexcept { return windows_emitted_; }
-
   /// The window geometry in force. Immutable after construction.
   const engine::WindowConfig& window_config() const noexcept {
     return config_.window;
@@ -457,7 +454,6 @@ class PipelineDriver {
 
   std::uint64_t last_slide_seen_ = 0;
   std::vector<estimation::StratumSummary> last_cells_;
-  std::uint64_t windows_emitted_ = 0;
 };
 
 }  // namespace streamapprox::core

@@ -2,26 +2,27 @@
 // "no synchronisation between workers" claim (§3.2, Algorithm 3) realised
 // over a batched morsel data plane:
 //
-//   exchange         E exchange shards each poll their partition subset in
-//                    batches and re-key them by stratum hash onto per-worker
-//                    SPSC channels (ingest/exchange.h), so the worker count
-//                    is independent of the topic's partition count; each
-//                    batch carries that shard's resolved low-watermark, and
+//   exchange         one exchange thread polls every partition in batches
+//                    and re-keys them by stratum hash onto one SPSC channel
+//                    per worker (ingest/exchange.h), so the worker count is
+//                    independent of the topic's partition count; each batch
+//                    carries the exchange's resolved low-watermark, and
 //                    workers report absorption through a per-channel
 //                    completion tracker so the merger's min-combined
 //                    watermark never runs ahead of the samples.
 //
 // Work-stealing morsel scheduler. Workers are not statically bound to their
-// channels: each worker drains its own inboxes into a per-worker StealDeque
-// (common/queue.h) and works LIFO off the bottom; when its own work runs out
-// it pops the shared overflow injector, then steals the OLDEST morsel off
-// another worker's deque. A stolen morsel is absorbed into the THIEF's local
-// per-slide samplers — safe because OASRS samplers merge associatively at
-// slide close (the merger concatenates whatever shard holds each stratum's
-// reservoir), so per-window records_seen is schedule-independent. Deque
-// overflow spills to the injector; when both are full the owner absorbs in
-// place, so the exchange can never deadlock against a full topology.
-// Out-of-order completion is reconciled by ChannelProgress below.
+// channels: each worker refills a per-worker StealDeque (common/queue.h)
+// from its own channel and works LIFO off the bottom; when its own work runs
+// out it steals the OLDEST morsel off another worker's deque. A stolen
+// morsel is absorbed into the THIEF's local per-slide samplers — safe
+// because OASRS samplers merge associatively at slide close (the merger
+// concatenates whatever shard holds each stratum's reservoir), so per-window
+// records_seen is schedule-independent. A worker refills its deque only once
+// it is empty, with at most its capacity, so a refill always fits and the
+// channel ring is the only backlog: the deque is the one queue tier between
+// the exchange and the samplers. Out-of-order completion is reconciled by
+// ChannelProgress below.
 //
 // Every worker samples with LOCAL per-slide OASRS samplers — no lock is
 // shared between two workers on the sampling hot path (each worker's mutex
@@ -145,8 +146,6 @@ class ChannelProgress {
 struct SchedulerCounters {
   std::atomic<std::uint64_t> owner_pops{0};
   std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> injector_pushes{0};
-  std::atomic<std::uint64_t> injector_pops{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> heartbeats{0};
   std::atomic<std::uint64_t> records{0};
@@ -199,20 +198,19 @@ void apply_occupancy_locked(ShardedPlan& plan, std::size_t w, Shard& shard,
 
 /// Routes one exchange batch into worker `w`'s local per-slide states: one
 /// mutex acquisition per batch, one slide-map lookup and one
-/// SlideState::absorb per run of consecutive same-slide records.
-/// `my_strata` / `total_strata` is the stratum-occupancy stamp in
-/// force for this batch, driving the occupancy-aware budget split.
+/// SlideState::absorb per run of consecutive same-slide records. The
+/// batch's stratum-occupancy stamp drives the occupancy-aware budget split.
 /// `apply_stamp` is false when a thief absorbs a STOLEN morsel: the victim
 /// channel's stamp describes the victim's stratum set, not the thief's, so
 /// the thief keeps its own occupancy share (records_seen is unaffected
 /// either way).
 void absorb_batch(ShardedPlan& plan, std::size_t w,
-                  const engine::RecordBatch& batch, std::size_t my_strata,
-                  std::size_t total_strata, bool apply_stamp) {
+                  const engine::RecordBatch& batch, bool apply_stamp) {
   Shard& shard = plan.shards[w];
   std::lock_guard lock(shard.mutex);
   if (apply_stamp) {
-    apply_occupancy_locked(plan, w, shard, my_strata, total_strata);
+    apply_occupancy_locked(plan, w, shard, batch.route_strata,
+                           batch.total_strata);
   }
   const std::int64_t frozen =
       plan.closed_through.load(std::memory_order_acquire);
@@ -241,8 +239,8 @@ void absorb_batch(ShardedPlan& plan, std::size_t w,
 
 /// The merger: watermark-gated slide closing, run in the calling thread
 /// until every worker finished. `clocks` are the per-channel republished
-/// watermarks; the exchanges already resolved the idleness policy into the
-/// values they forwarded, so no grace applies here.
+/// watermarks; the exchange already resolved the idleness policy into the
+/// values it forwarded, so no grace applies here.
 void merge_until_done(ShardedPlan& plan,
                       std::vector<std::atomic<std::int64_t>>& clocks,
                       const std::function<void(std::int64_t)>& after_close) {
@@ -349,63 +347,43 @@ void StreamApprox::run_sharded(
   std::vector<Shard> shards(workers);
   ShardedPlan plan(driver, shards, workers, slide_us);
 
-  // E exchange shards repartition their partition subsets onto per-worker
-  // channels; workers run the morsel scheduler.
-  const std::size_t exchange_count =
-      std::max<std::size_t>(1, config_.exchanges);
+  // One exchange repartitions the topic onto per-worker channels; workers
+  // run the morsel scheduler.
   const std::size_t deque_capacity =
       std::max<std::size_t>(2, config_.steal_deque_capacity);
-  run_stats_.exchanges = exchange_count;
   run_stats_.workers = workers;
   run_stats_.per_worker_records.assign(workers, 0);
 
-  std::vector<std::unique_ptr<ingest::Exchange>> exchanges;
-  exchanges.reserve(exchange_count);
-  for (std::size_t e = 0; e < exchange_count; ++e) {
-    ingest::ExchangeConfig exchange_config;
-    exchange_config.workers = workers;
-    exchange_config.batch_size = config_.exchange_batch_size;
-    exchange_config.ring_capacity = config_.exchange_ring_capacity;
-    exchange_config.idle_partition_timeout_ms =
-        config_.idle_partition_timeout_ms;
-    exchange_config.exchange_index = e;
-    exchange_config.exchange_count = exchange_count;
-    exchanges.push_back(std::make_unique<ingest::Exchange>(
-        broker_, config_.topic, exchange_config));
-  }
+  ingest::ExchangeConfig exchange_config;
+  exchange_config.workers = workers;
+  exchange_config.batch_size = config_.exchange_batch_size;
+  exchange_config.idle_partition_timeout_ms =
+      config_.idle_partition_timeout_ms;
+  ingest::Exchange exchange(broker_, config_.topic, exchange_config);
 
-  // One watermark clock per CHANNEL (= exchange e × worker w, index e·W + w),
-  // advanced only by the completion tracker — so a clock covers exactly the
-  // contiguously absorbed prefix of its channel, and the merger's min over
-  // all E·W clocks min-combines the per-shard watermarks
-  // (core::resolve_watermark explains why that composes).
-  const std::size_t channels = exchange_count * workers;
-  std::vector<std::atomic<std::int64_t>> clocks(channels);
+  // One watermark clock per channel (= worker), advanced only by the
+  // completion tracker — so a clock covers exactly the contiguously absorbed
+  // prefix of its channel, and the merger's min over the W clocks never runs
+  // ahead of the samples (core::resolve_watermark).
+  std::vector<std::atomic<std::int64_t>> clocks(workers);
   for (auto& clock : clocks) {
     clock.store(kNoClock, std::memory_order_relaxed);
   }
-  ChannelProgress progress(channels, clocks);
+  ChannelProgress progress(workers, clocks);
 
-  // The scheduler's queues: one steal deque per worker plus the shared
-  // overflow injector (deque full → injector; both full → absorb in place,
-  // so backpressure can never deadlock the topology).
+  // The scheduler's one queue tier: a steal deque per worker.
   std::vector<std::unique_ptr<StealDeque<engine::RecordBatch*>>> deques;
   deques.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     deques.push_back(
         std::make_unique<StealDeque<engine::RecordBatch*>>(deque_capacity));
   }
-  BoundedQueue<engine::RecordBatch*> injector(
-      std::max<std::size_t>(64, workers * deque_capacity));
   SchedulerCounters counters;
 
   const auto after_close = [&](std::int64_t slide) {
     slide_budget_ = driver.current_budget();
     // Watermark lag: how far ingest had run ahead of this close.
-    std::int64_t max_event = engine::kNoWatermark;
-    for (const auto& exchange : exchanges) {
-      max_event = std::max(max_event, exchange->max_routed_event_us());
-    }
+    const std::int64_t max_event = exchange.max_routed_event_us();
     if (max_event != engine::kNoWatermark) {
       run_stats_.watermark_lag_us.push_back(max_event -
                                             (slide + 1) * slide_us);
@@ -413,60 +391,34 @@ void StreamApprox::run_sharded(
   };
 
   {
-    ThreadPool pool(workers + exchange_count);
-    for (std::size_t e = 0; e < exchange_count; ++e) {
-      pool.submit([&, e] {
-        set_current_thread_name(("sa-exch-" + std::to_string(e)).c_str());
-        exchanges[e]->run();
-      });
-    }
+    ThreadPool pool(workers + 1);
+    pool.submit([&] {
+      set_current_thread_name("sa-exch");
+      exchange.run();
+    });
     for (std::size_t w = 0; w < workers; ++w) {
       pool.submit([&, w] {
         set_current_thread_name(("sa-work-" + std::to_string(w)).c_str());
         // Volatile-sunk at exit so the parse-work model survives
         // optimisation.
         double ingest_acc = 0.0;
-        // This worker's occupancy stamps, one per OWN channel. Strata are
-        // disjoint across exchange shards (each stratum lives on exactly one
-        // partition), so the summed stamps are the worker's true occupancy
-        // share across the sharded exchange.
-        std::vector<std::uint32_t> stamp_my(exchange_count, 0);
-        std::vector<std::uint32_t> stamp_total(exchange_count, 0);
-        std::uint64_t n_owner = 0, n_steal = 0, n_inj_push = 0, n_inj_pop = 0,
-                      n_batches = 0, n_heartbeats = 0, n_records = 0;
-
-        const auto summed_occupancy = [&](std::size_t& my,
-                                          std::size_t& total) {
-          my = 0;
-          total = 0;
-          for (std::size_t e = 0; e < exchange_count; ++e) {
-            my += stamp_my[e];
-            total += stamp_total[e];
-          }
-        };
+        std::uint64_t n_owner = 0, n_steal = 0, n_batches = 0,
+                      n_heartbeats = 0, n_records = 0;
 
         // Absorbs one data morsel into THIS worker's local samplers. Owner
-        // morsels refresh the occupancy stamp; stolen ones keep the thief's
+        // morsels apply their occupancy stamp; stolen ones keep the thief's
         // share (absorb_batch comment). Completion is reported after the
         // samplers hold the records — the watermark invariant.
         const auto absorb = [&](engine::RecordBatch* raw) {
           ingest::Exchange::BatchPtr batch(raw);
-          const std::size_t e = batch->channel / workers;
-          const bool own = batch->channel % workers == w;
           for (const auto& record : batch->records) {
             ingest_acc += config_.ingest_cost.charge(record.value);
           }
-          if (own) {
-            stamp_my[e] = batch->route_strata;
-            stamp_total[e] = batch->total_strata;
-          }
-          std::size_t my = 0, total = 0;
-          summed_occupancy(my, total);
-          absorb_batch(plan, w, *batch, my, total, /*apply_stamp=*/own);
+          absorb_batch(plan, w, *batch, /*apply_stamp=*/batch->channel == w);
           ++n_batches;
           n_records += batch->size();
           progress.complete(batch->channel, batch->seq, batch->watermark_us);
-          exchanges[e]->recycle(std::move(batch));
+          exchange.recycle(std::move(batch));
         };
 
         // Heartbeats never enter the deques (no records to steal): the owner
@@ -474,52 +426,41 @@ void StreamApprox::run_sharded(
         // can shrink open samplers when another channel discovered a
         // stratum.
         const auto handle_heartbeat = [&](ingest::Exchange::BatchPtr batch) {
-          const std::size_t e = batch->channel / workers;
-          stamp_my[e] = batch->route_strata;
-          stamp_total[e] = batch->total_strata;
-          std::size_t my = 0, total = 0;
-          summed_occupancy(my, total);
-          if (total > 0) {
+          if (batch->total_strata > 0) {
             Shard& shard = plan.shards[w];
             std::lock_guard lock(shard.mutex);
-            apply_occupancy_locked(plan, w, shard, my, total);
+            apply_occupancy_locked(plan, w, shard, batch->route_strata,
+                                   batch->total_strata);
           }
           ++n_heartbeats;
           progress.complete(batch->channel, batch->seq, batch->watermark_us);
-          exchanges[e]->recycle(std::move(batch));
+          exchange.recycle(std::move(batch));
         };
 
         StealDeque<engine::RecordBatch*>& deque = *deques[w];
         std::vector<ingest::Exchange::BatchPtr> inbox;
         inbox.reserve(deque_capacity);
 
-        // Drains this worker's own inboxes (one ring per exchange shard)
-        // into its deque, spilling overflow to the injector.
+        // Refills this worker's deque from its own channel. Runs only after
+        // pop_bottom found the deque empty, and only the owner pushes, so the
+        // at most deque_capacity batches taken always fit; the in-place
+        // absorb is the fallback that keeps a morsel from being stranded if
+        // that invariant ever broke.
         const auto refill = [&]() -> bool {
-          bool any = false;
-          for (std::size_t e = 0; e < exchange_count; ++e) {
-            inbox.clear();
-            exchanges[e]->pop_n(w, inbox, deque_capacity);
-            for (auto& polled : inbox) {
-              any = true;
-              if (polled->heartbeat) {
-                handle_heartbeat(std::move(polled));
-                continue;
-              }
-              engine::RecordBatch* raw = polled.release();
-              if (!deque.push_bottom(raw)) {
-                if (injector.try_push(raw)) {
-                  ++n_inj_push;
-                } else {
-                  // Deque and injector both full: absorb in place so the
-                  // exchange's backpressure can always drain.
-                  absorb(raw);
-                  ++n_owner;
-                }
-              }
+          inbox.clear();
+          if (exchange.pop_n(w, inbox, deque_capacity) == 0) return false;
+          for (auto& polled : inbox) {
+            if (polled->heartbeat) {
+              handle_heartbeat(std::move(polled));
+              continue;
+            }
+            engine::RecordBatch* raw = polled.release();
+            if (!deque.push_bottom(raw)) {
+              absorb(raw);
+              ++n_owner;
             }
           }
-          return any;
+          return true;
         };
 
         for (;;) {
@@ -529,15 +470,9 @@ void StreamApprox::run_sharded(
             ++n_owner;
             continue;
           }
-          // 2. Refill from own inboxes (also exposes backlog to thieves).
+          // 2. Refill from the own channel (also exposes backlog to thieves).
           if (refill()) continue;
-          // 3. Shared injector overflow.
-          if (auto raw = injector.try_pop()) {
-            absorb(*raw);
-            ++n_inj_pop;
-            continue;
-          }
-          // 4. Steal the oldest morsel off another worker's deque.
+          // 3. Steal the oldest morsel off another worker's deque.
           bool stole = false;
           for (std::size_t offset = 1; offset < workers && !stole; ++offset) {
             if (auto raw = deques[(w + offset) % workers]->steal_top()) {
@@ -547,15 +482,11 @@ void StreamApprox::run_sharded(
             }
           }
           if (stole) continue;
-          // 5. Exit only with own inboxes drained and both queues this
-          // worker could still be responsible for empty. A worker that
-          // spilled to the injector always reaches this check again, so
-          // injector morsels can never be orphaned.
-          bool inputs_done = true;
-          for (std::size_t e = 0; e < exchange_count; ++e) {
-            inputs_done = inputs_done && exchanges[e]->drained(w);
-          }
-          if (inputs_done && deque.empty() && injector.size() == 0) break;
+          // 4. Exit once the own channel is drained. The deque is empty here
+          // (step 1 found it so, and only its owner pushes), so every morsel
+          // of this channel has been absorbed or is held by a thief, which
+          // completes it before it exits.
+          if (exchange.drained(w)) break;
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
 
@@ -563,9 +494,6 @@ void StreamApprox::run_sharded(
         (void)ingest_sink;
         counters.owner_pops.fetch_add(n_owner, std::memory_order_relaxed);
         counters.steals.fetch_add(n_steal, std::memory_order_relaxed);
-        counters.injector_pushes.fetch_add(n_inj_push,
-                                           std::memory_order_relaxed);
-        counters.injector_pops.fetch_add(n_inj_pop, std::memory_order_relaxed);
         counters.batches.fetch_add(n_batches, std::memory_order_relaxed);
         counters.heartbeats.fetch_add(n_heartbeats, std::memory_order_relaxed);
         counters.records.fetch_add(n_records, std::memory_order_relaxed);
@@ -578,21 +506,17 @@ void StreamApprox::run_sharded(
 
   run_stats_.owner_pops = counters.owner_pops.load();
   run_stats_.steals = counters.steals.load();
-  run_stats_.injector_pushes = counters.injector_pushes.load();
-  run_stats_.injector_pops = counters.injector_pops.load();
   run_stats_.batches_absorbed = counters.batches.load();
   run_stats_.heartbeats_absorbed = counters.heartbeats.load();
   run_stats_.records_absorbed = counters.records.load();
-  // Routing-loop accounting: plain counters per exchange thread, summed here
-  // after the join made them final.
-  for (const auto& exchange : exchanges) {
-    const auto& stats = exchange->stats();
-    run_stats_.exchange_rounds += stats.rounds;
-    run_stats_.exchange_records_routed += stats.records;
-    run_stats_.exchange_runs_walked += stats.runs;
-    run_stats_.exchange_table_probes += stats.table_probes;
-    run_stats_.exchange_scatter_reserves += stats.scatter_reserves;
-  }
+  // Routing-loop accounting: plain counters of the exchange thread, final
+  // once the join above ordered them.
+  const ingest::ExchangeStats& routing = exchange.stats();
+  run_stats_.exchange_rounds = routing.rounds;
+  run_stats_.exchange_records_routed = routing.records;
+  run_stats_.exchange_runs_walked = routing.runs;
+  run_stats_.exchange_table_probes = routing.table_probes;
+  run_stats_.exchange_scatter_reserves = routing.scatter_reserves;
   run_stats_.sampler_bulk_runs = plan.sampler_bulk_runs.load();
   run_stats_.sampler_accepts = plan.sampler_accepts.load();
   run_stats_.sampler_skipped = plan.sampler_skipped.load();

@@ -1,6 +1,7 @@
 #include "core/stream_approx.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "common/clock.h"
@@ -14,6 +15,11 @@ StreamApprox::StreamApprox(ingest::Broker& broker, StreamApproxConfig config)
   // Validated eagerly so misconfiguration fails at construction.
   engine::SlidingWindowAssembler probe(config_.window);
   (void)probe;
+  // A zero-record poll never reads a sealed topic as exhausted, so the
+  // sequential loop would never return.
+  if (config_.poll_batch == 0) {
+    throw std::invalid_argument("StreamApprox: poll_batch must be >= 1");
+  }
   broker_.topic(config_.topic);  // throws if missing
 }
 

@@ -12,8 +12,8 @@
 //
 //   workers == 1   one thread consumes every partition and owns every
 //                  per-slide sampler (the original sequential path);
-//   workers >= 2   exchange threads re-key the topic's partition batches by
-//                  stratum hash onto N work-stealing worker threads, each
+//   workers >= 2   an exchange thread re-keys the topic's partition batches
+//                  by stratum hash onto N work-stealing worker threads, each
 //                  sampling its sub-streams with LOCAL per-slide OASRS
 //                  samplers — no synchronisation during sampling (paper
 //                  §3.2 Algorithm 3) — while a merger thread closes slides
@@ -79,19 +79,12 @@ struct StreamApproxConfig {
   std::size_t workers = 1;
   /// Records per exchange batch (the morsel size of the batched data plane).
   std::size_t exchange_batch_size = 1024;
-  /// Batches buffered per exchange channel before backpressure.
-  std::size_t exchange_ring_capacity = 64;
-  /// Exchange shards (sharded mode): E instances each own the
-  /// topic partitions p with p % E == index and repartition them on their
-  /// own thread; the merger min-combines the per-shard watermarks. 1 (or 0)
-  /// keeps the classic single-exchange layout.
-  std::size_t exchanges = 1;
   /// Morsel capacity of each worker's steal deque (rounded up to a power of
-  /// two). Sharded workers drain their channel backlog into a per-worker
-  /// deque that idle workers steal from (oldest morsel first), with a
-  /// shared injector queue for overflow. Small values force overflow
-  /// through the injector; the equivalence tests use that to exercise
-  /// stealing deterministically.
+  /// two). A sharded worker refills its deque only once it is empty, taking
+  /// at most this many batches off its exchange channel, so a refill always
+  /// fits; idle workers steal from the deque, oldest morsel first. Small
+  /// values keep the backlog in the channel and hand thieves one morsel at
+  /// a time; the equivalence tests use capacity 2 to force steals.
   std::size_t steal_deque_capacity = 64;
   /// Grace period after which a partition that has NEVER delivered a record
   /// stops gating the watermark (Kafka's idleness rule), so a topic with
@@ -111,16 +104,17 @@ struct StreamApproxConfig {
 
 /// Counters and latency samples from the last sharded run — the raw
 /// material of the saved-benchmark JSON trajectories. All counters are
-/// totals across workers/exchanges; zeroed by every run() start (a
-/// sequential run leaves everything zero except `workers`).
+/// totals across workers; zeroed by every run() start (a sequential run
+/// leaves everything zero except `workers`).
 struct ShardedRunStats {
-  std::size_t exchanges = 0;
   std::size_t workers = 0;
-  /// Data batches absorbed, split by how the absorbing worker got them.
-  std::uint64_t owner_pops = 0;       ///< own deque / own channel
-  std::uint64_t steals = 0;           ///< taken from another worker's deque
-  std::uint64_t injector_pushes = 0;  ///< deque-overflow spills
-  std::uint64_t injector_pops = 0;    ///< absorbed from the injector
+  /// Data batches absorbed, split by how the absorbing worker got them:
+  /// owner_pops + steals == batches_absorbed.
+  std::uint64_t owner_pops = 0;  ///< own deque, or in place on a full deque
+  std::uint64_t steals = 0;      ///< taken from another worker's deque
+  /// Always 0: the scheduler has no shared overflow queue. Kept only for
+  /// the performance ledger, which still reads it.
+  std::uint64_t injector_pops = 0;
   std::uint64_t batches_absorbed = 0;
   std::uint64_t heartbeats_absorbed = 0;
   std::uint64_t records_absorbed = 0;
@@ -132,10 +126,10 @@ struct ShardedRunStats {
   std::uint64_t sampler_bulk_runs = 0;
   std::uint64_t sampler_accepts = 0;
   std::uint64_t sampler_skipped = 0;
-  /// Exchange routing totals (summed over shards): polling rounds that
-  /// routed data and records routed, plus the routing kernel's cost
-  /// accounting — same-stratum runs walked by pass 1, StratumTable slot
-  /// probes, and pass-2 destination reserves.
+  /// Exchange routing totals: polling rounds that routed data and records
+  /// routed, plus the routing kernel's cost accounting — same-stratum runs
+  /// walked by pass 1, StratumTable slot probes, and pass-2 destination
+  /// reserves.
   std::uint64_t exchange_rounds = 0;
   std::uint64_t exchange_records_routed = 0;
   std::uint64_t exchange_runs_walked = 0;
@@ -144,7 +138,7 @@ struct ShardedRunStats {
   /// Records absorbed per worker index (steals shift mass between entries).
   std::vector<std::uint64_t> per_worker_records;
   /// Watermark lag sampled at each slide close: max event time routed by
-  /// any exchange minus the closing slide's end (µs) — how far ingest ran
+  /// the exchange minus the closing slide's end (µs) — how far ingest ran
   /// ahead of the merger. Percentiles of this are the bench's lag metric.
   std::vector<std::int64_t> watermark_lag_us;
 };

@@ -68,12 +68,14 @@ inline WatermarkView evaluate_watermark(const std::vector<std::int64_t>& clocks,
 /// kNoClock while blocked (nothing may close), kPartitionDrained when no
 /// partition gates at all (flush everything), the low watermark otherwise.
 ///
-/// The sentinel choice is what makes MULTI-EXCHANGE watermarks composable:
-/// each exchange resolves its own partition subset with this function, and
-/// because kNoClock sorts below every real clock and kPartitionDrained above,
-/// a downstream stage min-combines the resolved values of E exchanges with a
-/// second evaluate_watermark() pass (or a plain std::min) and gets exactly
-/// the policy result a single exchange over the union would have produced.
+/// The sentinel choice is what makes resolved values min-combinable: the
+/// exchange resolves its partitions with this function and stamps the value
+/// on every batch, and each of the W worker channels republishes the value
+/// of its contiguously absorbed prefix. Because kNoClock sorts below every
+/// real clock and kPartitionDrained above, the merger's second
+/// evaluate_watermark() pass over the W channel clocks (or a plain std::min)
+/// yields the most conservative of them, so a slide closes only once every
+/// channel has absorbed the records its watermark covers.
 inline std::int64_t resolve_watermark(const WatermarkView& view) {
   if (view.blocked) return kNoClock;
   if (view.flush_all()) return kPartitionDrained;

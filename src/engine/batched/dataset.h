@@ -6,8 +6,9 @@
 // map_partitions) touch each partition independently; the wide ones
 // (shuffle.h) exchange data between partitions — the expensive path Spark
 // STS takes. Compared to Spark, laziness and lineage-based fault tolerance
-// are out of scope (documented in DESIGN.md): what matters for the paper's
-// measurements is the stage/barrier execution structure, which is faithful.
+// are out of scope (docs/architecture.md, "Scope and substitutions"): what
+// matters for the paper's measurements is the stage/barrier execution
+// structure, which is faithful.
 #pragma once
 
 #include <cstddef>

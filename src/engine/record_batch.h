@@ -50,13 +50,13 @@ struct RecordBatch {
       std::numeric_limits<std::uint32_t>::max();
 
   /// Morsel identity for the work-stealing scheduler. `channel` is the
-  /// global channel index (exchange_index * workers + worker) the batch was
-  /// routed to, and `seq` counts batches per channel from 0 with no gaps.
-  /// A thief that absorbs a stolen morsel reports (channel, seq) done; the
-  /// completion tracker only advances a channel's watermark clock over the
-  /// contiguous prefix of completed sequence numbers, preserving the PR 2
-  /// invariant that a stamped watermark covers only already-absorbed data
-  /// even when morsels complete out of order.
+  /// index of the worker the exchange routed the batch to, and `seq` counts
+  /// batches per channel from 0 with no gaps. A thief that absorbs a stolen
+  /// morsel reports (channel, seq) done; the completion tracker only
+  /// advances a channel's watermark clock over the contiguous prefix of
+  /// completed sequence numbers, preserving the exchange's invariant that a
+  /// stamped watermark covers only already-absorbed data even when morsels
+  /// complete out of order.
   std::uint32_t channel = kNoChannel;
   std::uint64_t seq = 0;
   /// True for watermark-only heartbeats (no records). They recycle through

@@ -7,8 +7,8 @@
 // keyed, so one sub-stream maps deterministically onto one partition);
 // consumers poll from their tracked offsets and never remove data, so
 // several consumers can read the same stream independently. Out of scope
-// (documented in DESIGN.md): replication, persistence, consumer groups and
-// their rebalancing protocol.
+// (docs/architecture.md, "Scope and substitutions"): replication,
+// persistence, consumer groups and their rebalancing protocol.
 #pragma once
 
 #include <condition_variable>
@@ -152,8 +152,8 @@ class Producer {
 
 /// Reads an assigned subset of a topic's partitions from tracked offsets
 /// (all partitions unless an explicit assignment is given — Kafka's
-/// assign() model, which is how each exchange shard reads only the
-/// partitions it owns).
+/// assign() model, which is how the exchange reads each partition through
+/// its own consumer and polls every partition once per round).
 class Consumer {
  public:
   /// Binds the consumer to every partition of a topic, offset 0 everywhere.

@@ -14,14 +14,8 @@ Exchange::Exchange(Broker& broker, const std::string& topic,
     : config_(config), pool_(std::max<std::size_t>(1, config.batch_size)) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.batch_size == 0) config_.batch_size = 1;
-  if (config_.exchange_count == 0) config_.exchange_count = 1;
-  config_.exchange_index %= config_.exchange_count;
   const std::size_t partitions = broker.topic(topic).partition_count();
-  // Shard ownership: partition p belongs to exchange p % E. A shard past the
-  // partition count owns nothing and resolves straight to flush — it never
-  // gates the min-combined watermark.
-  for (std::size_t p = config_.exchange_index; p < partitions;
-       p += config_.exchange_count) {
+  for (std::size_t p = 0; p < partitions; ++p) {
     inputs_.emplace_back(broker, topic, std::vector<std::size_t>{p});
   }
   rings_.reserve(config_.workers);

@@ -5,10 +5,9 @@
 // topic's partition count (a 2-partition topic can feed 8 workers). This is
 // the exchange operator of morsel-driven engines (Leis et al., SIGMOD'14)
 // applied to the paper's Kafka deployment: batches, not records, cross
-// thread boundaries. The exchange itself shards: E instances (exchange_index
-// / exchange_count in the config) each own the partitions p with p % E ==
-// index, run on their own threads, and feed disjoint channel sets whose
-// per-shard watermarks min-combine downstream.
+// thread boundaries. One exchange thread reads every partition of the topic
+// (one consumer per partition, each polled once per round) and feeds one
+// channel per worker, so a batch's channel index is its worker index.
 //
 // Watermark transport. The exchange owns the per-partition high-water clocks
 // and the idle-partition grace policy of core/watermark.h, min-combines them
@@ -58,13 +57,6 @@ struct ExchangeConfig {
   std::size_t ring_capacity = 64;
   /// Grace period for partitions that never delivered (core/watermark.h).
   std::int64_t idle_partition_timeout_ms = 1000;
-  /// Sharded-exchange identity: this instance owns the topic partitions p
-  /// with p % exchange_count == exchange_index and runs on its own thread.
-  /// Each shard resolves the watermark over ITS partitions only; downstream
-  /// min-combines the per-shard values (core::resolve_watermark explains why
-  /// that composes). Defaults describe the classic single-exchange layout.
-  std::size_t exchange_index = 0;
-  std::size_t exchange_count = 1;
 };
 
 /// Routing-loop accounting, written by the exchange thread while run() is
@@ -130,9 +122,6 @@ class Exchange {
     }
   }
 
-  /// Number of output channels.
-  std::size_t worker_count() const noexcept { return config_.workers; }
-
   /// The stratum -> channel map (Fibonacci-mixed hash, deterministic): every
   /// record of one sub-stream lands on one channel.
   static std::size_t route(sampling::StratumId stratum, std::size_t workers) {
@@ -156,8 +145,6 @@ class Exchange {
   std::uint64_t records_routed() const noexcept {
     return records_routed_.load(std::memory_order_relaxed);
   }
-  /// Batch-pool allocation high-water mark (steady state stops growing).
-  std::size_t batches_allocated() const { return pool_.allocated(); }
   /// Heartbeat-pool allocation high-water mark.
   std::size_t heartbeats_allocated() const {
     return heartbeat_pool_.allocated();
@@ -178,17 +165,16 @@ class Exchange {
   /// the exchange thread parks while the worker is behind).
   void push_channel(std::size_t w, BatchPtr batch);
 
-  /// Stamps morsel identity: global channel index plus the channel's gapless
-  /// sequence number (the completion tracker's contiguous-prefix input).
+  /// Stamps morsel identity: the channel (worker) index plus the channel's
+  /// gapless sequence number (the completion tracker's contiguous-prefix
+  /// input).
   void stamp_identity(std::size_t w, engine::RecordBatch& batch) {
-    batch.channel =
-        static_cast<std::uint32_t>(config_.exchange_index * config_.workers +
-                                   w);
+    batch.channel = static_cast<std::uint32_t>(w);
     batch.seq = next_seq_[w]++;
   }
 
   ExchangeConfig config_;
-  std::vector<Consumer> inputs_;  ///< one consumer per OWNED partition
+  std::vector<Consumer> inputs_;  ///< one consumer per partition
   std::vector<std::unique_ptr<SpscRing<BatchPtr>>> rings_;
   engine::BatchPool pool_;
   /// Watermark-only heartbeats: zero capacity reserve, recycled separately.

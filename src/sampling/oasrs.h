@@ -175,15 +175,6 @@ class OasrsSampler {
     if (!reservoirs_.empty()) max_capacity_ = capacity;
   }
 
-  /// Adjusts the fixed per-stratum capacity for subsequent intervals.
-  void set_per_stratum_capacity(std::size_t capacity) {
-    config_.per_stratum_capacity = capacity;
-    if (config_.total_budget == 0) {
-      // Applied on next reset (take()); reservoirs currently filling keep
-      // their capacity so mid-interval statistics stay coherent.
-    }
-  }
-
   /// Number of strata discovered so far.
   std::size_t stratum_count() const noexcept { return reservoirs_.size(); }
 

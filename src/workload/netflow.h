@@ -1,14 +1,15 @@
 // CAIDA-like NetFlow workload for the network-traffic case study (§6.2).
 //
-// SUBSTITUTION (see DESIGN.md): the paper replays 670 GB of CAIDA Chicago
-// backbone traces converted to NetFlow. Those traces are not redistributable,
-// so we synthesise flow records whose protocol mix matches the paper's
-// reported dataset exactly (115,472,322 TCP / 67,098,852 UDP / 2,801,002
-// ICMP flows => 62.3 % / 36.2 % / 1.5 %) and whose per-flow byte counts are
-// heavy-tailed log-normals with per-protocol parameters in line with
-// published backbone-traffic characterisations. The evaluated query — total
-// traffic size per protocol per sliding window — is the paper's query and
-// exercises the identical code path (stratify by protocol, weighted SUM).
+// SUBSTITUTION (docs/architecture.md, "Scope and substitutions"): the paper
+// replays 670 GB of CAIDA Chicago backbone traces converted to NetFlow.
+// Those traces are not redistributable, so we synthesise flow records whose
+// protocol mix matches the paper's reported dataset exactly (115,472,322
+// TCP / 67,098,852 UDP / 2,801,002 ICMP flows => 62.3 % / 36.2 % / 1.5 %)
+// and whose per-flow byte counts are heavy-tailed log-normals with
+// per-protocol parameters in line with published backbone-traffic
+// characterisations. The evaluated query — total traffic size per protocol
+// per sliding window — is the paper's query and exercises the identical code
+// path (stratify by protocol, weighted SUM).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,11 @@
 // NYC-taxi-like workload for the taxi-ride case study (§6.3).
 //
-// SUBSTITUTION (see DESIGN.md): the paper replays the DEBS 2015 Grand
-// Challenge dataset (all 2013 NYC taxi rides) with trip start coordinates
-// mapped to the six NYC boroughs. We synthesise rides whose start-borough
-// shares follow the real Manhattan-dominated skew and whose trip distances
-// are per-borough gamma distributions (airport/outer-borough trips longer).
+// SUBSTITUTION (docs/architecture.md, "Scope and substitutions"): the paper
+// replays the DEBS 2015 Grand Challenge dataset (all 2013 NYC taxi rides)
+// with trip start coordinates mapped to the six NYC boroughs. We synthesise
+// rides whose start-borough shares follow the real Manhattan-dominated skew
+// and whose trip distances are per-borough gamma distributions
+// (airport/outer-borough trips longer).
 // The evaluated query — average trip distance per start borough per sliding
 // window — is the paper's query verbatim.
 #pragma once

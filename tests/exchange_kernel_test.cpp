@@ -95,7 +95,7 @@ ExchangeRun run_exchange(Broker& broker, const ExchangeConfig& config) {
 
 /// The reference router: replays the exchange's rounds over a sealed topic
 /// with its own consumers (each round polls up to batch_size records from
-/// every owned, unexhausted partition in index order) and routes record by
+/// every unexhausted partition in index order) and routes record by
 /// record — occupancy in a plain set, the watermark resolved from
 /// per-partition clocks after every round, and a heartbeat to each channel
 /// whose last-sent watermark is stale.
@@ -103,8 +103,7 @@ ExchangeRun reference_route(Broker& broker, const ExchangeConfig& config) {
   const std::size_t workers = config.workers;
   std::vector<Consumer> inputs;
   const std::size_t partitions = broker.topic("t").partition_count();
-  for (std::size_t p = config.exchange_index; p < partitions;
-       p += config.exchange_count) {
+  for (std::size_t p = 0; p < partitions; ++p) {
     inputs.emplace_back(broker, "t", std::vector<std::size_t>{p});
   }
   std::vector<std::int64_t> clocks(inputs.size(), core::kNoClock);
@@ -153,8 +152,7 @@ ExchangeRun reference_route(Broker& broker, const ExchangeConfig& config) {
       batch.heartbeat = batch.records.empty();
       if (batch.heartbeat && last_sent[w] == resolved) continue;
       batch.seq = next_seq[w]++;
-      batch.channel =
-          static_cast<std::uint32_t>(config.exchange_index * workers + w);
+      batch.channel = static_cast<std::uint32_t>(w);
       batch.watermark_us = resolved;
       batch.route_strata = channel_strata[w];
       batch.total_strata = static_cast<std::uint32_t>(strata_seen.size());

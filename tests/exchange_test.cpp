@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -187,92 +186,6 @@ TEST(Exchange, BackpressureLosesNothing) {
   std::size_t delivered = 0;
   for (const auto& channel : drained.records) delivered += channel.size();
   EXPECT_EQ(delivered, records.size());
-}
-
-TEST(Exchange, ShardedExchangesSplitPartitionsAndStampIdentity) {
-  // Two exchange shards over a 4-partition topic: shard e owns partitions p
-  // with p % 2 == e, and the stratum -> partition hash (s % 4) decides which
-  // shard ever sees a stratum. Together the shards must deliver every record
-  // exactly once, and every batch (heartbeats included) must carry its
-  // global channel id and a gapless per-channel sequence — the completion
-  // tracker's contract under work stealing.
-  Broker broker;
-  broker.create_topic("t", 4);
-  const auto records = ordered_records(12'000, 16);
-  Producer producer(broker, "t");
-  producer.send_batch(records);
-  producer.finish();
-
-  constexpr std::size_t kShards = 2;
-  constexpr std::size_t kWorkers = 3;
-  std::vector<std::unique_ptr<Exchange>> shards;
-  for (std::size_t e = 0; e < kShards; ++e) {
-    ExchangeConfig config;
-    config.workers = kWorkers;
-    config.batch_size = 128;
-    config.exchange_index = e;
-    config.exchange_count = kShards;
-    shards.push_back(std::make_unique<Exchange>(broker, "t", config));
-  }
-  std::vector<std::thread> runners;
-  runners.reserve(kShards);
-  for (auto& shard : shards) {
-    runners.emplace_back([&shard] { shard->run(); });
-  }
-
-  struct Channel {
-    std::vector<std::uint64_t> seqs;
-    std::size_t records = 0;
-    std::int64_t last_watermark = engine::kNoWatermark;
-  };
-  std::vector<Channel> channels(kShards * kWorkers);
-  std::map<sampling::StratumId, std::size_t> per_stratum;
-
-  for (;;) {
-    bool all_drained = true;
-    for (std::size_t e = 0; e < kShards; ++e) {
-      for (std::size_t w = 0; w < kWorkers; ++w) {
-        while (auto batch = shards[e]->pop(w)) {
-          EXPECT_EQ(batch->channel, e * kWorkers + w);
-          auto& channel = channels[e * kWorkers + w];
-          channel.seqs.push_back(batch->seq);
-          if (batch->heartbeat) {
-            EXPECT_TRUE(batch->records.empty());
-          }
-          channel.records += batch->size();
-          channel.last_watermark = batch->watermark_us;
-          for (const auto& record : batch->records) {
-            ++per_stratum[record.stratum];
-            EXPECT_EQ((record.stratum % 4) % kShards, e)
-                << "stratum " << record.stratum
-                << " delivered by the wrong shard";
-          }
-          shards[e]->recycle(std::move(batch));
-        }
-        all_drained = all_drained && shards[e]->drained(w);
-      }
-    }
-    if (all_drained) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  for (auto& runner : runners) runner.join();
-
-  std::size_t delivered = 0;
-  for (const auto& channel : channels) delivered += channel.records;
-  EXPECT_EQ(delivered, records.size());
-  for (sampling::StratumId s = 0; s < 16; ++s) {
-    EXPECT_EQ(per_stratum[s], records.size() / 16) << "stratum " << s;
-  }
-  for (std::size_t c = 0; c < channels.size(); ++c) {
-    for (std::size_t i = 0; i < channels[c].seqs.size(); ++i) {
-      ASSERT_EQ(channels[c].seqs[i], i)
-          << "channel " << c << " has a sequence gap";
-    }
-    // End of stream reaches every channel — on the last data batch or, for a
-    // channel with nothing in flight, on a heartbeat.
-    EXPECT_EQ(channels[c].last_watermark, engine::kWatermarkFlush)
-        << "channel " << c;
-  }
 }
 
 TEST(Exchange, HeartbeatsRecycleThroughZeroReservePool) {

@@ -1,4 +1,4 @@
-// Concurrency tests for BoundedQueue (MPMC) and SpscRing.
+// Concurrency tests for SpscRing and StealDeque.
 #include "common/queue.h"
 
 #include <gtest/gtest.h>
@@ -6,91 +6,11 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 namespace streamapprox {
 namespace {
-
-TEST(BoundedQueue, PushPopSingleThread) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.pop().value(), 1);
-  EXPECT_EQ(queue.pop().value(), 2);
-}
-
-TEST(BoundedQueue, TryPushFullFails) {
-  BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_FALSE(queue.try_push(3));
-  queue.pop();
-  EXPECT_TRUE(queue.try_push(3));
-}
-
-TEST(BoundedQueue, TryPopEmptyFails) {
-  BoundedQueue<int> queue(2);
-  EXPECT_FALSE(queue.try_pop().has_value());
-}
-
-TEST(BoundedQueue, CloseWakesConsumer) {
-  BoundedQueue<int> queue(2);
-  std::thread consumer([&] {
-    const auto v = queue.pop();
-    EXPECT_FALSE(v.has_value());
-  });
-  queue.close();
-  consumer.join();
-  EXPECT_TRUE(queue.closed());
-}
-
-TEST(BoundedQueue, CloseDrainsRemaining) {
-  BoundedQueue<int> queue(4);
-  queue.push(1);
-  queue.push(2);
-  queue.close();
-  EXPECT_FALSE(queue.push(3));
-  EXPECT_EQ(queue.pop().value(), 1);
-  EXPECT_EQ(queue.pop().value(), 2);
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(BoundedQueue, MpmcNoLossNoDup) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 5000;
-  BoundedQueue<int> queue(64);
-  std::atomic<long long> total{0};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(queue.push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = queue.pop()) {
-        total += *v;
-        ++popped;
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  queue.close();
-  for (int c = kProducers; c < kProducers + kConsumers; ++c) {
-    threads[c].join();
-  }
-  const long long n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(total.load(), n * (n - 1) / 2);
-}
 
 TEST(SpscRing, FifoOrder) {
   SpscRing<int> ring(8);

@@ -401,11 +401,11 @@ std::vector<core::WindowOutput> run_pipeline(
 }
 
 TEST(SkipAheadPipeline, ForcedStealShardedMatchesSequential) {
-  // Tiny deques + per-record ingest cost force morsels through the injector
-  // and steal paths (the WorkStealing test's recipe), with the bulk kernel
-  // live end to end: watermarks, late-drops and per-window records_seen must
-  // equal the sequential run's, and the kernel counters must show the bulk
-  // path actually ran.
+  // Tiny deques + per-record ingest cost force morsels through the steal
+  // path (the WorkStealing test's recipe), with the bulk kernel live end to
+  // end: watermarks, late-drops and per-window records_seen must equal the
+  // sequential run's, and the kernel counters must show the bulk path
+  // actually ran.
   const auto records = make_stream(3.0, 20000.0, 32);
   const auto sequential = run_pipeline(records, 1, 2, {});
   core::ShardedRunStats stats;

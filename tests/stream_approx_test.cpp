@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "ingest/replay.h"
@@ -38,6 +39,18 @@ StreamApproxConfig base_config() {
 TEST(StreamApprox, RequiresExistingTopic) {
   ingest::Broker broker;
   EXPECT_THROW(StreamApprox(broker, base_config()), std::out_of_range);
+}
+
+TEST(StreamApprox, RejectsZeroPollBatch) {
+  // A zero-record poll never reads a sealed topic as exhausted, so a
+  // sequential run() would never return: construction refuses the config.
+  ingest::Broker broker;
+  broker.create_topic("input", 1);
+  auto config = base_config();
+  config.poll_batch = 0;
+  EXPECT_THROW(StreamApprox(broker, config), std::invalid_argument);
+  config.poll_batch = 1;
+  EXPECT_NO_THROW(StreamApprox(broker, config));
 }
 
 TEST(StreamApprox, ProducesWindowsWithBounds) {
