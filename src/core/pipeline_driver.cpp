@@ -11,30 +11,6 @@
 namespace streamapprox::core {
 namespace {
 
-/// Turns a stratified sample into per-stratum cells, charging the per-record
-/// query cost against every SAMPLED item — the work the system actually
-/// performs, and exactly what approximation saves on the skipped items.
-std::vector<estimation::StratumSummary> summarize_with_cost(
-    const sampling::StratifiedSample<engine::Record>& sample,
-    engine::QueryCost work) {
-  std::vector<estimation::StratumSummary> cells;
-  cells.reserve(sample.strata.size());
-  for (const auto& stratum : sample.strata) {
-    estimation::StratumSummary cell;
-    cell.stratum = stratum.stratum;
-    cell.seen = stratum.seen;
-    cell.sampled = stratum.items.size();
-    cell.weight = stratum.weight;
-    for (const auto& record : stratum.items) {
-      const double value = work.charge(record.value);
-      cell.sum += value;
-      cell.sum_sq += value * value;
-    }
-    cells.push_back(cell);
-  }
-  return cells;
-}
-
 estimation::FeedbackConfig feedback_base_config() {
   // Controller tuning shared by every registered target; each target
   // overrides target_relative_error when it registers with the bank.
@@ -44,13 +20,14 @@ estimation::FeedbackConfig feedback_base_config() {
 }  // namespace
 
 PipelineDriver::PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
-                               WindowFn on_window)
+                               WindowFn on_window, std::size_t shards)
     : config_(std::move(config)),
       on_output_(std::move(on_output)),
       on_window_(std::move(on_window)),
       assembler_(config_.window),
       feedback_(feedback_base_config(), config_.initial_budget),
-      slide_budget_(config_.initial_budget) {
+      slide_budget_(config_.initial_budget),
+      shards_(std::max<std::size_t>(1, shards)) {
   sketch_plan_ = std::make_shared<const sketch::SketchPlan>();
   if (!config_.evaluate) return;
   for (auto& sink : config_.queries.clone_sinks()) {
@@ -254,82 +231,139 @@ sampling::OasrsConfig PipelineDriver::slide_sampler_config(
   return oasrs;
 }
 
-PipelineDriver::SlideState& PipelineDriver::slide_for(std::int64_t slide) {
-  auto it = open_slides_.find(slide);
-  if (it == open_slides_.end()) {
-    it = open_slides_
-             .try_emplace(slide, slide_sampler_config(slide), *sketch_plan())
-             .first;
-  }
-  return it->second;
-}
-
 std::size_t PipelineDriver::offer_batch(const engine::Record* records,
-                                        std::size_t count) {
+                                        std::size_t count, std::size_t shard) {
+  Shard& own = shards_[shard];
+  std::lock_guard lock(own.mutex);
+  const std::int64_t fence = closed_through_.load(std::memory_order_acquire);
   std::size_t accepted = 0;
   engine::for_each_slide_run(
       records, count, config_.window.slide_us,
       [&](std::int64_t slide, const engine::Record* run, std::size_t n) {
-        if (closed_any_) {
-          if (next_to_close_ && slide < *next_to_close_) return;  // late run
-        } else {
-          // Cold start: the first slide to close is the earliest slide
-          // observed, not slide 0 — a stream starting at a large event time
-          // (epoch-stamped taxi data) must not sweep through millions of
-          // empty slides.
-          next_to_close_ =
-              next_to_close_ ? std::min(*next_to_close_, slide) : slide;
+        if (slide < fence) return;  // late run: the slide already closed
+        auto it = own.slides.find(slide);
+        if (it == own.slides.end()) {
+          it = own.slides
+                   .try_emplace(slide,
+                                slide_sampler_config(slide, shard,
+                                                     shards_.size(),
+                                                     own.occupancy_my,
+                                                     own.occupancy_total),
+                                *sketch_plan())
+                   .first;
+          // Cold start: the first close starts at the earliest slide any
+          // shard opened, not at slide 0 — a stream starting at a large
+          // event time (epoch-stamped taxi data) must not sweep through
+          // millions of empty slides.
+          std::int64_t first = first_slide_.load(std::memory_order_relaxed);
+          while (slide < first &&
+                 !first_slide_.compare_exchange_weak(
+                     first, slide, std::memory_order_release,
+                     std::memory_order_relaxed)) {
+          }
         }
-        slide_for(slide).absorb(run, n);
+        it->second.absorb(run, n);
         accepted += n;
       });
   return accepted;
 }
 
+void PipelineDriver::apply_occupancy(std::size_t shard, std::size_t my_strata,
+                                     std::size_t total_strata) {
+  Shard& own = shards_[shard];
+  std::lock_guard lock(own.mutex);
+  if (my_strata == own.occupancy_my && total_strata == own.occupancy_total) {
+    return;
+  }
+  own.occupancy_my = my_strata;
+  own.occupancy_total = total_strata;
+  for (auto& [slide, open] : own.slides) {
+    open.sampler.set_total_budget(
+        slide_sampler_config(slide, shard, shards_.size(), my_strata,
+                             total_strata)
+            .total_budget);
+  }
+}
+
+std::optional<std::int64_t> PipelineDriver::next_to_close() const noexcept {
+  if (next_to_close_) return next_to_close_;
+  const std::int64_t first = first_slide_.load(std::memory_order_acquire);
+  if (first == kNoSlide) return std::nullopt;
+  return first;
+}
+
 std::size_t PipelineDriver::advance(std::int64_t watermark) {
-  if (!next_to_close_) return 0;
   std::size_t closed = 0;
-  while ((*next_to_close_ + 1) * config_.window.slide_us <= watermark) {
-    close_internal(*next_to_close_);
-    ++*next_to_close_;
+  for (auto next = next_to_close();
+       next && (*next + 1) * config_.window.slide_us <= watermark;
+       next = next_to_close()) {
+    close(*next);
     ++closed;
   }
   return closed;
 }
 
-void PipelineDriver::finish() {
-  while (!open_slides_.empty()) {
-    const std::int64_t slide = open_slides_.begin()->first;
-    while (next_to_close_ && *next_to_close_ < slide) {
-      close_internal(*next_to_close_);  // empty slides advance the assembler
-      ++*next_to_close_;
+std::size_t PipelineDriver::finish() {
+  // The last slide any shard opened.
+  std::int64_t last = std::numeric_limits<std::int64_t>::min();
+  for (Shard& shard : shards_) {
+    std::lock_guard lock(shard.mutex);
+    if (!shard.slides.empty()) {
+      last = std::max(last, shard.slides.rbegin()->first);
     }
-    close_internal(slide);
-    next_to_close_ = slide + 1;
   }
+  std::size_t closed = 0;
+  for (auto next = next_to_close(); next && *next <= last;
+       next = next_to_close()) {
+    close(*next);  // empty interior slides advance the assembler too
+    ++closed;
+  }
+  return closed;
 }
 
-void PipelineDriver::close_internal(std::int64_t slide) {
-  if (!closed_any_) assembler_.set_base_slide(slide);
-  auto it = open_slides_.find(slide);
-  if (it == open_slides_.end()) {
-    complete_slide({}, nullptr, nullptr);
-    return;
+void PipelineDriver::close(std::int64_t slide) {
+  // Fence first: a feeder racing this close either got its records into its
+  // shard before the extraction below (they are merged) or sees the fence
+  // and drops them as late.
+  closed_through_.store(slide + 1, std::memory_order_release);
+  Sampler merged(slide_sampler_config(slide), engine::RecordStratum{});
+  sketch::SlideSketches sketches;
+  for (Shard& shard : shards_) {
+    std::map<std::int64_t, SlideState>::node_type node;
+    {
+      std::lock_guard lock(shard.mutex);
+      // Only the first close can find an earlier slide here: one a feeder
+      // opened after the cold-start pin was read. Its records are late, as
+      // on the sequential path, so discard it.
+      while (!shard.slides.empty() && shard.slides.begin()->first < slide) {
+        shard.slides.erase(shard.slides.begin());
+      }
+      node = shard.slides.extract(slide);
+    }
+    if (node) {
+      merged.merge(node.mapped().sampler);
+      sketches.merge(node.mapped().sketches);
+    }
   }
-  auto sample = it->second.sampler.take();
-  sketch::SlideSketches sketches = std::move(it->second.sketches);
-  open_slides_.erase(it);
-  complete_slide(summarize_with_cost(sample, config_.query_cost), &sample,
-                 &sketches);
+  // The parts' kernel counters rode along through merge(); bank them before
+  // take() hands the sample on. One part merged into the empty sampler
+  // keeps its reservoirs unchanged, so one shard closes exactly as if it
+  // had been taken directly.
+  const sampling::OasrsKernelStats& stats = merged.kernel_stats();
+  kernel_stats_.bulk_runs += stats.bulk_runs;
+  kernel_stats_.accepted += stats.accepted;
+  kernel_stats_.skipped += stats.skipped;
+  close_slide_sample(slide, merged.take(), std::move(sketches));
 }
 
 void PipelineDriver::pad_until(std::int64_t slide) {
-  if (next_to_close_ && slide < *next_to_close_) {
+  if (!next_to_close_) {
+    next_to_close_ = slide;
+    assembler_.set_base_slide(slide);
+  } else if (slide < *next_to_close_) {
     throw std::logic_error(
         "PipelineDriver: slides must be closed in increasing order");
   }
-  if (!next_to_close_) next_to_close_ = slide;
-  if (!closed_any_) assembler_.set_base_slide(*next_to_close_);
   while (*next_to_close_ < slide) {
     complete_slide({}, nullptr, nullptr);
     ++*next_to_close_;
@@ -337,19 +371,15 @@ void PipelineDriver::pad_until(std::int64_t slide) {
 }
 
 void PipelineDriver::close_slide_sample(
-    std::int64_t slide, sampling::StratifiedSample<engine::Record> sample) {
-  pad_until(slide);
-  complete_slide(summarize_with_cost(sample, config_.query_cost), &sample,
-                 nullptr);
-  ++*next_to_close_;
-}
-
-void PipelineDriver::close_slide_sample(
     std::int64_t slide, sampling::StratifiedSample<engine::Record> sample,
     sketch::SlideSketches sketches) {
   pad_until(slide);
-  complete_slide(summarize_with_cost(sample, config_.query_cost), &sample,
-                 &sketches);
+  const engine::QueryCost work = config_.query_cost;
+  complete_slide(estimation::summarize(sample,
+                                       [work](const engine::Record& r) {
+                                         return work.charge(r.value);
+                                       }),
+                 &sample, &sketches);
   ++*next_to_close_;
 }
 
@@ -364,8 +394,6 @@ void PipelineDriver::complete_slide(
     std::vector<estimation::StratumSummary> cells,
     const sampling::StratifiedSample<engine::Record>* sample,
     const sketch::SlideSketches* sketches) {
-  closed_any_ = true;
-
   // The dynamic-lifecycle boundary: queued attach/detach operations take
   // effect here, BEFORE this slide's sink hooks — an attached sink observes
   // this slide, a detached one does not.

@@ -11,17 +11,19 @@
 // histograms, at which confidence — lives entirely in the query registry,
 // so N concurrent queries ride one ingested, sampled, windowed stream.
 //
-// That lifecycle used to live inline in StreamApprox::run(); it is extracted
-// here so three execution paths can share it:
+// Records and closed slides reach the lifecycle through two entry points:
 //
-//   * the sequential live path  — offer_batch()/advance(watermark)/finish(),
-//     the driver owns one SlideState per open slide; the caller owns the
-//     watermark;
-//   * the sharded live path     — N workers absorb their share of the stream
-//     into local SlideStates, a merger OasrsSampler::merge()s them and hands
-//     the merged sample to close_slide_sample();
-//   * the evaluation harness    — engines produce per-slide cells directly
-//     and hand them to close_slide_cells() (core/systems.cpp).
+//   * live ingest      — offer_batch(records, n, shard) feeds one of the
+//     driver's per-shard stores of open slides: one shard per feeding
+//     thread, so 1 on the sequential path and one per worker on the
+//     sharded path (paper §3.2: each worker samples its own sub-streams).
+//     advance(watermark) and finish() close slides through the driver's one
+//     close, which fences the slide, merges every shard's part of it and
+//     hands the merged sample on. The caller owns the watermark;
+//   * external closes  — close_slide_cells() takes per-slide cells from the
+//     evaluation harness's engines (core/systems.cpp), and
+//     close_slide_sample() takes a sample the caller drew itself (the
+//     performance ledger's staged pass).
 //
 // Dynamic query lifecycle. The registry is LIVE: attach_query() and
 // detach_query() may be called from any thread while the lifecycle runs.
@@ -34,22 +36,26 @@
 //     attach boundary);
 //   * a detached sink stops at its boundary, its FeedbackController retires
 //     with it, and the FeedbackBank's strictest-target budget is rebuilt;
-//   * the data plane is untouched: workers and the sampling hot path never
+//   * the data plane is untouched: feeders and the sampling hot path never
 //     see the control mutex — complete_slide reads one atomic generation
 //     counter per slide and takes the lock only when membership actually
 //     changed (the RCU-ish "check a stamp, swap at a safe point" shape).
 //
-// Thread safety: exactly one thread may drive the lifecycle
-// (offer/advance/finish/close_slide_*). attach_query/detach_query/
-// registry_generation are safe from any thread, as is current_budget()
-// (atomic: sharded workers pick up re-tuned budgets for newly opened slides
-// without synchronising with the merger). Everything else is
-// lifecycle-thread-only.
+// Thread safety: each feeder thread calls offer_batch() and
+// apply_occupancy() for its own shard only. A shard's mutex is taken once
+// per batch by its feeder and once per close by the lifecycle thread, so no
+// lock is shared between two feeders. Exactly one lifecycle thread drives
+// advance/finish/close_slide_* and next_to_close()/kernel_stats(); the late
+// fence and the cold-start pin it shares with the feeders are atomics.
+// attach_query/detach_query/registry_generation, current_budget(),
+// slide_sampler_config() and sketch_plan() are safe from any thread.
+// Everything else is lifecycle-thread-only.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,14 +108,6 @@ class QuerySubscription {
   /// Non-blocking: the next buffered window output, or nullopt when none is
   /// ready yet.
   std::optional<WindowOutput> poll() { return ring_.try_pop(); }
-
-  /// Non-blocking batch drain: appends up to `max` buffered outputs to
-  /// `out` in one ring synchronisation and returns the number taken — a
-  /// consumer catching up after a stall pays one acquire/release per fill
-  /// instead of per element.
-  std::size_t poll_n(std::vector<WindowOutput>& out, std::size_t max) {
-    return ring_.pop_n(out, max);
-  }
 
   /// True once the query was detached (or the run ended) AND every buffered
   /// output has been drained — the consumer's termination condition.
@@ -175,28 +173,6 @@ class PipelineDriver {
   /// The per-slide OASRS sampler type shared by all execution paths.
   using Sampler =
       sampling::OasrsSampler<engine::Record, engine::RecordStratum>;
-
-  /// One open slide's state on every live path (the sequential driver's own
-  /// slides and each sharded worker's): the OASRS sampler plus the sketch
-  /// states collecting beside it over the full, unsampled record stream.
-  /// Both merge at slide close — the sampler distribution-identically, the
-  /// sketches exactly.
-  struct SlideState {
-    Sampler sampler;
-    sketch::SlideSketches sketches;
-
-    SlideState(sampling::OasrsConfig config, const sketch::SketchPlan& plan)
-        : sampler(std::move(config), engine::RecordStratum{}),
-          sketches(plan) {}
-
-    /// The one place records reach a sampler and sketches: the sampler
-    /// segments the run into maximal same-stratum runs for its skip-ahead
-    /// kernel, the sketches digest every record.
-    void absorb(const engine::Record* run, std::size_t n) {
-      sampler.offer_batch(run, n);
-      sketches.absorb(run, n);
-    }
-  };
   using OutputFn = std::function<void(const WindowOutput&)>;
   /// Takes the window by value: raw-window mode moves it out, keeping the
   /// evaluation harness's timed loop free of per-window cell copies.
@@ -204,32 +180,51 @@ class PipelineDriver {
 
   /// Creates a driver. `on_output` receives evaluated window outputs (may be
   /// null when config.evaluate is false); `on_window` receives the raw
-  /// window cells (may be null).
+  /// window cells (may be null). `shards` is the number of feeding threads
+  /// live ingest runs on: 1 on the sequential path, one per worker on the
+  /// sharded path.
   PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
-                 WindowFn on_window = {});
+                 WindowFn on_window = {}, std::size_t shards = 1);
 
   /// Closes every live subscription channel so consumers observe
   /// finished() once they drain.
   ~PipelineDriver();
 
-  // ---- Sequential ingest path (lifecycle thread only) --------------------
+  // ---- Live ingest (each feeder thread on its own shard) -----------------
 
-  /// Routes one record into its slide's sampler: offer_batch over one
+  /// Routes one record into its slide on shard 0: offer_batch over one
   /// record. Returns true when the record was accepted.
   bool offer(const engine::Record& record) {
     return offer_batch(&record, 1) == 1;
   }
 
-  /// Batched hot path: routes a whole batch with one slide lookup per run of
-  /// consecutive same-slide records (event-time-ordered input makes runs
-  /// long). Records belonging to already-closed slides (late beyond the
-  /// watermark) are dropped. Returns the number of records accepted.
-  std::size_t offer_batch(const engine::Record* records, std::size_t count);
+  /// The one way records enter a slide: routes a batch into `shard`'s open
+  /// slides under one shard-mutex acquisition, with one slide lookup per
+  /// run of consecutive same-slide records (event-time-ordered input makes
+  /// runs long). A shard opens a slide's sampler with its occupancy share
+  /// of the budget (apply_occupancy). Records of already-closed slides
+  /// (late beyond the watermark) are dropped. `shard` must be below the
+  /// shard count given at construction. Returns the number of records
+  /// accepted.
+  std::size_t offer_batch(const engine::Record* records, std::size_t count,
+                          std::size_t shard = 0);
 
-  /// Convenience overload over a whole vector.
+  /// Convenience overload over a whole vector, on shard 0.
   std::size_t offer_batch(const std::vector<engine::Record>& records) {
     return offer_batch(records.data(), records.size());
   }
+
+  /// Records that `my_strata` of `total_strata` known strata route to
+  /// `shard` (the exchange's occupancy stamp), so slides the shard opens
+  /// get budget · my/total instead of the flat budget/shards split. When
+  /// the stamp changed, every sampler the shard holds open is re-tuned to
+  /// the new share: shrinks apply to live reservoirs immediately (a uniform
+  /// subsample stays uniform), growth at the sampler's next reset. Called
+  /// by the shard's own feeder, for its own batches and heartbeats only.
+  void apply_occupancy(std::size_t shard, std::size_t my_strata,
+                       std::size_t total_strata);
+
+  // ---- Slide close (lifecycle thread only) -------------------------------
 
   /// Closes every slide whose end `watermark` has passed. The caller owns
   /// the watermark computation (per-partition clocks with exhausted and
@@ -238,23 +233,16 @@ class PipelineDriver {
   /// number of slides closed.
   std::size_t advance(std::int64_t watermark);
 
-  /// Input exhausted: flushes every remaining open slide in order, padding
-  /// interior empty slides so the window assembler stays aligned.
-  void finish();
+  /// No source gates any more (input exhausted, or every source idle):
+  /// closes every slide through the last one any shard opened, interior
+  /// empty slides included so the window assembler stays aligned. Returns
+  /// the number of slides closed.
+  std::size_t finish();
 
-  // ---- External-sampler path (sharded merger, evaluation harness) --------
-  // Lifecycle thread only.
-
-  /// Closes `slide` with an externally produced stratified sample. Slides
-  /// must arrive in increasing order; interior gaps are padded with empty
-  /// slides. The first call pins the cold-start slide index.
-  void close_slide_sample(std::int64_t slide,
-                          sampling::StratifiedSample<engine::Record> sample);
-
-  /// As above, additionally carrying the merged worker-local sketch state
-  /// for the slide — the sharded merger folds its shards' SlideSketches
-  /// together (exact, order-insensitive) and hands the result here so
-  /// sketch sinks see the same state the sequential path would produce.
+  /// Closes `slide` with an externally produced stratified sample and the
+  /// sketch state collected beside it. Slides must arrive in increasing
+  /// order; interior gaps are padded with empty slides. The first call pins
+  /// the cold-start slide index.
   void close_slide_sample(std::int64_t slide,
                           sampling::StratifiedSample<engine::Record> sample,
                           sketch::SlideSketches sketches);
@@ -283,8 +271,8 @@ class PipelineDriver {
                                              std::size_t total_strata = 0)
       const;
 
-  /// Immutable snapshot of the sketch specs in force — sharded workers take
-  /// one when they open a per-slide state to provision its SlideSketches.
+  /// Immutable snapshot of the sketch specs in force — a shard takes one
+  /// when it opens a slide, to provision the slide's SlideSketches.
   /// Rebuilt at registration boundaries; safe from any thread.
   std::shared_ptr<const sketch::SketchPlan> sketch_plan() const;
 
@@ -332,18 +320,25 @@ class PipelineDriver {
 
   // ---- Introspection ------------------------------------------------------
 
-  /// The per-slide sample budget currently in force (atomic: sharded workers
-  /// read it concurrently with the merger re-tuning it).
+  /// The per-slide sample budget currently in force (atomic: feeders read
+  /// it when their shard opens a slide, concurrently with the lifecycle
+  /// thread re-tuning it).
   std::size_t current_budget() const noexcept {
     return slide_budget_.load(std::memory_order_relaxed);
   }
 
-  /// The next slide index to close; nullopt before the first record/close
-  /// (the cold-start fix: a stream starting at a large event time does not
-  /// sweep through millions of empty slides from zero). Lifecycle thread
-  /// only.
-  std::optional<std::int64_t> next_to_close() const noexcept {
-    return next_to_close_;
+  /// The next slide index to close; before the first close, the earliest
+  /// slide any shard opened (the cold-start fix: a stream starting at a
+  /// large event time does not sweep through millions of empty slides from
+  /// zero); nullopt before the first record/close. Lifecycle thread only.
+  std::optional<std::int64_t> next_to_close() const noexcept;
+
+  /// Skip-ahead kernel totals of every slide closed on the live path: bulk
+  /// runs fed to samplers, records accepted into reservoirs, and records
+  /// skipped. Banked at each close (the shards' counters ride along through
+  /// OasrsSampler::merge). Lifecycle thread only.
+  const sampling::OasrsKernelStats& kernel_stats() const noexcept {
+    return kernel_stats_;
   }
 
   /// The window geometry in force. Immutable after construction.
@@ -352,6 +347,43 @@ class PipelineDriver {
   }
 
  private:
+  /// Slide index sentinel: no shard has opened a slide yet.
+  static constexpr std::int64_t kNoSlide =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// One shard's part of one open slide: the OASRS sampler plus the sketch
+  /// states collecting beside it over the full, unsampled record stream.
+  /// The parts of a slide merge at its close — the sampler
+  /// distribution-identically, the sketches exactly.
+  struct SlideState {
+    Sampler sampler;
+    sketch::SlideSketches sketches;
+
+    SlideState(sampling::OasrsConfig config, const sketch::SketchPlan& plan)
+        : sampler(std::move(config), engine::RecordStratum{}),
+          sketches(plan) {}
+
+    /// The one place records reach a sampler and sketches: the sampler
+    /// segments the run into maximal same-stratum runs for its skip-ahead
+    /// kernel, the sketches digest every record.
+    void absorb(const engine::Record* run, std::size_t n) {
+      sampler.offer_batch(run, n);
+      sketches.absorb(run, n);
+    }
+  };
+
+  /// One feeding thread's open slides. The mutex is held by the feeder for
+  /// one batch or stamp, and by the lifecycle thread while a close extracts
+  /// the closing slide or finish() looks up the last one.
+  struct Shard {
+    std::mutex mutex;
+    std::map<std::int64_t, SlideState> slides;
+    /// The stratum-occupancy share last applied (apply_occupancy): 0/0
+    /// until a stamp arrives, which keeps the flat budget/shards split.
+    std::size_t occupancy_my = 0;
+    std::size_t occupancy_total = 0;
+  };
+
   /// One live registry entry: the sink plus its lifecycle bookkeeping.
   struct RegisteredQuery {
     std::unique_ptr<QuerySink> sink;
@@ -387,17 +419,17 @@ class PipelineDriver {
   /// is accuracy-kind).
   std::optional<double> fallback_target() const;
 
-  /// Looks up (or opens) the state of `slide` on the sequential path.
-  SlideState& slide_for(std::int64_t slide);
-
   /// Rebuilds the published sketch plan from the live registry. Lifecycle
   /// thread only (constructor seeding and registration boundaries).
   void publish_sketch_plan();
 
-  /// Closes one slide owned by the internal map (sequential path).
-  void close_internal(std::int64_t slide);
+  /// The one close of the live path: fences `slide` so feeders drop its
+  /// late records, extracts its part from every shard, merges the parts,
+  /// banks their kernel counters and closes the merged slide.
+  void close(std::int64_t slide);
 
-  /// Pads empty closed slides so `slide` becomes the next to close.
+  /// Pads empty closed slides so `slide` becomes the next to close; the
+  /// first call pins the assembler's base slide.
   void pad_until(std::int64_t slide);
 
   /// The shared lifecycle tail: pending registry ops apply, then cells
@@ -448,9 +480,19 @@ class PipelineDriver {
   /// Next sketch-spec id to assign (ids are unique per driver).
   std::uint64_t next_sketch_id_ = 1;
 
-  std::map<std::int64_t, SlideState> open_slides_;
+  // ---- Live ingest (feeders and the lifecycle thread) ---------------------
+  /// One per feeding thread; sized at construction, never resized.
+  std::vector<Shard> shards_;
+  /// The late fence: slides below it are closed, and feeders drop their
+  /// records. Stored by close() before it extracts the slide.
+  std::atomic<std::int64_t> closed_through_{
+      std::numeric_limits<std::int64_t>::min()};
+  /// The cold-start pin: the earliest slide any shard opened. The first
+  /// close starts there, not at slide 0.
+  std::atomic<std::int64_t> first_slide_{kNoSlide};
+  /// The next slide to close; set by the first close. Lifecycle thread only.
   std::optional<std::int64_t> next_to_close_;
-  bool closed_any_ = false;
+  sampling::OasrsKernelStats kernel_stats_;
 
   std::uint64_t last_slide_seen_ = 0;
   std::vector<estimation::StratumSummary> last_cells_;

@@ -15,49 +15,50 @@
 // channels: each worker refills a per-worker StealDeque (common/queue.h)
 // from its own channel and works LIFO off the bottom; when its own work runs
 // out it steals the OLDEST morsel off another worker's deque. A stolen
-// morsel is absorbed into the THIEF's local per-slide samplers — safe
-// because OASRS samplers merge associatively at slide close (the merger
-// concatenates whatever shard holds each stratum's reservoir), so per-window
+// morsel is absorbed into the THIEF's driver shard — safe because OASRS
+// samplers merge associatively at slide close (the driver concatenates
+// whatever shard holds each stratum's reservoir), so per-window
 // records_seen is schedule-independent. A worker refills its deque only once
 // it is empty, with at most its capacity, so a refill always fits and the
 // channel ring is the only backlog: the deque is the one queue tier between
 // the exchange and the samplers. Out-of-order completion is reconciled by
 // ChannelProgress below.
 //
-// Every worker samples with LOCAL per-slide OASRS samplers — no lock is
-// shared between two workers on the sampling hot path (each worker's mutex
-// exists only to hand closed slides to the merger) — and all ingest is
-// batch-at-a-time: one mutex acquisition and one slide-map lookup per run of
-// same-slide records, never a per-record offer() loop.
+// Every worker feeds its own shard of the PipelineDriver
+// (PipelineDriver::offer_batch(records, n, w)) — no lock is shared between
+// two workers on the sampling hot path; a shard's mutex is taken once per
+// batch by its worker and once per slide close by the merger, which
+// extracts the closing slide from it. All ingest is batch-at-a-time, never
+// a per-record offer() loop.
 //
-//   merger           once the low-watermark passes a slide's end, extracts
-//                    that slide's sampler from every worker, concatenates
-//                    them with OasrsSampler::merge(), and closes the slide
-//                    through the shared PipelineDriver — estimator inputs
-//                    identical to the sequential path modulo stratum order,
-//                    because the exchange's stratum hash sends each stratum
-//                    to exactly one channel.
+//   merger           the calling thread evaluates the channels' watermark
+//                    and drives the driver's advance()/finish(): once the
+//                    low-watermark passes a slide's end, the driver's one
+//                    close merges every shard's part of the slide with
+//                    OasrsSampler::merge() — estimator inputs identical to
+//                    the sequential path modulo stratum order, because the
+//                    exchange's stratum hash sends each stratum to exactly
+//                    one channel.
 //
-// The adaptive feedback loop still works: the merger re-tunes the driver's
-// budget as windows complete (max across every registered query's accuracy
-// target — see core/query.h), and workers read the atomic budget when they
-// open samplers for new slides. The per-slide budget is split across
+// The adaptive feedback loop still works: the merger's closes re-tune the
+// driver's budget as windows complete (max across every registered query's
+// accuracy target — see core/query.h), and workers read the atomic budget
+// when their shard opens a slide. The per-slide budget is split across
 // workers by STRATUM OCCUPANCY (budget · my_strata/total_strata, stamped on
-// exchange batches), not by the flat budget/workers share that undershoots
-// when strata spread unevenly. Query
-// evaluation itself lives entirely behind the driver's query registry, so
-// the sharded data plane is byte-for-byte the same whether one query or N
-// are registered — and queries may attach/detach mid-run: the merger
-// applies registry changes at slide-close boundaries, workers never notice.
+// exchange batches and applied through PipelineDriver::apply_occupancy), not
+// by the flat budget/workers share that undershoots when strata spread
+// unevenly. Query evaluation itself lives entirely behind the driver's query
+// registry, so the sharded data plane is byte-for-byte the same whether one
+// query or N are registered — and queries may attach/detach mid-run: the
+// merger applies registry changes at slide-close boundaries, workers never
+// notice.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,32 +72,6 @@
 
 namespace streamapprox::core {
 namespace {
-
-constexpr std::int64_t kNoSlide = std::numeric_limits<std::int64_t>::max();
-
-/// Worker-local state the merger reaches into: the per-slide states of one
-/// shard, guarded by a mutex the owning worker holds only while applying a
-/// polled batch (never across polls, never against another worker).
-struct Shard {
-  std::mutex mutex;
-  std::map<std::int64_t, PipelineDriver::SlideState> slides;
-  /// The stratum-occupancy share last applied to this shard's samplers:
-  /// `occupancy_my` of `occupancy_total` strata route here, so new slide
-  /// samplers get budget · my/total instead of the flat budget/workers
-  /// split (which undershoots whenever strata spread unevenly — the
-  /// quickstart's 3 strata over 4 workers sampled ~half the budget).
-  std::size_t occupancy_my = 0;
-  std::size_t occupancy_total = 0;
-};
-
-void atomic_min(std::atomic<std::int64_t>& target, std::int64_t value) {
-  std::int64_t current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-  }
-}
 
 /// Morsel-completion tracker for the work-stealing scheduler. Stolen morsels
 /// are absorbed out of channel order, but a channel's watermark clock may
@@ -151,188 +126,6 @@ struct SchedulerCounters {
   std::atomic<std::uint64_t> records{0};
 };
 
-/// Everything the workers and the merger share.
-struct ShardedPlan {
-  PipelineDriver& driver;
-  std::vector<Shard>& shards;
-  std::size_t workers;
-  std::int64_t slide_us;
-  /// The earliest slide observed anywhere (the cold-start base slide).
-  std::atomic<std::int64_t> first_slide{kNoSlide};
-  /// Slides below this are closed; workers drop records for them as late.
-  std::atomic<std::int64_t> closed_through{
-      std::numeric_limits<std::int64_t>::min()};
-  std::atomic<std::size_t> workers_done{0};
-  /// Skip-ahead kernel totals, accumulated by the merger at each slide close
-  /// (worker sampler stats ride along through OasrsSampler::merge).
-  std::atomic<std::uint64_t> sampler_bulk_runs{0};
-  std::atomic<std::uint64_t> sampler_accepts{0};
-  std::atomic<std::uint64_t> sampler_skipped{0};
-
-  ShardedPlan(PipelineDriver& driver, std::vector<Shard>& shards,
-              std::size_t workers, std::int64_t slide_us)
-      : driver(driver), shards(shards), workers(workers), slide_us(slide_us) {}
-};
-
-/// Applies an occupancy stamp to worker `w`'s shard. When the stamp changed,
-/// every open sampler's budget is re-tuned to the new occupancy share —
-/// shrinks apply to live reservoirs immediately (a uniform subsample stays
-/// uniform), growth applies at the sampler's next reset. Caller holds the
-/// shard mutex.
-void apply_occupancy_locked(ShardedPlan& plan, std::size_t w, Shard& shard,
-                            std::size_t my_strata, std::size_t total_strata) {
-  if (my_strata == shard.occupancy_my &&
-      total_strata == shard.occupancy_total) {
-    return;
-  }
-  shard.occupancy_my = my_strata;
-  shard.occupancy_total = total_strata;
-  for (auto& [slide, open] : shard.slides) {
-    open.sampler.set_total_budget(
-        plan.driver
-            .slide_sampler_config(slide, w, plan.workers, my_strata,
-                                  total_strata)
-            .total_budget);
-  }
-}
-
-/// Routes one exchange batch into worker `w`'s local per-slide states: one
-/// mutex acquisition per batch, one slide-map lookup and one
-/// SlideState::absorb per run of consecutive same-slide records. The
-/// batch's stratum-occupancy stamp drives the occupancy-aware budget split.
-/// `apply_stamp` is false when a thief absorbs a STOLEN morsel: the victim
-/// channel's stamp describes the victim's stratum set, not the thief's, so
-/// the thief keeps its own occupancy share (records_seen is unaffected
-/// either way).
-void absorb_batch(ShardedPlan& plan, std::size_t w,
-                  const engine::RecordBatch& batch, bool apply_stamp) {
-  Shard& shard = plan.shards[w];
-  std::lock_guard lock(shard.mutex);
-  if (apply_stamp) {
-    apply_occupancy_locked(plan, w, shard, batch.route_strata,
-                           batch.total_strata);
-  }
-  const std::int64_t frozen =
-      plan.closed_through.load(std::memory_order_acquire);
-  engine::for_each_slide_run(
-      batch.records.data(), batch.size(), plan.slide_us,
-      [&](std::int64_t slide, const engine::Record* run, std::size_t n) {
-        if (slide < frozen) return;  // late beyond merged watermark
-        auto it = shard.slides.find(slide);
-        if (it == shard.slides.end()) {
-          it = shard.slides
-                   .try_emplace(slide,
-                                plan.driver.slide_sampler_config(
-                                    slide, w, plan.workers,
-                                    shard.occupancy_my,
-                                    shard.occupancy_total),
-                                *plan.driver.sketch_plan())
-                   .first;
-          atomic_min(plan.first_slide, slide);
-        }
-        // Sketches digest the FULL stream (sampling happens beside them),
-        // whichever worker the run landed on — merge exactness makes the
-        // final per-slide state independent of that placement.
-        it->second.absorb(run, n);
-      });
-}
-
-/// The merger: watermark-gated slide closing, run in the calling thread
-/// until every worker finished. `clocks` are the per-channel republished
-/// watermarks; the exchange already resolved the idleness policy into the
-/// values it forwarded, so no grace applies here.
-void merge_until_done(ShardedPlan& plan,
-                      std::vector<std::atomic<std::int64_t>>& clocks,
-                      const std::function<void(std::int64_t)>& after_close) {
-  const auto close_one = [&](std::int64_t slide) {
-    // Freeze the slide first: a racing worker either got its records in
-    // before extraction (they are merged) or sees the fence and drops them
-    // as late — exactly the sequential path's late-record rule.
-    plan.closed_through.store(slide + 1, std::memory_order_release);
-    PipelineDriver::Sampler merged(plan.driver.slide_sampler_config(slide),
-                                   engine::RecordStratum{});
-    sketch::SlideSketches merged_sketches;
-    for (auto& shard : plan.shards) {
-      std::map<std::int64_t, PipelineDriver::SlideState>::node_type node;
-      {
-        std::lock_guard lock(shard.mutex);
-        // Stranded entries below the closing slide are late beyond the
-        // watermark (e.g. an idle-excluded partition woke with old data
-        // after slides passed it): discard them, matching the sequential
-        // path, which drops such records at offer time.
-        while (!shard.slides.empty() &&
-               shard.slides.begin()->first < slide) {
-          shard.slides.erase(shard.slides.begin());
-        }
-        node = shard.slides.extract(slide);
-      }
-      if (node) {
-        merged.merge(node.mapped().sampler);
-        merged_sketches.merge(node.mapped().sketches);
-      }
-    }
-    // Kernel counters rode along through merge(); the extracted per-slide
-    // samplers are destroyed below, so this is the one place to bank them.
-    const auto& ks = merged.kernel_stats();
-    plan.sampler_bulk_runs.fetch_add(ks.bulk_runs, std::memory_order_relaxed);
-    plan.sampler_accepts.fetch_add(ks.accepted, std::memory_order_relaxed);
-    plan.sampler_skipped.fetch_add(ks.skipped, std::memory_order_relaxed);
-    plan.driver.close_slide_sample(slide, merged.take(),
-                                   std::move(merged_sketches));
-    after_close(slide);
-  };
-
-  std::optional<std::int64_t> next;
-  bool any_closed = false;
-  std::vector<std::int64_t> clock_snapshot(clocks.size());
-  for (;;) {
-    const bool all_done =
-        plan.workers_done.load(std::memory_order_acquire) == plan.workers;
-    for (std::size_t c = 0; c < clocks.size(); ++c) {
-      clock_snapshot[c] = clocks[c].load(std::memory_order_acquire);
-    }
-    const auto view =
-        evaluate_watermark(clock_snapshot, /*idle_grace_over=*/false);
-    const std::int64_t lo = plan.first_slide.load(std::memory_order_acquire);
-    bool progressed = false;
-    if (lo != kNoSlide && !view.blocked) {
-      if (!next) {
-        next = lo;
-      } else if (!any_closed) {
-        // Nothing closed yet: a slow channel may have delivered an even
-        // earlier slide since the pin — include it rather than strand it.
-        *next = std::min(*next, lo);
-      }
-      for (;;) {
-        bool ripe = false;
-        if (view.flush_all()) {
-          // No source gates (drained and/or idle past grace): flush through
-          // the last open slide so output is never stranded.
-          std::int64_t hi = std::numeric_limits<std::int64_t>::min();
-          for (auto& shard : plan.shards) {
-            std::lock_guard lock(shard.mutex);
-            if (!shard.slides.empty()) {
-              hi = std::max(hi, shard.slides.rbegin()->first);
-            }
-          }
-          ripe = hi != std::numeric_limits<std::int64_t>::min() && *next <= hi;
-        } else {
-          ripe = (*next + 1) * plan.slide_us <= view.watermark;
-        }
-        if (!ripe) break;
-        close_one(*next);
-        ++*next;
-        any_closed = true;
-        progressed = true;
-      }
-    }
-    if (all_done) break;
-    if (!progressed) {
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-  }
-}
-
 }  // namespace
 
 void StreamApprox::run_sharded(
@@ -340,12 +133,10 @@ void StreamApprox::run_sharded(
   const std::size_t workers = config_.workers;
   const std::int64_t slide_us = config_.window.slide_us;
 
-  PipelineDriver driver(driver_config(), on_window);
+  // One driver shard per worker: each worker feeds its own open slides.
+  PipelineDriver driver(driver_config(), on_window, {}, workers);
   const DriverInstallation installation(*this, driver);
   slide_budget_ = driver.current_budget();
-
-  std::vector<Shard> shards(workers);
-  ShardedPlan plan(driver, shards, workers, slide_us);
 
   // One exchange repartitions the topic onto per-worker channels; workers
   // run the morsel scheduler.
@@ -379,16 +170,7 @@ void StreamApprox::run_sharded(
         std::make_unique<StealDeque<engine::RecordBatch*>>(deque_capacity));
   }
   SchedulerCounters counters;
-
-  const auto after_close = [&](std::int64_t slide) {
-    slide_budget_ = driver.current_budget();
-    // Watermark lag: how far ingest had run ahead of this close.
-    const std::int64_t max_event = exchange.max_routed_event_us();
-    if (max_event != engine::kNoWatermark) {
-      run_stats_.watermark_lag_us.push_back(max_event -
-                                            (slide + 1) * slide_us);
-    }
-  };
+  std::atomic<std::size_t> workers_done{0};
 
   {
     ThreadPool pool(workers + 1);
@@ -405,16 +187,21 @@ void StreamApprox::run_sharded(
         std::uint64_t n_owner = 0, n_steal = 0, n_batches = 0,
                       n_heartbeats = 0, n_records = 0;
 
-        // Absorbs one data morsel into THIS worker's local samplers. Owner
-        // morsels apply their occupancy stamp; stolen ones keep the thief's
-        // share (absorb_batch comment). Completion is reported after the
-        // samplers hold the records — the watermark invariant.
+        // Absorbs one data morsel into THIS worker's driver shard. Only an
+        // owner morsel applies its occupancy stamp: a stolen one's stamp
+        // describes the victim channel's strata, not the thief's, so the
+        // thief keeps its own share (records_seen is unaffected either way).
+        // Completion is reported after the shard holds the records — the
+        // watermark invariant.
         const auto absorb = [&](engine::RecordBatch* raw) {
           ingest::Exchange::BatchPtr batch(raw);
           for (const auto& record : batch->records) {
             ingest_acc += config_.ingest_cost.charge(record.value);
           }
-          absorb_batch(plan, w, *batch, /*apply_stamp=*/batch->channel == w);
+          if (batch->channel == w) {
+            driver.apply_occupancy(w, batch->route_strata, batch->total_strata);
+          }
+          driver.offer_batch(batch->records.data(), batch->size(), w);
           ++n_batches;
           n_records += batch->size();
           progress.complete(batch->channel, batch->seq, batch->watermark_us);
@@ -427,10 +214,7 @@ void StreamApprox::run_sharded(
         // stratum.
         const auto handle_heartbeat = [&](ingest::Exchange::BatchPtr batch) {
           if (batch->total_strata > 0) {
-            Shard& shard = plan.shards[w];
-            std::lock_guard lock(shard.mutex);
-            apply_occupancy_locked(plan, w, shard, batch->route_strata,
-                                   batch->total_strata);
+            driver.apply_occupancy(w, batch->route_strata, batch->total_strata);
           }
           ++n_heartbeats;
           progress.complete(batch->channel, batch->seq, batch->watermark_us);
@@ -498,10 +282,46 @@ void StreamApprox::run_sharded(
         counters.heartbeats.fetch_add(n_heartbeats, std::memory_order_relaxed);
         counters.records.fetch_add(n_records, std::memory_order_relaxed);
         run_stats_.per_worker_records[w] = n_records;
-        plan.workers_done.fetch_add(1, std::memory_order_release);
+        workers_done.fetch_add(1, std::memory_order_release);
       });
     }
-    merge_until_done(plan, clocks, after_close);
+
+    // The merger: watermark-gated slide closing in this thread until every
+    // worker finished. The channel clocks already carry the exchange's
+    // resolved idleness policy, so no grace applies here.
+    std::vector<std::int64_t> clock_snapshot(workers);
+    for (;;) {
+      const bool all_done =
+          workers_done.load(std::memory_order_acquire) == workers;
+      for (std::size_t c = 0; c < workers; ++c) {
+        clock_snapshot[c] = clocks[c].load(std::memory_order_acquire);
+      }
+      const auto view =
+          evaluate_watermark(clock_snapshot, /*idle_grace_over=*/false);
+      std::size_t closed = 0;
+      if (view.can_close()) {
+        closed = driver.advance(view.watermark);
+      } else if (view.flush_all()) {
+        closed = driver.finish();
+      }
+      if (closed > 0) {
+        slide_budget_ = driver.current_budget();
+        // Watermark lag: how far ingest had run ahead of each close.
+        const std::int64_t max_event = exchange.max_routed_event_us();
+        if (max_event != engine::kNoWatermark) {
+          const std::int64_t next = *driver.next_to_close();
+          for (auto slide = next - static_cast<std::int64_t>(closed);
+               slide < next; ++slide) {
+            run_stats_.watermark_lag_us.push_back(max_event -
+                                                  (slide + 1) * slide_us);
+          }
+        }
+      }
+      if (all_done) break;
+      if (closed == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    }
   }  // joins the pool: counters and per-worker records are final below
 
   run_stats_.owner_pops = counters.owner_pops.load();
@@ -517,12 +337,7 @@ void StreamApprox::run_sharded(
   run_stats_.exchange_runs_walked = routing.runs;
   run_stats_.exchange_table_probes = routing.table_probes;
   run_stats_.exchange_scatter_reserves = routing.scatter_reserves;
-  run_stats_.sampler_bulk_runs = plan.sampler_bulk_runs.load();
-  run_stats_.sampler_accepts = plan.sampler_accepts.load();
-  run_stats_.sampler_skipped = plan.sampler_skipped.load();
-
-  driver.finish();  // no-op safeguard: external mode leaves nothing open
-  slide_budget_ = driver.current_budget();
+  finish_run(driver);  // the merger's last pass normally left nothing open
 }
 
 }  // namespace streamapprox::core

@@ -189,8 +189,16 @@ void StreamApprox::run_sequential(
   }
   volatile double ingest_sink = ingest_acc;
   (void)ingest_sink;
+  finish_run(driver);
+}
+
+void StreamApprox::finish_run(PipelineDriver& driver) {
   driver.finish();
   slide_budget_ = driver.current_budget();
+  const sampling::OasrsKernelStats& kernel = driver.kernel_stats();
+  run_stats_.sampler_bulk_runs = kernel.bulk_runs;
+  run_stats_.sampler_accepts = kernel.accepted;
+  run_stats_.sampler_skipped = kernel.skipped;
 }
 
 }  // namespace streamapprox::core

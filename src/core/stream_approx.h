@@ -10,15 +10,17 @@
 //
 // Two execution modes share the slide lifecycle in core/pipeline_driver.h:
 //
-//   workers == 1   one thread consumes every partition and owns every
-//                  per-slide sampler (the original sequential path);
+//   workers == 1   one thread consumes every partition and feeds the
+//                  driver's single shard (the original sequential path);
 //   workers >= 2   an exchange thread re-keys the topic's partition batches
 //                  by stratum hash onto N work-stealing worker threads, each
-//                  sampling its sub-streams with LOCAL per-slide OASRS
-//                  samplers — no synchronisation during sampling (paper
-//                  §3.2 Algorithm 3) — while a merger thread closes slides
-//                  by OasrsSampler::merge()-ing worker-local samplers once
-//                  the global low-watermark passes (core/sharded.cpp).
+//                  feeding its sub-streams into its OWN driver shard of
+//                  per-slide OASRS samplers — no synchronisation between
+//                  workers during sampling (paper §3.2 Algorithm 3) — while
+//                  a merger thread drives the driver's advance()/finish()
+//                  from the global low-watermark; the driver's one close
+//                  merges every shard's part of a slide
+//                  (core/sharded.cpp).
 //
 // Dynamic query lifecycle: attach_query() / detach_query() work while the
 // pipeline is RUNNING, in both modes. Operations take effect at the next
@@ -102,10 +104,11 @@ struct StreamApproxConfig {
   std::uint64_t seed = 2017;
 };
 
-/// Counters and latency samples from the last sharded run — the raw
-/// material of the saved-benchmark JSON trajectories. All counters are
-/// totals across workers; zeroed by every run() start (a sequential run
-/// leaves everything zero except `workers`).
+/// Counters and latency samples from the last run — the raw material of
+/// the saved-benchmark JSON trajectories. All counters are totals across
+/// workers; zeroed by every run() start. A sequential run fills `workers`
+/// and the sampler_* kernel totals and leaves the scheduler and exchange
+/// counters zero.
 struct ShardedRunStats {
   std::size_t workers = 0;
   /// Data batches absorbed, split by how the absorbing worker got them:
@@ -248,6 +251,10 @@ class StreamApprox {
 
   /// Sharded execution: exchange-fed workers + watermark-gated merger.
   void run_sharded(const std::function<void(const WindowOutput&)>& on_window);
+
+  /// The end of both run_* paths: flushes every slide still open and
+  /// records the final budget and the driver's sampler kernel totals.
+  void finish_run(PipelineDriver& driver);
 
   ingest::Broker& broker_;
   StreamApproxConfig config_;

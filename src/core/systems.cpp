@@ -10,6 +10,7 @@
 #include "engine/batched/shuffle.h"
 #include "engine/pipelined/aggregators.h"
 #include "engine/pipelined/dataflow.h"
+#include "estimation/estimators.h"
 #include "sampling/oasrs.h"
 #include "sampling/scasrs.h"
 #include "sampling/sts.h"
@@ -93,28 +94,6 @@ struct CellMap {
     return out;
   }
 };
-
-/// Turns a stratified sample into cells, charging the query cost per
-/// SAMPLED item (the work the system actually performs).
-std::vector<StratumSummary> summarize_sample(
-    const StratifiedSample<Record>& sample, QueryCost work) {
-  std::vector<StratumSummary> cells;
-  cells.reserve(sample.strata.size());
-  for (const auto& stratum : sample.strata) {
-    StratumSummary cell;
-    cell.stratum = stratum.stratum;
-    cell.seen = stratum.seen;
-    cell.sampled = stratum.items.size();
-    cell.weight = stratum.weight;
-    for (const Record& record : stratum.items) {
-      const double value = work.charge(record.value);
-      cell.sum += value;
-      cell.sum_sq += value * value;
-    }
-    cells.push_back(cell);
-  }
-  return cells;
-}
 
 // ------------------------------------------------------------- Native Spark
 
@@ -281,7 +260,9 @@ BatchJob make_spark_sts_job(Scheduler& scheduler, const SystemConfig& config,
     scheduler.run_stage(partitions, [&](std::size_t r) {
       auto& rng = (*rngs)[r];
       auto sample = sampling::sts_sample(grouped[r], fraction, rng, exact);
-      reducer_cells[r] = summarize_sample(sample, work);
+      reducer_cells[r] = estimation::summarize(
+          sample,
+          [work](const Record& record) { return work.charge(record.value); });
     });
 
     std::vector<StratumSummary> out;
@@ -331,7 +312,9 @@ BatchJob make_spark_approx_job(Scheduler& scheduler,
     // of Algorithm 2 running on the sampled RDD).
     std::vector<std::vector<StratumSummary>> cell_parts(workers);
     scheduler.run_stage(workers, [&](std::size_t w) {
-      cell_parts[w] = summarize_sample(samples[w], work);
+      cell_parts[w] = estimation::summarize(
+          samples[w],
+          [work](const Record& record) { return work.charge(record.value); });
     });
     std::vector<StratumSummary> out;
     for (auto& cells : cell_parts) {

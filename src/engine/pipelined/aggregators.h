@@ -67,23 +67,9 @@ class OasrsSlideAggregator final : public SlideAggregator {
   void offer(const Record& record) override { sampler_.offer(record); }
 
   std::vector<estimation::StratumSummary> take_slide() override {
-    auto sample = sampler_.take();
-    std::vector<estimation::StratumSummary> cells;
-    cells.reserve(sample.strata.size());
-    for (const auto& stratum : sample.strata) {
-      estimation::StratumSummary cell;
-      cell.stratum = stratum.stratum;
-      cell.seen = stratum.seen;
-      cell.sampled = stratum.items.size();
-      cell.weight = stratum.weight;
-      for (const Record& record : stratum.items) {
-        const double value = work_.charge(record.value);
-        cell.sum += value;
-        cell.sum_sq += value * value;
-      }
-      cells.push_back(cell);
-    }
-    return cells;
+    return estimation::summarize(
+        sampler_.take(),
+        [this](const Record& record) { return work_.charge(record.value); });
   }
 
   /// Re-tunes the per-slide budget (adaptive feedback path).

@@ -115,7 +115,6 @@ Producer::Producer(Broker& broker, const std::string& topic)
 
 void Producer::send(const engine::Record& record) {
   topic_.partition(topic_.partition_for_key(record.stratum)).append(record);
-  ++sent_;
 }
 
 void Producer::send_batch(const std::vector<engine::Record>& records) {

@@ -142,12 +142,8 @@ class Producer {
   /// Marks the stream complete (seals the topic).
   void finish();
 
-  /// Records sent so far.
-  std::uint64_t sent() const noexcept { return sent_; }
-
  private:
   Topic& topic_;
-  std::uint64_t sent_ = 0;
 };
 
 /// Reads an assigned subset of a topic's partitions from tracked offsets

@@ -1,12 +1,18 @@
 // Tests for the reusable slide-lifecycle driver: cold start away from slide
-// zero, sequential offer/advance/finish, the external sample/cells paths and
-// their ordering contract, and budget re-tuning.
+// zero, sequential offer/advance/finish, the per-shard stores of open slides
+// and their one close (single-threaded and with concurrent feeders), the
+// external sample/cells paths and their ordering contract, and budget
+// re-tuning.
 #include "core/pipeline_driver.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <limits>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "estimation/estimators.h"
@@ -230,7 +236,7 @@ TEST(PipelineDriver, SamplePathMatchesSequentialSeenCounts) {
       it->second.offer(r);
     }
     for (auto& [slide, sampler] : samplers) {
-      driver.close_slide_sample(slide, sampler.take());
+      driver.close_slide_sample(slide, sampler.take(), {});
     }
   }
 
@@ -404,6 +410,137 @@ TEST(PipelineDriver, HistogramOnlyRegistryStillAdaptsToAccuracyBudget) {
   ASSERT_GT(outputs.size(), 3u);
   // The strict target forces the budget to grow off its initial value.
   EXPECT_GT(outputs.back().budget_in_force, outputs.front().budget_in_force);
+}
+
+/// `count` records of `stratum` with event times start_us, +step_us, ...
+std::vector<Record> stratum_run(sampling::StratumId stratum, int count,
+                                std::int64_t start_us,
+                                std::int64_t step_us = 1000) {
+  std::vector<Record> records;
+  for (int i = 0; i < count; ++i) {
+    records.push_back(Record{stratum, 1.0 + i % 5, start_us + i * step_us});
+  }
+  return records;
+}
+
+TEST(PipelineDriver, ShardsMergeAtOneClose) {
+  // Two shards fed from one thread: the cold-start pin, the merge of one
+  // stratum split across shards, the late fence, finish() and the kernel
+  // counters all span both shards.
+  auto config = bare_window_config();
+  config.window = {500'000, 500'000};  // one slide per window
+  config.queries.aggregate("sum/stratum", {Aggregation::kSum, true});
+  std::vector<WindowOutput> outputs;
+  PipelineDriver driver(
+      std::move(config), [&](const WindowOutput& o) { outputs.push_back(o); },
+      {}, /*shards=*/2);
+
+  const auto offer = [&](const std::vector<Record>& records,
+                         std::size_t shard) {
+    return driver.offer_batch(records.data(), records.size(), shard);
+  };
+  EXPECT_EQ(offer(stratum_run(7, 100, 2'000'000), 0), 100u);  // slide 4
+  EXPECT_EQ(offer(stratum_run(7, 50, 1'000'000), 1), 50u);    // slide 2
+  // Shard 1 opened the earlier slide: the first close starts there.
+  ASSERT_TRUE(driver.next_to_close().has_value());
+  EXPECT_EQ(*driver.next_to_close(), 2);
+  // The same stratum in the same slide on the other shard, as a stolen
+  // morsel would put it.
+  EXPECT_EQ(offer(stratum_run(7, 30, 1'100'000), 0), 30u);  // slide 2
+  EXPECT_EQ(offer(stratum_run(8, 20, 2'500'000), 1), 20u);  // slide 5
+  EXPECT_EQ(driver.kernel_stats().bulk_runs, 0u);  // banked at close
+
+  EXPECT_EQ(driver.advance(1'500'000), 1u);  // closes slide 2 only
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_EQ(outputs[0].estimate.window_end_us, 1'500'000);
+  EXPECT_EQ(outputs[0].records_seen, 80u);
+  ASSERT_EQ(outputs[0].queries.size(), 1u);
+  const auto& groups = outputs[0].queries[0].estimate.groups;
+  ASSERT_EQ(groups.size(), 1u);  // one group, not one per shard
+  EXPECT_EQ(groups[0].first, 7u);
+
+  // Slide 2 is closed on both shards.
+  const Record late{7, 1.0, 1'200'000};
+  EXPECT_EQ(driver.offer_batch(&late, 1, 0), 0u);
+  EXPECT_EQ(driver.offer_batch(&late, 1, 1), 0u);
+
+  // finish() closes through slide 5, the last slide either shard opened,
+  // empty slide 3 included.
+  EXPECT_EQ(driver.finish(), 3u);
+  ASSERT_EQ(outputs.size(), 4u);
+  EXPECT_EQ(outputs[1].records_seen, 0u);
+  EXPECT_EQ(outputs[2].records_seen, 100u);
+  EXPECT_EQ(outputs[3].records_seen, 20u);
+  EXPECT_EQ(outputs[3].estimate.window_end_us, 3'000'000);
+  EXPECT_EQ(*driver.next_to_close(), 6);
+  EXPECT_EQ(driver.finish(), 0u);
+  // Four accepted single-stratum runs; the late ones never reached a
+  // sampler.
+  EXPECT_EQ(driver.kernel_stats().bulk_runs, 4u);
+}
+
+TEST(PipelineDriver, ConcurrentFeedersMatchExactWindows) {
+  // Two feeder threads each offer their own stratum into their own shard
+  // while this thread closes slides behind the slower feeder's progress —
+  // the sharded path's shape without the exchange. Nothing is late, so
+  // every window counts exactly the records the stream holds.
+  constexpr int kPerFeeder = 20'000;
+  constexpr std::size_t kBatch = 256;
+  const std::array<std::vector<Record>, 2> streams = {
+      stratum_run(0, kPerFeeder, 0, 250), stratum_run(1, kPerFeeder, 0, 250)};
+
+  std::vector<WindowOutput> outputs;
+  PipelineDriver driver(
+      small_window_config(),
+      [&](const WindowOutput& o) { outputs.push_back(o); }, {},
+      /*shards=*/2);
+  constexpr std::int64_t kNothingOffered =
+      std::numeric_limits<std::int64_t>::min();
+  std::array<std::atomic<std::int64_t>, 2> offered_through{kNothingOffered,
+                                                           kNothingOffered};
+  std::array<std::size_t, 2> accepted{0, 0};
+  std::atomic<int> feeders_done{0};
+  std::vector<std::thread> feeders;
+  for (std::size_t f = 0; f < 2; ++f) {
+    feeders.emplace_back([&, f] {
+      const std::vector<Record>& stream = streams[f];
+      for (std::size_t i = 0; i < stream.size(); i += kBatch) {
+        const std::size_t n = std::min(kBatch, stream.size() - i);
+        accepted[f] += driver.offer_batch(stream.data() + i, n, f);
+        offered_through[f].store(stream[i + n - 1].event_time_us,
+                                 std::memory_order_release);
+      }
+      feeders_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  std::size_t closed = 0;
+  while (feeders_done.load(std::memory_order_acquire) < 2) {
+    const std::int64_t watermark =
+        std::min(offered_through[0].load(std::memory_order_acquire),
+                 offered_through[1].load(std::memory_order_acquire));
+    if (watermark != kNothingOffered) closed += driver.advance(watermark);
+    std::this_thread::yield();
+  }
+  for (auto& feeder : feeders) feeder.join();
+  closed += driver.finish();
+
+  EXPECT_EQ(accepted[0], streams[0].size());
+  EXPECT_EQ(accepted[1], streams[1].size());
+  std::vector<Record> merged;
+  for (std::size_t i = 0; i < streams[0].size(); ++i) {
+    merged.push_back(streams[0][i]);
+    merged.push_back(streams[1][i]);
+  }
+  const auto exact = exact_window_results(merged, {1'000'000, 500'000});
+  EXPECT_EQ(closed, 10u);
+  ASSERT_EQ(outputs.size(), exact.size());
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    std::uint64_t seen = 0;
+    for (const auto& cell : exact[i].cells) seen += cell.seen;
+    EXPECT_EQ(outputs[i].estimate.window_end_us, exact[i].window_end_us)
+        << "window " << i;
+    EXPECT_EQ(outputs[i].records_seen, seen) << "window " << i;
+  }
 }
 
 TEST(PipelineDriver, ShardedSamplerConfigSplitsBudget) {

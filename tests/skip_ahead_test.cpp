@@ -2,20 +2,21 @@
 // bulk offer path with per-record Algorithm R (every stream position sampled
 // with probability N/i), exact re-priming after shrink, bit-exact OASRS
 // bookkeeping (seen / weight / sample size) against per-stratum Algorithm R
-// references, the per-slide absorb path over runs that straddle slides, and
-// the ShardedRunStats kernel counters on the forced-steal sharded path.
+// references, the driver's per-slide absorb path over runs that straddle
+// slides, and the ShardedRunStats kernel counters on the sequential and the
+// forced-steal sharded paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
 #include "core/stream_approx.h"
-#include "engine/record_batch.h"
 #include "ingest/replay.h"
 #include "sampling/oasrs.h"
 #include "sampling/reservoir.h"
@@ -283,13 +284,38 @@ TEST(SkipAheadOasrs, OfferRunMatchesPerRecordOffer) {
   }
 }
 
-// The per-slide absorb path a sharded worker runs — slide runs from
-// for_each_slide_run, late slides dropped, every kept run handed to
-// SlideState::absorb — against per-record offer() into per-slide samplers.
-// The batch has a stratum run that crosses a slide boundary and a whole
-// late-dropped slide, so the sampler must segment each kept slide run on
-// its own: its bulk runs are exactly the maximal same-stratum runs inside
-// that slide run.
+/// Keeps a copy of every closed slide's sample.
+class SampleRecorder final : public core::QuerySink {
+ public:
+  explicit SampleRecorder(
+      std::vector<sampling::StratifiedSample<engine::Record>>* samples)
+      : core::QuerySink("samples"), samples_(samples) {}
+
+  void on_slide(const std::vector<estimation::StratumSummary>&,
+                const sampling::StratifiedSample<engine::Record>* sample,
+                const sketch::SlideSketches*) override {
+    samples_->push_back(sample != nullptr
+                            ? *sample
+                            : sampling::StratifiedSample<engine::Record>{});
+  }
+  core::QueryOutput evaluate(const engine::WindowResult&) override {
+    return {};
+  }
+  std::unique_ptr<core::QuerySink> clone() const override {
+    return std::make_unique<SampleRecorder>(samples_);
+  }
+
+ private:
+  std::vector<sampling::StratifiedSample<engine::Record>>* samples_;
+};
+
+// The driver's absorb path every live feeder runs — slide runs from
+// for_each_slide_run, late slides dropped at the fence, every kept run
+// absorbed into its slide's sampler — against per-record offer() into
+// per-slide samplers. The batch has a stratum run that crosses a slide
+// boundary and a whole late-dropped slide, so the sampler must segment each
+// kept slide run on its own: its bulk runs are exactly the maximal
+// same-stratum runs inside that slide run.
 TEST(SkipAheadOasrs, SlideRunsStraddlingSlidesMatchPerRecordOffer) {
   constexpr std::int64_t kSlideUs = 1000;
   std::vector<engine::Record> batch;
@@ -314,49 +340,45 @@ TEST(SkipAheadOasrs, SlideRunsStraddlingSlidesMatchPerRecordOffer) {
   append(1, 2, 2);
   const std::map<std::int64_t, std::uint64_t> expected_runs = {{1, 3},
                                                                {2, 4}};
-  const std::int64_t frozen = 1;  // slides below this are closed
 
-  const auto config_for = [](std::int64_t slide) {
-    sampling::OasrsConfig config;
-    config.total_budget = 16;  // saturates every reservoir: skips happen
-    config.seed = 100 + static_cast<std::uint64_t>(slide);
-    return config;
-  };
-  const sketch::SketchPlan no_sketches;
-  std::map<std::int64_t, core::PipelineDriver::SlideState> absorbed;
-  engine::for_each_slide_run(
-      batch.data(), batch.size(), kSlideUs,
-      [&](std::int64_t slide, const engine::Record* run, std::size_t n) {
-        if (slide < frozen) return;
-        auto it = absorbed.find(slide);
-        if (it == absorbed.end()) {
-          it = absorbed.try_emplace(slide, config_for(slide), no_sketches)
-                   .first;
-        }
-        it->second.absorb(run, n);
-      });
+  std::vector<sampling::StratifiedSample<engine::Record>> samples;
+  core::PipelineDriverConfig config;
+  config.window = {kSlideUs, kSlideUs};  // one slide per window
+  config.initial_budget = 16;  // saturates every reservoir: skips happen
+  // An accuracy budget keeps the cost function out, and the recorder's
+  // zero-bound windows hold the budget at its floor of 16.
+  config.budget = estimation::QueryBudget::relative_error(0.01);
+  config.queries.add(std::make_unique<SampleRecorder>(&samples));
+  core::PipelineDriver driver(config, nullptr);
+  // Close slide 0 first, so the batch's slide-0 runs arrive late.
+  ASSERT_TRUE(driver.offer(engine::Record{9, 0.0, 0}));
+  ASSERT_EQ(driver.advance(kSlideUs), 1u);
+  EXPECT_EQ(driver.offer_batch(batch), batch.size() - 50);
 
   std::map<std::int64_t, core::PipelineDriver::Sampler> per_record;
   for (const auto& record : batch) {
     const std::int64_t slide = record.event_time_us / kSlideUs;
-    if (slide < frozen) continue;
+    if (slide < 1) continue;
     auto it = per_record.find(slide);
     if (it == per_record.end()) {
       it = per_record
-               .try_emplace(slide, config_for(slide), engine::RecordStratum{})
+               .try_emplace(slide, driver.slide_sampler_config(slide),
+                            engine::RecordStratum{})
                .first;
     }
     it->second.offer(record);
   }
-
-  ASSERT_EQ(absorbed.size(), 2u);
   ASSERT_EQ(per_record.size(), 2u);
-  for (auto& [slide, state] : absorbed) {
-    EXPECT_EQ(state.sampler.kernel_stats().bulk_runs,
+
+  for (auto& [slide, sampler] : per_record) {
+    const std::uint64_t runs_before = driver.kernel_stats().bulk_runs;
+    ASSERT_EQ(driver.advance((slide + 1) * kSlideUs), 1u);
+    EXPECT_EQ(driver.kernel_stats().bulk_runs - runs_before,
               expected_runs.at(slide))
         << "slide " << slide;
-    const auto a = state.sampler.take();
-    const auto b = per_record.at(slide).take();
+    ASSERT_EQ(samples.size(), static_cast<std::size_t>(slide) + 1);
+    const auto& a = samples.back();
+    const auto b = sampler.take();
     ASSERT_EQ(a.strata.size(), b.strata.size()) << "slide " << slide;
     for (std::size_t i = 0; i < a.strata.size(); ++i) {
       EXPECT_EQ(a.strata[i].stratum, b.strata[i].stratum);
@@ -405,9 +427,14 @@ TEST(SkipAheadPipeline, ForcedStealShardedMatchesSequential) {
   // path (the WorkStealing test's recipe), with the bulk kernel live end to
   // end: watermarks, late-drops and per-window records_seen must equal the
   // sequential run's, and the kernel counters must show the bulk path
-  // actually ran.
+  // actually ran — on the sequential run too, where no record is late, so
+  // every record is counted as accepted or skipped.
   const auto records = make_stream(3.0, 20000.0, 32);
-  const auto sequential = run_pipeline(records, 1, 2, {});
+  core::ShardedRunStats sequential_stats;
+  const auto sequential = run_pipeline(records, 1, 2, {}, &sequential_stats);
+  EXPECT_GT(sequential_stats.sampler_bulk_runs, 0u);
+  EXPECT_EQ(sequential_stats.sampler_accepts + sequential_stats.sampler_skipped,
+            records.size());
   core::ShardedRunStats stats;
   const auto sharded = run_pipeline(
       records, 8, 2,
