@@ -293,6 +293,7 @@ std::optional<std::int64_t> PipelineDriver::next_to_close() const noexcept {
 }
 
 std::size_t PipelineDriver::advance(std::int64_t watermark) {
+  if (watermark == engine::kWatermarkFlush) return finish();
   std::size_t closed = 0;
   for (auto next = next_to_close();
        next && (*next + 1) * config_.window.slide_us <= watermark;

@@ -226,11 +226,13 @@ class PipelineDriver {
 
   // ---- Slide close (lifecycle thread only) -------------------------------
 
-  /// Closes every slide whose end `watermark` has passed. The caller owns
-  /// the watermark computation (per-partition clocks with exhausted and
-  /// idle partitions excluded — see StreamApprox::run_sequential /
-  /// run_sharded); the driver owns only the slide lifecycle. Returns the
-  /// number of slides closed.
+  /// Closes every slide whose end `watermark` has passed. The watermark is
+  /// a resolved one (core/watermark.h): engine::kNoWatermark closes nothing,
+  /// and engine::kWatermarkFlush, stamped when no source gates any more,
+  /// closes through the last slide any shard opened, as finish() does. The
+  /// caller owns the watermark (StreamApprox closes behind the one its
+  /// exchange stamps on every batch); the driver owns only the slide
+  /// lifecycle. Returns the number of slides closed.
   std::size_t advance(std::int64_t watermark);
 
   /// No source gates any more (input exhausted, or every source idle):

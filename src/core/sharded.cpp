@@ -1,15 +1,16 @@
 // Sharded execution of the StreamApprox facade — the paper's central
 // "no synchronisation between workers" claim (§3.2, Algorithm 3) realised
-// over a batched morsel data plane:
+// over a batched morsel data plane. StreamApprox::run builds the driver and
+// the exchange for both modes; this file is the part only workers >= 2 run:
 //
-//   exchange         one exchange thread polls every partition in batches
-//                    and re-keys them by stratum hash onto one SPSC channel
-//                    per worker (ingest/exchange.h), so the worker count is
-//                    independent of the topic's partition count; each batch
-//                    carries the exchange's resolved low-watermark, and
-//                    workers report absorption through a per-channel
-//                    completion tracker so the merger's min-combined
-//                    watermark never runs ahead of the samples.
+//   exchange         the facade's exchange (ingest/exchange.h) runs on its
+//                    own thread and re-keys the topic's partition batches by
+//                    stratum hash onto one SPSC channel per worker, so the
+//                    worker count is independent of the topic's partition
+//                    count; each batch carries the exchange's resolved
+//                    low-watermark, and workers report absorption through a
+//                    per-channel completion tracker so the merger's
+//                    min-combined watermark never runs ahead of the samples.
 //
 // Work-stealing morsel scheduler. Workers are not statically bound to their
 // channels: each worker refills a per-worker StealDeque (common/queue.h)
@@ -31,14 +32,14 @@
 // extracts the closing slide from it. All ingest is batch-at-a-time, never
 // a per-record offer() loop.
 //
-//   merger           the calling thread evaluates the channels' watermark
-//                    and drives the driver's advance()/finish(): once the
-//                    low-watermark passes a slide's end, the driver's one
-//                    close merges every shard's part of the slide with
-//                    OasrsSampler::merge() — estimator inputs identical to
-//                    the sequential path modulo stratum order, because the
-//                    exchange's stratum hash sends each stratum to exactly
-//                    one channel.
+//   merger           the calling thread feeds the min of the channel clocks
+//                    to the driver's advance() (resolved watermarks
+//                    min-combine, core/watermark.h): once it passes a
+//                    slide's end, the driver's one close merges every
+//                    shard's part of the slide with OasrsSampler::merge() —
+//                    estimator inputs identical to the one-worker path
+//                    modulo stratum order, because the exchange's stratum
+//                    hash sends each stratum to exactly one channel.
 //
 // The adaptive feedback loop still works: the merger's closes re-tune the
 // driver's budget as windows complete (max across every registered query's
@@ -52,10 +53,10 @@
 // query or N are registered — and queries may attach/detach mid-run: the
 // merger applies registry changes at slide-close boundaries, workers never
 // notice.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -128,29 +129,11 @@ struct SchedulerCounters {
 
 }  // namespace
 
-void StreamApprox::run_sharded(
-    const std::function<void(const WindowOutput&)>& on_window) {
+void StreamApprox::run_sharded(PipelineDriver& driver,
+                               ingest::Exchange& exchange) {
   const std::size_t workers = config_.workers;
-  const std::int64_t slide_us = config_.window.slide_us;
-
-  // One driver shard per worker: each worker feeds its own open slides.
-  PipelineDriver driver(driver_config(), on_window, {}, workers);
-  const DriverInstallation installation(*this, driver);
-  slide_budget_ = driver.current_budget();
-
-  // One exchange repartitions the topic onto per-worker channels; workers
-  // run the morsel scheduler.
   const std::size_t deque_capacity =
       std::max<std::size_t>(2, config_.steal_deque_capacity);
-  run_stats_.workers = workers;
-  run_stats_.per_worker_records.assign(workers, 0);
-
-  ingest::ExchangeConfig exchange_config;
-  exchange_config.workers = workers;
-  exchange_config.batch_size = config_.exchange_batch_size;
-  exchange_config.idle_partition_timeout_ms =
-      config_.idle_partition_timeout_ms;
-  ingest::Exchange exchange(broker_, config_.topic, exchange_config);
 
   // One watermark clock per channel (= worker), advanced only by the
   // completion tracker — so a clock covers exactly the contiguously absorbed
@@ -286,37 +269,18 @@ void StreamApprox::run_sharded(
       });
     }
 
-    // The merger: watermark-gated slide closing in this thread until every
-    // worker finished. The channel clocks already carry the exchange's
-    // resolved idleness policy, so no grace applies here.
-    std::vector<std::int64_t> clock_snapshot(workers);
+    // The merger, in this thread until every worker finished: closes behind
+    // the min of the channel clocks. Each clock holds a resolved exchange
+    // watermark, which already carries the idleness policy, so no grace or
+    // flush rule applies here.
     for (;;) {
       const bool all_done =
           workers_done.load(std::memory_order_acquire) == workers;
-      for (std::size_t c = 0; c < workers; ++c) {
-        clock_snapshot[c] = clocks[c].load(std::memory_order_acquire);
+      std::int64_t watermark = engine::kWatermarkFlush;
+      for (const auto& clock : clocks) {
+        watermark = std::min(watermark, clock.load(std::memory_order_acquire));
       }
-      const auto view =
-          evaluate_watermark(clock_snapshot, /*idle_grace_over=*/false);
-      std::size_t closed = 0;
-      if (view.can_close()) {
-        closed = driver.advance(view.watermark);
-      } else if (view.flush_all()) {
-        closed = driver.finish();
-      }
-      if (closed > 0) {
-        slide_budget_ = driver.current_budget();
-        // Watermark lag: how far ingest had run ahead of each close.
-        const std::int64_t max_event = exchange.max_routed_event_us();
-        if (max_event != engine::kNoWatermark) {
-          const std::int64_t next = *driver.next_to_close();
-          for (auto slide = next - static_cast<std::int64_t>(closed);
-               slide < next; ++slide) {
-            run_stats_.watermark_lag_us.push_back(max_event -
-                                                  (slide + 1) * slide_us);
-          }
-        }
-      }
+      const std::size_t closed = close_behind(driver, exchange, watermark);
       if (all_done) break;
       if (closed == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(500));
@@ -329,15 +293,6 @@ void StreamApprox::run_sharded(
   run_stats_.batches_absorbed = counters.batches.load();
   run_stats_.heartbeats_absorbed = counters.heartbeats.load();
   run_stats_.records_absorbed = counters.records.load();
-  // Routing-loop accounting: plain counters of the exchange thread, final
-  // once the join above ordered them.
-  const ingest::ExchangeStats& routing = exchange.stats();
-  run_stats_.exchange_rounds = routing.rounds;
-  run_stats_.exchange_records_routed = routing.records;
-  run_stats_.exchange_runs_walked = routing.runs;
-  run_stats_.exchange_table_probes = routing.table_probes;
-  run_stats_.exchange_scatter_reserves = routing.scatter_reserves;
-  finish_run(driver);  // the merger's last pass normally left nothing open
 }
 
 }  // namespace streamapprox::core

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
-#include "common/clock.h"
-#include "core/watermark.h"
 #include "engine/window.h"
+#include "ingest/exchange.h"
 
 namespace streamapprox::core {
 
@@ -15,8 +13,8 @@ StreamApprox::StreamApprox(ingest::Broker& broker, StreamApproxConfig config)
   // Validated eagerly so misconfiguration fails at construction.
   engine::SlidingWindowAssembler probe(config_.window);
   (void)probe;
-  // A zero-record poll never reads a sealed topic as exhausted, so the
-  // sequential loop would never return.
+  // A zero-record poll is a misconfiguration: reject it rather than let the
+  // exchange round it up to one record.
   if (config_.poll_batch == 0) {
     throw std::invalid_argument("StreamApprox: poll_batch must be >= 1");
   }
@@ -123,82 +121,86 @@ PipelineDriverConfig StreamApprox::driver_config() const {
 
 void StreamApprox::run(
     const std::function<void(const WindowOutput&)>& on_window) {
-  run_stats_ = ShardedRunStats{};
-  run_stats_.workers = 1;
   // The exchange decouples workers from partitions, so any workers > 1
   // shards, whatever the topic's partition count.
-  if (config_.workers > 1) {
-    run_sharded(on_window);
-  } else {
-    run_sequential(on_window);
-  }
-}
+  const std::size_t workers = std::max<std::size_t>(1, config_.workers);
+  run_stats_ = ShardedRunStats{};
+  run_stats_.workers = workers;
+  run_stats_.per_worker_records.assign(workers, 0);
 
-void StreamApprox::run_sequential(
-    const std::function<void(const WindowOutput&)>& on_window) {
-  auto& topic = broker_.topic(config_.topic);
-  ingest::Consumer consumer(broker_, config_.topic);
-  PipelineDriver driver(driver_config(), on_window);
+  // One driver shard per feeding thread: the run thread, or each worker.
+  PipelineDriver driver(driver_config(), on_window, {}, workers);
   const DriverInstallation installation(*this, driver);
   slide_budget_ = driver.current_budget();
 
-  // Per-partition high-water clocks driving the shared low-watermark policy
-  // (core/watermark.h): records from a partition whose backlog happens to
-  // be polled late are never dropped as spuriously "late", yet an idle
-  // partition cannot stall a live stream's windows.
-  std::vector<std::int64_t> clocks(topic.partition_count(), kNoClock);
-  Stopwatch idle_watch;
+  ingest::ExchangeConfig exchange_config;
+  exchange_config.workers = workers;
+  exchange_config.batch_size =
+      workers > 1 ? config_.exchange_batch_size : config_.poll_batch;
+  exchange_config.idle_partition_timeout_ms =
+      config_.idle_partition_timeout_ms;
+  ingest::Exchange exchange(broker_, config_.topic, exchange_config);
 
-  // The ingest-work accumulator feeds a volatile sink so the parse-work
-  // model cannot be dead-code-eliminated.
-  double ingest_acc = 0.0;
-  // Reused poll buffer: steady-state polling is allocation-free.
-  std::vector<engine::Record> records;
-  records.reserve(config_.poll_batch);
-  for (;;) {
-    consumer.poll(records, config_.poll_batch, /*timeout_ms=*/50);
-    // The grace window is measured from the LAST poll that returned data,
-    // so a partition that never delivered keeps gating while the others
-    // still deliver (the exchange applies the same rule per round).
-    if (!records.empty()) idle_watch.restart();
-    for (const auto& record : records) {
-      ingest_acc += config_.ingest_cost.charge(record.value);  // parse work
-      auto& clock = clocks[topic.partition_for_key(record.stratum)];
-      clock = std::max(clock, record.event_time_us);
-    }
-    driver.offer_batch(records);
-    for (std::size_t slot = 0; slot < consumer.assignment().size(); ++slot) {
-      if (consumer.partition_exhausted(slot)) {
-        clocks[consumer.assignment()[slot]] = kPartitionDrained;
+  if (workers > 1) {
+    run_sharded(driver, exchange);
+  } else {
+    // The one channel is drained on this thread: each batch is absorbed and
+    // closed behind before the exchange polls its next round. The ingest
+    // work feeds a volatile sink so the parse-work model cannot be
+    // dead-code-eliminated.
+    double ingest_acc = 0.0;
+    exchange.run([&](ingest::Exchange::BatchPtr batch) {
+      if (batch->heartbeat) {
+        ++run_stats_.heartbeats_absorbed;
+      } else {
+        for (const auto& record : batch->records) {
+          ingest_acc += config_.ingest_cost.charge(record.value);
+        }
+        driver.offer_batch(batch->records.data(), batch->size());
+        ++run_stats_.batches_absorbed;
+        run_stats_.records_absorbed += batch->size();
       }
-    }
-    const bool grace_over =
-        idle_watch.millis() > static_cast<double>(
-                                  config_.idle_partition_timeout_ms);
-    const auto view = evaluate_watermark(clocks, grace_over);
-    if (view.can_close()) {
-      driver.advance(view.watermark);
-    } else if (view.flush_all()) {
-      // No partition gates (drained and/or idle past grace): flush what is
-      // buffered so output is never stranded behind an unsealed idle
-      // partition. Idempotent, and also covers end-of-stream.
-      driver.finish();
-    }
-    slide_budget_ = driver.current_budget();
-    if (records.empty() && consumer.exhausted()) break;
+      close_behind(driver, exchange, batch->watermark_us);
+      exchange.recycle(std::move(batch));
+    });
+    volatile double ingest_sink = ingest_acc;
+    (void)ingest_sink;
+    run_stats_.owner_pops = run_stats_.batches_absorbed;
+    run_stats_.per_worker_records[0] = run_stats_.records_absorbed;
   }
-  volatile double ingest_sink = ingest_acc;
-  (void)ingest_sink;
-  finish_run(driver);
-}
 
-void StreamApprox::finish_run(PipelineDriver& driver) {
-  driver.finish();
-  slide_budget_ = driver.current_budget();
+  // The exchange's last watermark, kWatermarkFlush, has closed every slide
+  // on both paths. Its routing counters are plain fields of the thread that
+  // ran it, final once run() returned or the pool joined.
+  const ingest::ExchangeStats& routing = exchange.stats();
+  run_stats_.exchange_rounds = routing.rounds;
+  run_stats_.exchange_records_routed = routing.records;
+  run_stats_.exchange_runs_walked = routing.runs;
+  run_stats_.exchange_table_probes = routing.table_probes;
+  run_stats_.exchange_scatter_reserves = routing.scatter_reserves;
   const sampling::OasrsKernelStats& kernel = driver.kernel_stats();
   run_stats_.sampler_bulk_runs = kernel.bulk_runs;
   run_stats_.sampler_accepts = kernel.accepted;
   run_stats_.sampler_skipped = kernel.skipped;
+}
+
+std::size_t StreamApprox::close_behind(PipelineDriver& driver,
+                                       const ingest::Exchange& exchange,
+                                       std::int64_t watermark) {
+  const std::size_t closed = driver.advance(watermark);
+  if (closed == 0) return 0;
+  slide_budget_ = driver.current_budget();
+  // Watermark lag: how far ingest had run ahead of each close.
+  const std::int64_t max_event = exchange.max_routed_event_us();
+  if (max_event != engine::kNoWatermark) {
+    const std::int64_t next = *driver.next_to_close();
+    for (auto slide = next - static_cast<std::int64_t>(closed); slide < next;
+         ++slide) {
+      run_stats_.watermark_lag_us.push_back(
+          max_event - (slide + 1) * config_.window.slide_us);
+    }
+  }
+  return closed;
 }
 
 }  // namespace streamapprox::core

@@ -8,19 +8,24 @@
 // strictest query wins). The stream is ingested, sampled and windowed ONCE
 // however many queries are registered.
 //
-// Two execution modes share the slide lifecycle in core/pipeline_driver.h:
+// Both execution modes read the topic through one repartitioning exchange
+// (ingest/exchange.h), which polls every partition, keeps the partition
+// clocks and the idle-partition grace, and stamps the resolved
+// low-watermark on every batch; both feed the slide lifecycle in
+// core/pipeline_driver.h and close slides behind that watermark:
 //
-//   workers == 1   one thread consumes every partition and feeds the
-//                  driver's single shard (the original sequential path);
+//   workers == 1   the run thread drives a one-channel exchange inline:
+//                  each batch is charged, offered to the driver's single
+//                  shard and closed behind before the next round is
+//                  polled, so a sealed topic replays deterministically;
 //   workers >= 2   an exchange thread re-keys the topic's partition batches
 //                  by stratum hash onto N work-stealing worker threads, each
 //                  feeding its sub-streams into its OWN driver shard of
 //                  per-slide OASRS samplers — no synchronisation between
 //                  workers during sampling (paper §3.2 Algorithm 3) — while
-//                  a merger thread drives the driver's advance()/finish()
-//                  from the global low-watermark; the driver's one close
-//                  merges every shard's part of a slide
-//                  (core/sharded.cpp).
+//                  a merger thread closes behind the min of the channels'
+//                  absorbed watermarks; the driver's one close merges every
+//                  shard's part of a slide (core/sharded.cpp).
 //
 // Dynamic query lifecycle: attach_query() / detach_query() work while the
 // pipeline is RUNNING, in both modes. Operations take effect at the next
@@ -50,6 +55,10 @@
 #include "estimation/feedback.h"
 #include "ingest/broker.h"
 
+namespace streamapprox::ingest {
+class Exchange;
+}  // namespace streamapprox::ingest
+
 namespace streamapprox::core {
 
 /// Facade configuration.
@@ -65,7 +74,8 @@ struct StreamApproxConfig {
   estimation::QueryBudget budget = estimation::QueryBudget::fraction(0.6);
   /// Sliding-window geometry.
   engine::WindowConfig window{};
-  /// How many records to pull per consumer poll.
+  /// Records per partition poll of the exchange when workers <= 1 (the
+  /// sharded mode polls exchange_batch_size).
   std::size_t poll_batch = 4096;
   /// Per-record query cost model (charged against sampled items).
   engine::QueryCost query_cost{};
@@ -76,10 +86,12 @@ struct StreamApproxConfig {
   engine::QueryCost ingest_cost{};
   /// Worker threads for the sharded execution mode. 1 (or 0) = sequential.
   /// The repartitioning exchange polls the partitions in batches and re-keys
-  /// them by stratum hash onto `workers` SPSC channels, so the worker count
-  /// is independent of the topic's partition count.
+  /// them by stratum hash onto `workers` channels, so the worker count is
+  /// independent of the topic's partition count.
   std::size_t workers = 1;
-  /// Records per exchange batch (the morsel size of the batched data plane).
+  /// Records per partition poll of the exchange when workers >= 2, which
+  /// bounds each morsel of the batched data plane (the one-worker mode polls
+  /// poll_batch).
   std::size_t exchange_batch_size = 1024;
   /// Morsel capacity of each worker's steal deque (rounded up to a power of
   /// two). A sharded worker refills its deque only once it is empty, taking
@@ -106,9 +118,9 @@ struct StreamApproxConfig {
 
 /// Counters and latency samples from the last run — the raw material of
 /// the saved-benchmark JSON trajectories. All counters are totals across
-/// workers; zeroed by every run() start. A sequential run fills `workers`
-/// and the sampler_* kernel totals and leaves the scheduler and exchange
-/// counters zero.
+/// workers; zeroed by every run() start. Both modes fill every field: a
+/// one-worker run absorbs each batch of its one channel in place, so its
+/// steals are 0 and owner_pops equals batches_absorbed.
 struct ShardedRunStats {
   std::size_t workers = 0;
   /// Data batches absorbed, split by how the absorbing worker got them:
@@ -142,7 +154,7 @@ struct ShardedRunStats {
   std::vector<std::uint64_t> per_worker_records;
   /// Watermark lag sampled at each slide close: max event time routed by
   /// the exchange minus the closing slide's end (µs) — how far ingest ran
-  /// ahead of the merger. Percentiles of this are the bench's lag metric.
+  /// ahead of the close. Percentiles of this are the bench's lag metric.
   std::vector<std::int64_t> watermark_lag_us;
 };
 
@@ -228,7 +240,7 @@ class StreamApprox {
   /// and publishes it as the live attach/detach target.
   void install_driver(PipelineDriver& driver);
 
-  /// Unpublishes the live driver (run_* teardown).
+  /// Unpublishes the live driver (run() teardown).
   void uninstall_driver();
 
   /// RAII wrapper: install on entry, uninstall on scope exit.
@@ -246,15 +258,18 @@ class StreamApprox {
     StreamApprox& system_;
   };
 
-  /// Single-threaded execution: one consumer, driver-owned samplers.
-  void run_sequential(const std::function<void(const WindowOutput&)>& on_window);
+  /// Sharded execution (core/sharded.cpp): runs `exchange` on its own
+  /// thread, one work-stealing worker per channel feeding its own shard of
+  /// `driver`, and the merger on the calling thread. Fills the scheduler
+  /// counters of run_stats_.
+  void run_sharded(PipelineDriver& driver, ingest::Exchange& exchange);
 
-  /// Sharded execution: exchange-fed workers + watermark-gated merger.
-  void run_sharded(const std::function<void(const WindowOutput&)>& on_window);
-
-  /// The end of both run_* paths: flushes every slide still open and
-  /// records the final budget and the driver's sampler kernel totals.
-  void finish_run(PipelineDriver& driver);
+  /// Closes every slide `watermark` (a resolved exchange watermark) lets
+  /// close, then records the budget in force and each closed slide's
+  /// watermark lag. Returns the number of slides closed.
+  std::size_t close_behind(PipelineDriver& driver,
+                           const ingest::Exchange& exchange,
+                           std::int64_t watermark);
 
   ingest::Broker& broker_;
   StreamApproxConfig config_;

@@ -1,7 +1,9 @@
-// The low-watermark policy shared by the sequential and sharded execution
-// paths. Both paths MUST apply the identical rule or their outputs diverge
-// (the parallel-equivalence guarantee): a slide closes only when every
-// partition's high-water event time has passed its end, where
+// The low-watermark policy. The repartitioning exchange (ingest/exchange.h)
+// is its one implementation for both facade modes: it keeps the partition
+// clocks, applies this rule once per round and stamps the resolved value on
+// every batch, and the facade only closes behind that value. A slide closes
+// only when every partition's high-water event time has passed its end,
+// where
 //
 //   * a partition that has never delivered gates the watermark during the
 //     idleness grace period, then stops gating (Kafka's idleness rule);
@@ -72,10 +74,10 @@ inline WatermarkView evaluate_watermark(const std::vector<std::int64_t>& clocks,
 /// exchange resolves its partitions with this function and stamps the value
 /// on every batch, and each of the W worker channels republishes the value
 /// of its contiguously absorbed prefix. Because kNoClock sorts below every
-/// real clock and kPartitionDrained above, the merger's second
-/// evaluate_watermark() pass over the W channel clocks (or a plain std::min)
-/// yields the most conservative of them, so a slide closes only once every
-/// channel has absorbed the records its watermark covers.
+/// real clock and kPartitionDrained above, the merger's plain std::min over
+/// the W channel clocks yields the most conservative of them, so a slide
+/// closes only once every channel has absorbed the records its watermark
+/// covers.
 inline std::int64_t resolve_watermark(const WatermarkView& view) {
   if (view.blocked) return kNoClock;
   if (view.flush_all()) return kPartitionDrained;

@@ -26,15 +26,19 @@ Exchange::Exchange(Broker& broker, const std::string& topic,
   next_seq_.assign(config_.workers, 0);
 }
 
-void Exchange::push_channel(std::size_t w, BatchPtr batch) {
-  // Ring full means the downstream worker is behind: backpressure by
-  // parking on the ring's condvar until the consumer frees a slot — no
-  // sleep-loop spinning while blocked. The ring is closed only by this
-  // thread after run() ends, so a false return is unreachable here.
-  rings_[w]->push(std::move(batch));
+void Exchange::run() {
+  run([this](BatchPtr batch) {
+    // Ring full means the downstream worker is behind: backpressure by
+    // parking on the ring's condvar until the consumer frees a slot — no
+    // sleep-loop spinning while blocked. The rings are closed only below,
+    // after the loop, so a false return is unreachable here.
+    const std::uint32_t w = batch->channel;
+    rings_[w]->push(std::move(batch));
+  });
+  for (auto& ring : rings_) ring->close();
 }
 
-void Exchange::run() {
+void Exchange::run(const Emit& emit) {
   const std::size_t partitions = inputs_.size();
   const std::size_t workers = config_.workers;
 
@@ -185,7 +189,7 @@ void Exchange::run() {
 
     // Resolve the policy-complete watermark. The clocks only cover records
     // already routed into this round's output batches, and those batches are
-    // handed to their FIFO channels below before any receiver can observe
+    // emitted below in channel FIFO order before any receiver can observe
     // the value — so absorbing a batch stamped W implies every record below
     // W bound for that channel has been absorbed or is in the same batch.
     const bool grace_over =
@@ -206,12 +210,12 @@ void Exchange::run() {
         stamp_identity(w, *out[w]);
         records_routed_.fetch_add(out[w]->size(), std::memory_order_relaxed);
         batches_emitted_.fetch_add(1, std::memory_order_relaxed);
-        push_channel(w, std::move(out[w]));
+        emit(std::move(out[w]));
         last_sent[w] = resolved;
       } else if (last_sent[w] != resolved) {
         // Watermark-only heartbeat: a channel with no data in flight must
-        // still learn the watermark or its worker would gate the merger
-        // forever (and the end-of-stream flush would never reach it).
+        // still learn the watermark or its receiver could never close behind
+        // it (and the end-of-stream flush would never reach it).
         // Heartbeats recycle through their own zero-reserve pool — a stalled
         // topology ticks watermarks without pinning record capacity.
         auto heartbeat = heartbeat_pool_.acquire();
@@ -221,7 +225,7 @@ void Exchange::run() {
         heartbeat->heartbeat = true;
         stamp_identity(w, *heartbeat);
         heartbeats_emitted_.fetch_add(1, std::memory_order_relaxed);
-        push_channel(w, std::move(heartbeat));
+        emit(std::move(heartbeat));
         last_sent[w] = resolved;
       }
     }
@@ -237,7 +241,6 @@ void Exchange::run() {
 
   stats_.table_probes = strata_table.probes();
   pool_.release(std::move(scratch));
-  for (auto& ring : rings_) ring->close();
 }
 
 }  // namespace streamapprox::ingest

@@ -5,9 +5,13 @@
 // topic's partition count (a 2-partition topic can feed 8 workers). This is
 // the exchange operator of morsel-driven engines (Leis et al., SIGMOD'14)
 // applied to the paper's Kafka deployment: batches, not records, cross
-// thread boundaries. One exchange thread reads every partition of the topic
-// (one consumer per partition, each polled once per round) and feeds one
-// channel per worker, so a batch's channel index is its worker index.
+// thread boundaries. The exchange reads every partition of the topic (one
+// consumer per partition, each polled once per round) and emits at most one
+// batch per channel per round; a batch's channel index is its worker index.
+// It is the ingest front end of both facade modes: run(emit) hands each
+// batch to a callback on the calling thread (the one-worker path drains its
+// one channel inline), and run() pushes each into its channel's ring for a
+// worker thread (the sharded path).
 //
 // Watermark transport. The exchange owns the per-partition high-water clocks
 // and the idle-partition grace policy of core/watermark.h, min-combines them
@@ -37,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,17 +84,26 @@ struct ExchangeStats {
 
 /// Repartitions a topic's partition batches onto worker channels by stratum
 /// hash, forwarding the min-combined low-watermark. run() is driven by ONE
-/// thread; each output channel is consumed by exactly one worker thread
-/// (SPSC discipline at both ends of every ring).
+/// thread; with run(), each output channel is consumed by exactly one worker
+/// thread (SPSC discipline at both ends of every ring).
 class Exchange {
  public:
   using BatchPtr = std::unique_ptr<engine::RecordBatch>;
+  /// Receives one stamped batch (data or heartbeat; `channel` names its
+  /// output channel) on the thread driving run(emit). The receiver hands the
+  /// batch back through recycle() once consumed.
+  using Emit = std::function<void(BatchPtr)>;
 
   Exchange(Broker& broker, const std::string& topic, ExchangeConfig config);
 
-  /// The repartition loop: polls every partition, routes, forwards
-  /// watermarks, and returns once every partition is exhausted (sealed and
-  /// fully read) and every channel is closed. Call from a dedicated thread.
+  /// The repartition loop: polls every partition, routes, stamps
+  /// watermarks and hands every batch to `emit` on the calling thread in
+  /// per-channel FIFO order; returns once every partition is exhausted
+  /// (sealed and fully read). Leaves the channel rings untouched.
+  void run(const Emit& emit);
+
+  /// run(emit) pushing each batch into its channel's ring, parked while the
+  /// ring is full; closes every ring on return. Call from a dedicated thread.
   void run();
 
   /// Pops the next batch of channel `w` (null when none is ready). The
@@ -161,10 +175,6 @@ class Exchange {
   const ExchangeStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Blocks until channel `w` accepts `batch` (condvar-backed backpressure:
-  /// the exchange thread parks while the worker is behind).
-  void push_channel(std::size_t w, BatchPtr batch);
-
   /// Stamps morsel identity: the channel (worker) index plus the channel's
   /// gapless sequence number (the completion tracker's contiguous-prefix
   /// input).

@@ -4,10 +4,12 @@
 // or lost by sharding) and estimates that agree within their error bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -248,15 +250,13 @@ TEST(ParallelEquivalence, IdlePartitionResumesWithoutDroppingLiveRecords) {
 }
 
 TEST(ParallelEquivalence, IdleGraceWindowRestartsOnDataPolls) {
-  // Regression, the facade-level twin of
-  // Exchange.IdleGraceWindowRestartsOnDataRounds: the sequential path's
-  // grace stopwatch used to start once and never restart, so once
-  // idle_partition_timeout_ms of wall time had passed, a partition that
-  // never delivered stopped gating for good — even while the other
-  // partition kept delivering. Its first record then arrived behind the
-  // watermark and was late-dropped, while the sharded path (whose exchange
-  // restarts grace on every data round) counted it. Grace now restarts on
-  // every poll that returned records, so both modes count every record.
+  // The facade-level twin of Exchange.IdleGraceWindowRestartsOnDataRounds,
+  // in both modes, which share the exchange's grace rule: the grace window
+  // restarts on every round that routes data, so a partition that never
+  // delivered keeps gating while the other partition keeps delivering, and
+  // its first record, older than every live one, is counted rather than
+  // late-dropped. A grace stopwatch started once and never restarted would
+  // stop gating for good after idle_partition_timeout_ms of wall time.
   constexpr std::uint64_t kLive = 15;
   std::vector<std::uint64_t> seen_by_mode;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
@@ -289,6 +289,102 @@ TEST(ParallelEquivalence, IdleGraceWindowRestartsOnDataPolls) {
   EXPECT_EQ(seen_by_mode[0], kLive + 1)
       << "the sequential path late-dropped the woken partition's record";
   EXPECT_EQ(seen_by_mode[1], seen_by_mode[0]);
+}
+
+/// Every field of two window outputs, doubles compared exactly.
+void expect_same_output(const WindowOutput& a, const WindowOutput& b,
+                        std::size_t window) {
+  const auto same_result = [&](const estimation::ApproxResult& x,
+                               const estimation::ApproxResult& y) {
+    EXPECT_EQ(x.estimate, y.estimate) << "window " << window;
+    EXPECT_EQ(x.variance, y.variance) << "window " << window;
+    EXPECT_EQ(x.population, y.population) << "window " << window;
+    EXPECT_EQ(x.sample_size, y.sample_size) << "window " << window;
+  };
+  const auto same_estimate = [&](const WindowEstimate& x,
+                                 const WindowEstimate& y) {
+    EXPECT_EQ(x.window_start_us, y.window_start_us) << "window " << window;
+    EXPECT_EQ(x.window_end_us, y.window_end_us) << "window " << window;
+    same_result(x.overall, y.overall);
+    ASSERT_EQ(x.groups.size(), y.groups.size()) << "window " << window;
+    for (std::size_t g = 0; g < x.groups.size(); ++g) {
+      EXPECT_EQ(x.groups[g].first, y.groups[g].first) << "window " << window;
+      same_result(x.groups[g].second, y.groups[g].second);
+    }
+  };
+  same_estimate(a.estimate, b.estimate);
+  EXPECT_EQ(a.records_seen, b.records_seen) << "window " << window;
+  EXPECT_EQ(a.records_sampled, b.records_sampled) << "window " << window;
+  EXPECT_EQ(a.budget_in_force, b.budget_in_force) << "window " << window;
+  ASSERT_EQ(a.queries.size(), b.queries.size()) << "window " << window;
+  for (std::size_t q = 0; q < a.queries.size(); ++q) {
+    const QueryOutput& x = a.queries[q];
+    const QueryOutput& y = b.queries[q];
+    EXPECT_EQ(x.name, y.name) << "window " << window;
+    same_estimate(x.estimate, y.estimate);
+    EXPECT_EQ(x.histogram.has_value(), y.histogram.has_value());
+    EXPECT_EQ(x.z, y.z) << "window " << window;
+    EXPECT_EQ(x.observed_relative_bound, y.observed_relative_bound)
+        << "window " << window;
+    EXPECT_EQ(x.sketch, y.sketch) << "window " << window;
+  }
+}
+
+TEST(ParallelEquivalence, SequentialExchangeRoundEdges) {
+  // The one-worker path reads a one-channel exchange on the run thread, one
+  // polling round at a time, each round stamped with one watermark. Round
+  // edges: poll_batch 1 (the smallest accepted) and 7 (dividing neither
+  // stratum's count); partitions 0 and 1 draining in different rounds
+  // (1000 vs 2500 records over the same 3 s); partition 2 never receiving
+  // a record. On a sealed topic every window counts exactly the records the
+  // exact oracle and the sharded run count, and the run is deterministic.
+  std::vector<engine::Record> records;
+  for (int i = 0; i < 1000; ++i) {
+    records.push_back(engine::Record{0, 1.0 + i % 5, i * 3000});
+  }
+  for (int i = 0; i < 2500; ++i) {
+    records.push_back(engine::Record{1, 2.0 + i % 7, i * 1200});
+  }
+  // The oracle reads the stream in event-time order; each partition keeps
+  // its stratum's order either way.
+  std::stable_sort(records.begin(), records.end(),
+                   [](const engine::Record& a, const engine::Record& b) {
+                     return a.event_time_us < b.event_time_us;
+                   });
+  const auto exact = exact_window_results(records, base_config(1).window);
+  const auto run_sealed = [&](std::size_t workers, std::size_t poll) {
+    ingest::Broker broker;
+    broker.create_topic("input", 3);
+    ingest::Producer producer(broker, "input");
+    producer.send_batch(records);
+    producer.finish();
+    auto config = base_config(workers);
+    config.queries.aggregate("sum by stratum", {Aggregation::kSum, true});
+    config.poll_batch = poll;
+    config.exchange_batch_size = poll;
+    StreamApprox system(broker, config);
+    std::vector<WindowOutput> outputs;
+    system.run([&](const WindowOutput& output) { outputs.push_back(output); });
+    return outputs;
+  };
+  for (const std::size_t poll : {std::size_t{1}, std::size_t{7}}) {
+    SCOPED_TRACE("poll_batch " + std::to_string(poll));
+    const auto sequential = run_sealed(1, poll);
+    const auto again = run_sealed(1, poll);
+    const auto sharded = run_sealed(2, poll);
+    ASSERT_EQ(sequential.size(), exact.size());
+    ASSERT_EQ(again.size(), exact.size());
+    ASSERT_EQ(sharded.size(), exact.size());
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      std::uint64_t seen = 0;
+      for (const auto& cell : exact[i].cells) seen += cell.seen;
+      EXPECT_EQ(sequential[i].estimate.window_end_us, exact[i].window_end_us)
+          << "window " << i;
+      EXPECT_EQ(sequential[i].records_seen, seen) << "window " << i;
+      EXPECT_EQ(sharded[i].records_seen, seen) << "window " << i;
+      expect_same_output(sequential[i], again[i], i);
+    }
+  }
 }
 
 TEST(ParallelEquivalence, ThreeQueriesShardedSampleTheStreamOnce) {

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/record_batch.h"
 #include "estimation/estimators.h"
 
 namespace streamapprox::core {
@@ -80,6 +81,24 @@ TEST(PipelineDriver, SequentialAdvanceClosesBehindWatermark) {
   std::uint64_t seen = 0;
   for (const auto& output : outputs) seen = std::max(seen, output.records_seen);
   EXPECT_GT(seen, 0u);
+}
+
+TEST(PipelineDriver, AdvanceTakesResolvedWatermark) {
+  // The exchange stamps policy-complete watermarks, and both facade paths
+  // hand them to advance() unchanged: kNoWatermark (a silent partition is
+  // still within grace) closes nothing, and kWatermarkFlush (no partition
+  // gates) closes through the last slide opened. The callback only counts,
+  // so a driver that treats the flush as a clock cannot grow memory while
+  // it sweeps empty slides.
+  std::size_t windows = 0;
+  PipelineDriver driver(bare_window_config(),
+                        [&](const WindowOutput&) { ++windows; });
+  for (int i = 0; i < 1500; ++i) driver.offer(Record{0, 1.0, i * 1000});
+  EXPECT_EQ(driver.advance(engine::kNoWatermark), 0u);
+  EXPECT_EQ(driver.advance(engine::kWatermarkFlush), 3u);
+  EXPECT_EQ(driver.next_to_close(), 3);
+  EXPECT_EQ(windows, 2u);
+  EXPECT_FALSE(driver.offer(Record{0, 1.0, 600'000}));  // slide 1: closed
 }
 
 TEST(PipelineDriver, LateRecordsAreDroppedAfterClose) {

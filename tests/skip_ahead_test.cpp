@@ -428,13 +428,23 @@ TEST(SkipAheadPipeline, ForcedStealShardedMatchesSequential) {
   // end: watermarks, late-drops and per-window records_seen must equal the
   // sequential run's, and the kernel counters must show the bulk path
   // actually ran — on the sequential run too, where no record is late, so
-  // every record is counted as accepted or skipped.
+  // every record is counted as accepted or skipped. The sequential run reads
+  // the same exchange on its own thread, so it reports the same scheduler
+  // and exchange counters, with no steals.
   const auto records = make_stream(3.0, 20000.0, 32);
   core::ShardedRunStats sequential_stats;
   const auto sequential = run_pipeline(records, 1, 2, {}, &sequential_stats);
   EXPECT_GT(sequential_stats.sampler_bulk_runs, 0u);
   EXPECT_EQ(sequential_stats.sampler_accepts + sequential_stats.sampler_skipped,
             records.size());
+  EXPECT_EQ(sequential_stats.records_absorbed, records.size());
+  EXPECT_EQ(sequential_stats.exchange_records_routed, records.size());
+  ASSERT_EQ(sequential_stats.per_worker_records.size(), 1u);
+  EXPECT_EQ(sequential_stats.per_worker_records[0], records.size());
+  EXPECT_GT(sequential_stats.batches_absorbed, 0u);
+  EXPECT_EQ(sequential_stats.owner_pops, sequential_stats.batches_absorbed);
+  EXPECT_EQ(sequential_stats.steals, 0u);
+  EXPECT_FALSE(sequential_stats.watermark_lag_us.empty());
   core::ShardedRunStats stats;
   const auto sharded = run_pipeline(
       records, 8, 2,

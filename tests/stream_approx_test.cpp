@@ -42,8 +42,8 @@ TEST(StreamApprox, RequiresExistingTopic) {
 }
 
 TEST(StreamApprox, RejectsZeroPollBatch) {
-  // A zero-record poll never reads a sealed topic as exhausted, so a
-  // sequential run() would never return: construction refuses the config.
+  // A zero-record poll is a misconfiguration: construction refuses it
+  // rather than let the exchange round it up to one record.
   ingest::Broker broker;
   broker.create_topic("input", 1);
   auto config = base_config();
