@@ -17,8 +17,9 @@ void set_current_thread_name(const char* name) {
   // The kernel caps thread names at 16 bytes including the terminator;
   // longer names make pthread_setname_np fail outright, so truncate.
   char buf[16];
-  std::strncpy(buf, name, sizeof(buf) - 1);
-  buf[sizeof(buf) - 1] = '\0';
+  const std::size_t length = std::min(std::strlen(name), sizeof(buf) - 1);
+  std::memcpy(buf, name, length);
+  buf[length] = '\0';
   pthread_setname_np(pthread_self(), buf);
 #endif
 }

@@ -20,16 +20,13 @@ estimation::FeedbackConfig feedback_base_config() {
 }  // namespace
 
 PipelineDriver::PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
-                               WindowFn on_window, std::size_t shards)
+                               std::size_t shards)
     : config_(std::move(config)),
       on_output_(std::move(on_output)),
-      on_window_(std::move(on_window)),
       assembler_(config_.window),
       feedback_(feedback_base_config(), config_.initial_budget),
       slide_budget_(config_.initial_budget),
       shards_(std::max<std::size_t>(1, shards)) {
-  sketch_plan_ = std::make_shared<const sketch::SketchPlan>();
-  if (!config_.evaluate) return;
   for (auto& sink : config_.queries.clone_sinks()) {
     register_sink(std::move(sink), nullptr, /*attach_slide=*/0,
                   config_.initial_budget);
@@ -366,7 +363,7 @@ void PipelineDriver::pad_until(std::int64_t slide) {
         "PipelineDriver: slides must be closed in increasing order");
   }
   while (*next_to_close_ < slide) {
-    complete_slide({}, nullptr, nullptr);
+    complete_slide({}, {}, {});
     ++*next_to_close_;
   }
 }
@@ -380,108 +377,90 @@ void PipelineDriver::close_slide_sample(
                                        [work](const engine::Record& r) {
                                          return work.charge(r.value);
                                        }),
-                 &sample, &sketches);
-  ++*next_to_close_;
-}
-
-void PipelineDriver::close_slide_cells(
-    std::int64_t slide, std::vector<estimation::StratumSummary> cells) {
-  pad_until(slide);
-  complete_slide(std::move(cells), nullptr, nullptr);
+                 sample, sketches);
   ++*next_to_close_;
 }
 
 void PipelineDriver::complete_slide(
     std::vector<estimation::StratumSummary> cells,
-    const sampling::StratifiedSample<engine::Record>* sample,
-    const sketch::SlideSketches* sketches) {
+    const sampling::StratifiedSample<engine::Record>& sample,
+    const sketch::SlideSketches& sketches) {
   // The dynamic-lifecycle boundary: queued attach/detach operations take
   // effect here, BEFORE this slide's sink hooks — an attached sink observes
   // this slide, a detached one does not.
-  if (config_.evaluate) apply_pending_ops();
+  apply_pending_ops();
 
   // The assembler-relative index of the slide being closed: the window this
   // push may emit ends at exactly this index.
   const std::uint64_t slide_index = assembler_.slides_pushed();
 
-  // Budget bookkeeping only matters when someone consumes the budget; in
-  // raw-window harness mode (evaluate == false) no sampler reads it, so the
-  // cells copy, the sink hooks and the cost-function call all stay out of
-  // the timed loop.
-  if (config_.evaluate) {
-    // Arrival statistics always stay fresh: a detach can empty the bank at
-    // any boundary, and the cost-function fallback then resumes from the
-    // LAST slide's count, not a stale snapshot.
-    std::uint64_t slide_seen = 0;
-    for (const auto& cell : cells) slide_seen += cell.seen;
-    last_slide_seen_ = slide_seen;
-    if (feedback_.empty()) last_cells_ = cells;
-    // Slide-granular fan-out: sinks that keep per-slide state (the HISTOGRAM
-    // ring) see every closed slide, empty padded ones included.
-    for (auto& q : queries_) q.sink->on_slide(cells, sample, sketches);
-  }
+  // Arrival statistics always stay fresh: a detach can empty the bank at
+  // any boundary, and the cost-function fallback then resumes from the
+  // LAST slide's count, not a stale snapshot.
+  std::uint64_t slide_seen = 0;
+  for (const auto& cell : cells) slide_seen += cell.seen;
+  last_slide_seen_ = slide_seen;
+  if (feedback_.empty()) last_cells_ = cells;
+  // Slide-granular fan-out: sinks that keep per-slide state (the HISTOGRAM
+  // ring) see every closed slide, empty padded ones included.
+  for (auto& q : queries_) q.sink->on_slide(cells, &sample, &sketches);
 
   bool fed_back = false;
   if (auto window = assembler_.push_slide(std::move(cells))) {
-    if (!config_.evaluate) {
-      if (on_window_) on_window_(std::move(*window));
-    } else {
-      WindowOutput output;
-      // Sampling effort is a property of the WINDOW, counted once however
-      // many queries consume it — the sample-once/answer-many invariant.
-      for (const auto& cell : window->cells) {
-        output.records_seen += cell.seen;
-        output.records_sampled += cell.sampled;
+    WindowOutput output;
+    // Sampling effort is a property of the WINDOW, counted once however
+    // many queries consume it — the sample-once/answer-many invariant.
+    for (const auto& cell : window->cells) {
+      output.records_seen += cell.seen;
+      output.records_sampled += cell.sampled;
+    }
+    output.budget_in_force = slide_budget_.load(std::memory_order_relaxed);
+    // The estimate always carries the window's bounds, even when no query
+    // is eligible for it (an empty registry, every query detached, or a
+    // freshly attached one still waiting for its first whole window) —
+    // consumers identify outputs by estimate.window_end_us.
+    output.estimate.window_start_us = window->window_start_us;
+    output.estimate.window_end_us = window->window_end_us;
+    // Window fan-out: every registered query evaluates the same window —
+    // except queries attached mid-window, which wait until the first
+    // window made entirely of slides they observed.
+    output.queries.reserve(queries_.size());
+    std::vector<std::pair<std::size_t, double>> bounds;
+    for (auto& q : queries_) {
+      if (slide_index < q.first_window_slide) continue;
+      output.queries.push_back(q.sink->evaluate(*window));
+      const QueryOutput& mine = output.queries.back();
+      if (q.controller) {
+        bounds.emplace_back(*q.controller, mine.observed_relative_bound);
       }
-      output.budget_in_force = slide_budget_.load(std::memory_order_relaxed);
-      // The estimate always carries the window's bounds, even when no query
-      // is eligible for it (an empty registry, every query detached, or a
-      // freshly attached one still waiting for its first whole window) —
-      // consumers identify outputs by estimate.window_end_us.
-      output.estimate.window_start_us = window->window_start_us;
-      output.estimate.window_end_us = window->window_end_us;
-      // Window fan-out: every registered query evaluates the same window —
-      // except queries attached mid-window, which wait until the first
-      // window made entirely of slides they observed.
-      output.queries.reserve(queries_.size());
-      std::vector<std::pair<std::size_t, double>> bounds;
-      for (auto& q : queries_) {
-        if (slide_index < q.first_window_slide) continue;
-        output.queries.push_back(q.sink->evaluate(*window));
-        const QueryOutput& mine = output.queries.back();
-        if (q.controller) {
-          bounds.emplace_back(*q.controller, mine.observed_relative_bound);
-        }
-        if (q.subscription) {
-          // The per-query channel gets a self-contained WindowOutput: this
-          // query's result plus the window-level sampling counters.
-          WindowOutput own;
-          own.estimate = mine.estimate;
-          own.records_seen = output.records_seen;
-          own.records_sampled = output.records_sampled;
-          own.budget_in_force = output.budget_in_force;
-          own.queries.push_back(mine);
-          q.subscription->publish(std::move(own));
-        }
-      }
-      if (!output.queries.empty()) {
-        output.estimate = output.queries.front().estimate;
-      }
-      if (on_output_) on_output_(output);
-      if (on_window_) on_window_(std::move(*window));
-
-      // Adaptive feedback (§4.2), generalised to N queries: each targeted
-      // query's controller sees its own observed bound, and the strictest
-      // requirement (max budget) drives the sample size. Controllers whose
-      // query had no whole window yet keep their seed budget.
-      if (!bounds.empty()) {
-        slide_budget_.store(feedback_.update_targets(bounds),
-                            std::memory_order_relaxed);
-        fed_back = true;
+      if (q.subscription) {
+        // The per-query channel gets a self-contained WindowOutput: this
+        // query's result plus the window-level sampling counters.
+        WindowOutput own;
+        own.estimate = mine.estimate;
+        own.records_seen = output.records_seen;
+        own.records_sampled = output.records_sampled;
+        own.budget_in_force = output.budget_in_force;
+        own.queries.push_back(mine);
+        q.subscription->publish(std::move(own));
       }
     }
+    if (!output.queries.empty()) {
+      output.estimate = output.queries.front().estimate;
+    }
+    if (on_output_) on_output_(output);
+
+    // Adaptive feedback (§4.2), generalised to N queries: each targeted
+    // query's controller sees its own observed bound, and the strictest
+    // requirement (max budget) drives the sample size. Controllers whose
+    // query had no whole window yet keep their seed budget.
+    if (!bounds.empty()) {
+      slide_budget_.store(feedback_.update_targets(bounds),
+                          std::memory_order_relaxed);
+      fed_back = true;
+    }
   }
-  if (!fed_back && config_.evaluate && feedback_.empty() &&
+  if (!fed_back && feedback_.empty() &&
       config_.budget.kind != estimation::BudgetKind::kRelativeError) {
     // No accuracy target anywhere: re-derive the sample size from the cost
     // function using the freshest arrival statistics.

@@ -20,10 +20,13 @@
 //     advance(watermark) and finish() close slides through the driver's one
 //     close, which fences the slide, merges every shard's part of it and
 //     hands the merged sample on. The caller owns the watermark;
-//   * external closes  — close_slide_cells() takes per-slide cells from the
-//     evaluation harness's engines (core/systems.cpp), and
-//     close_slide_sample() takes a sample the caller drew itself (the
-//     performance ledger's staged pass).
+//   * external closes  — close_slide_sample() takes a sample and sketch
+//     state the caller collected itself (the performance ledger's staged
+//     pass) through the same slide completion as the live close.
+//
+// The evaluation harness (core/systems.cpp) does not run on the driver: its
+// engines assemble their windows with the same SlidingWindowAssembler and
+// evaluate them themselves.
 //
 // Dynamic query lifecycle. The registry is LIVE: attach_query() and
 // detach_query() may be called from any thread while the lifecycle runs.
@@ -45,8 +48,8 @@
 // apply_occupancy() for its own shard only. A shard's mutex is taken once
 // per batch by its feeder and once per close by the lifecycle thread, so no
 // lock is shared between two feeders. Exactly one lifecycle thread drives
-// advance/finish/close_slide_* and next_to_close()/kernel_stats(); the late
-// fence and the cold-start pin it shares with the feeders are atomics.
+// advance/finish/close_slide_sample and next_to_close()/kernel_stats(); the
+// late fence and the cold-start pin it shares with the feeders are atomics.
 // attach_query/detach_query/registry_generation, current_budget(),
 // slide_sampler_config() and sketch_plan() are safe from any thread.
 // Everything else is lifecycle-thread-only.
@@ -161,9 +164,6 @@ struct PipelineDriverConfig {
   /// Sample budget before any arrival statistics exist; the cost function /
   /// feedback loop re-tunes it from the first completed slide on.
   std::size_t initial_budget = 1024;
-  /// When false, windows are reported raw (on_window) without query
-  /// evaluation — the evaluation harness computes its own metrics.
-  bool evaluate = true;
 };
 
 /// Drives slides from open to closed to windowed, with adaptive feedback
@@ -174,17 +174,12 @@ class PipelineDriver {
   using Sampler =
       sampling::OasrsSampler<engine::Record, engine::RecordStratum>;
   using OutputFn = std::function<void(const WindowOutput&)>;
-  /// Takes the window by value: raw-window mode moves it out, keeping the
-  /// evaluation harness's timed loop free of per-window cell copies.
-  using WindowFn = std::function<void(engine::WindowResult)>;
 
   /// Creates a driver. `on_output` receives evaluated window outputs (may be
-  /// null when config.evaluate is false); `on_window` receives the raw
-  /// window cells (may be null). `shards` is the number of feeding threads
-  /// live ingest runs on: 1 on the sequential path, one per worker on the
-  /// sharded path.
+  /// null). `shards` is the number of feeding threads live ingest runs on:
+  /// 1 on the sequential path, one per worker on the sharded path.
   PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
-                 WindowFn on_window = {}, std::size_t shards = 1);
+                 std::size_t shards = 1);
 
   /// Closes every live subscription channel so consumers observe
   /// finished() once they drain.
@@ -243,17 +238,12 @@ class PipelineDriver {
 
   /// Closes `slide` with an externally produced stratified sample and the
   /// sketch state collected beside it. Slides must arrive in increasing
-  /// order; interior gaps are padded with empty slides. The first call pins
-  /// the cold-start slide index.
+  /// order (an earlier one throws std::logic_error); interior gaps are
+  /// padded with empty slides, each closed with an empty sample and empty
+  /// sketches. The first call pins the cold-start slide index.
   void close_slide_sample(std::int64_t slide,
                           sampling::StratifiedSample<engine::Record> sample,
                           sketch::SlideSketches sketches);
-
-  /// Closes `slide` with pre-summarised cells (engines that aggregate
-  /// without materialising a sample). Same ordering contract as
-  /// close_slide_sample. No histogram contribution.
-  void close_slide_cells(std::int64_t slide,
-                         std::vector<estimation::StratumSummary> cells);
 
   /// Sampler configuration for one shard of one slide. The seed is
   /// deterministic in (driver seed, slide, shard); shard 0 of 1 reproduces
@@ -434,18 +424,16 @@ class PipelineDriver {
   /// first call pins the assembler's base slide.
   void pad_until(std::int64_t slide);
 
-  /// The shared lifecycle tail: pending registry ops apply, then cells
-  /// (+ the materialised sample when one exists) of one closed slide go
-  /// through every registered sink's slide hook, the window assembler, the
-  /// query fan-out (shared callback + per-query channels) and the feedback
-  /// loop.
+  /// The shared lifecycle tail: pending registry ops apply, then the cells,
+  /// sample and sketches of one closed slide go through every registered
+  /// sink's slide hook, the window assembler, the query fan-out (shared
+  /// callback + per-query channels) and the feedback loop.
   void complete_slide(std::vector<estimation::StratumSummary> cells,
-                      const sampling::StratifiedSample<engine::Record>* sample,
-                      const sketch::SlideSketches* sketches);
+                      const sampling::StratifiedSample<engine::Record>& sample,
+                      const sketch::SlideSketches& sketches);
 
   PipelineDriverConfig config_;
   OutputFn on_output_;
-  WindowFn on_window_;
 
   engine::SlidingWindowAssembler assembler_;
   estimation::CostFunction cost_function_;

@@ -65,14 +65,10 @@ void HistogramSink::on_slide(
   (void)cells;
   (void)sketches;
   // Per-slide weighted histograms; the window histogram is the merge of its
-  // slides'. Cells-only paths carry no values, so they contribute an empty
-  // slide histogram (the ring must still advance to stay window-aligned).
-  if (sample != nullptr) {
-    ring_.push_back(estimation::weighted_histogram(
-        *sample, engine::RecordValue{}, spec_));
-  } else {
-    ring_.emplace_back(spec_.lo, spec_.hi, spec_.buckets);
-  }
+  // slides'. An empty slide contributes an empty histogram, so the ring
+  // stays window-aligned.
+  ring_.push_back(
+      estimation::weighted_histogram(*sample, engine::RecordValue{}, spec_));
   if (ring_.size() > slides_per_window_) ring_.erase(ring_.begin());
 }
 
@@ -184,6 +180,16 @@ std::vector<WindowEstimate> evaluate_windows(
 std::vector<engine::WindowResult> exact_window_results(
     const std::vector<engine::Record>& records,
     const engine::WindowConfig& window) {
+  // split_by_interval needs event-time order; sorted input (what the
+  // workload generators produce) costs one scan and no copy.
+  const auto by_time = [](const engine::Record& a, const engine::Record& b) {
+    return a.event_time_us < b.event_time_us;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_time)) {
+    std::vector<engine::Record> sorted = records;
+    std::stable_sort(sorted.begin(), sorted.end(), by_time);
+    return exact_window_results(sorted, window);
+  }
   engine::SlidingWindowAssembler assembler(window);
   std::vector<engine::WindowResult> windows;
 

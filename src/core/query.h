@@ -111,10 +111,9 @@ class QuerySink {
 
   /// Called for EVERY closed slide in order (empty padded slides included),
   /// before window assembly — the hook for sinks that need slide-granular
-  /// state. `sample` is the materialised stratified sample when one exists
-  /// (live OASRS paths) and null on pre-summarised cells paths; `sketches`
-  /// is the merged worker-local sketch state for the slide when the driver
-  /// ingested the records itself (null on cells-only harness paths).
+  /// state. `sample` is the slide's stratified sample and `sketches` the
+  /// merged sketch state collected beside it; neither is ever null (a
+  /// padded slide passes an empty sample and empty sketches).
   virtual void on_slide(
       const std::vector<estimation::StratumSummary>& cells,
       const sampling::StratifiedSample<engine::Record>* sample,
@@ -171,8 +170,7 @@ class AggregateSink : public QuerySink {
 /// Approximate HISTOGRAM query (§3.2): keeps the per-slide weighted
 /// histograms of the last window's worth of slides and merges them per
 /// window. Its point estimate is the weighted COUNT the histogram mass
-/// speaks for. Needs the materialised sample, so slides closed through the
-/// cells-only path contribute empty histograms.
+/// speaks for.
 class HistogramSink : public QuerySink {
  public:
   HistogramSink(std::string name, estimation::HistogramSpec spec)
@@ -265,7 +263,9 @@ std::vector<WindowEstimate> evaluate_windows(
 /// Computes the EXACT window results for the same stream — the ground truth
 /// used for the paper's accuracy-loss metric (§6.1). Direct single pass over
 /// the records (no engine, no sampling); the produced cells have
-/// seen == sampled and weight 1.
+/// seen == sampled and weight 1. Records may come in any order: unsorted
+/// input is stably sorted by event time into a copy first, while sorted
+/// input is read in place.
 std::vector<engine::WindowResult> exact_window_results(
     const std::vector<engine::Record>& records,
     const engine::WindowConfig& window);

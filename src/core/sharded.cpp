@@ -16,13 +16,16 @@
 // channels: each worker refills a per-worker StealDeque (common/queue.h)
 // from its own channel and works LIFO off the bottom; when its own work runs
 // out it steals the OLDEST morsel off another worker's deque. A stolen
-// morsel is absorbed into the THIEF's driver shard — safe because OASRS
-// samplers merge associatively at slide close (the driver concatenates
-// whatever shard holds each stratum's reservoir), so per-window
-// records_seen is schedule-independent. A worker refills its deque only once
-// it is empty, with at most its capacity, so a refill always fits and the
-// channel ring is the only backlog: the deque is the one queue tier between
-// the exchange and the samplers. Out-of-order completion is reconciled by
+// morsel is absorbed into the THIEF's driver shard, so a steal splits that
+// stratum's slide across shards. The driver's close merges the parts with
+// OasrsSampler::merge(): counts add, so per-window records_seen is
+// schedule-independent, but the sample pools both parts under one Eq. 1
+// weight, which is uniform only when both parts were sampled at the same
+// rate (see docs/architecture.md, stage 4). A worker refills its deque
+// only once it is empty, with at most its capacity, so a refill always fits
+// and the channel ring is the only backlog: the deque is the one queue tier
+// between the exchange and the samplers. Out-of-order completion is
+// reconciled by
 // ChannelProgress below.
 //
 // Every worker feeds its own shard of the PipelineDriver
@@ -36,10 +39,7 @@
 //                    to the driver's advance() (resolved watermarks
 //                    min-combine, core/watermark.h): once it passes a
 //                    slide's end, the driver's one close merges every
-//                    shard's part of the slide with OasrsSampler::merge() —
-//                    estimator inputs identical to the one-worker path
-//                    modulo stratum order, because the exchange's stratum
-//                    hash sends each stratum to exactly one channel.
+//                    shard's part of the slide with OasrsSampler::merge().
 //
 // The adaptive feedback loop still works: the merger's closes re-tune the
 // driver's budget as windows complete (max across every registered query's

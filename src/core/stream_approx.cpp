@@ -129,7 +129,7 @@ void StreamApprox::run(
   run_stats_.per_worker_records.assign(workers, 0);
 
   // One driver shard per feeding thread: the run thread, or each worker.
-  PipelineDriver driver(driver_config(), on_window, {}, workers);
+  PipelineDriver driver(driver_config(), on_window, workers);
   const DriverInstallation installation(*this, driver);
   slide_budget_ = driver.current_budget();
 

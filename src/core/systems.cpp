@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "core/pipeline_driver.h"
 #include "engine/batched/dataset.h"
 #include "engine/batched/scheduler.h"
 #include "engine/batched/shuffle.h"
@@ -34,43 +33,6 @@ using sampling::StratumId;
 std::size_t partitions_of(const SystemConfig& config) {
   return config.partitions != 0 ? config.partitions
                                 : std::max<std::size_t>(1, 2 * config.workers);
-}
-
-/// A PipelineDriver in raw-window mode: the evaluation harness computes its
-/// own accuracy metrics, so windows are collected unevaluated — the query
-/// registry is bypassed entirely (no sinks are instantiated) and the timed
-/// loop stays free of evaluation work. Both engine paths below run their
-/// slide lifecycle through this shared driver instead of each keeping a
-/// private window assembler.
-PipelineDriver make_eval_driver(const engine::WindowConfig& window,
-                                StreamRunResult& result) {
-  PipelineDriverConfig config;
-  config.window = window;
-  config.evaluate = false;
-  return PipelineDriver(std::move(config), nullptr,
-                        [&result](engine::WindowResult w) {
-                          result.windows.push_back(std::move(w));
-                        });
-}
-
-/// The micro-batch saturation loop (paper §6.1 methodology) on the shared
-/// slide lifecycle: batches become cells via `job`, cells close slides on
-/// the driver, the driver assembles windows.
-StreamRunResult run_batched_on_driver(const std::vector<Record>& records,
-                                      const engine::batched::MicroBatchConfig&
-                                          config,
-                                      const BatchJob& job) {
-  StreamRunResult result;
-  auto driver = make_eval_driver(config.window, result);
-  auto run = engine::batched::run_micro_batches(
-      records, config, job,
-      [&driver](std::size_t slide, std::vector<StratumSummary> cells) {
-        driver.close_slide_cells(static_cast<std::int64_t>(slide),
-                                 std::move(cells));
-      });
-  result.records_processed = run.records_processed;
-  result.wall_seconds = run.wall_seconds;
-  return result;
 }
 
 /// Accumulates one record's (possibly weighted) value into a cell map.
@@ -370,19 +332,7 @@ StreamRunResult run_pipelined(SystemKind kind,
                                                                        work);
     };
   }
-  // The slide lifecycle runs on the shared PipelineDriver: the dataflow's
-  // collector thread feeds joined slides into the driver's cells path.
-  StreamRunResult result;
-  auto driver = make_eval_driver(config.window, result);
-  auto run = engine::pipelined::run_pipeline(
-      records, pipeline, factory,
-      [&driver](std::size_t slide, std::vector<StratumSummary> cells) {
-        driver.close_slide_cells(static_cast<std::int64_t>(slide),
-                                 std::move(cells));
-      });
-  result.records_processed = run.records_processed;
-  result.wall_seconds = run.wall_seconds;
-  return result;
+  return engine::pipelined::run_pipeline(records, pipeline, factory);
 }
 
 }  // namespace
@@ -444,7 +394,7 @@ engine::batched::StreamRunResult run_system(
     default:
       break;
   }
-  return run_batched_on_driver(records, micro, job);
+  return engine::batched::run_micro_batches(records, micro, job);
 }
 
 }  // namespace streamapprox::core

@@ -34,8 +34,6 @@ struct WatermarkView {
   bool blocked = false;
   /// At least one partition gates with a real clock.
   bool any_active = false;
-  /// Every partition is drained: end-of-stream, flush everything.
-  bool all_drained = true;
 
   /// True when slides up to `watermark` may close.
   bool can_close() const noexcept { return !blocked && any_active; }
@@ -54,7 +52,6 @@ inline WatermarkView evaluate_watermark(const std::vector<std::int64_t>& clocks,
                                         bool idle_grace_over) {
   WatermarkView view;
   for (const std::int64_t clock : clocks) {
-    if (clock != kPartitionDrained) view.all_drained = false;
     if (clock == kPartitionDrained) continue;
     if (clock == kNoClock) {
       if (!idle_grace_over) view.blocked = true;

@@ -9,23 +9,7 @@ namespace streamapprox::engine::batched {
 StreamRunResult run_micro_batches(const std::vector<Record>& records,
                                   const MicroBatchConfig& config,
                                   const BatchJob& job) {
-  // Default sink: assemble sliding windows locally.
   SlidingWindowAssembler assembler(config.window);
-  std::vector<WindowResult> windows;
-  auto result = run_micro_batches(
-      records, config, job,
-      [&](std::size_t, std::vector<estimation::StratumSummary> cells) {
-        if (auto window = assembler.push_slide(std::move(cells))) {
-          windows.push_back(std::move(*window));
-        }
-      });
-  result.windows = std::move(windows);
-  return result;
-}
-
-StreamRunResult run_micro_batches(const std::vector<Record>& records,
-                                  const MicroBatchConfig& config,
-                                  const BatchJob& job, const SlideSink& sink) {
   if (config.batch_interval_us <= 0 ||
       config.window.slide_us % config.batch_interval_us != 0) {
     throw std::invalid_argument(
@@ -37,7 +21,12 @@ StreamRunResult run_micro_batches(const std::vector<Record>& records,
 
   StreamRunResult result;
   std::vector<estimation::StratumSummary> slide_cells;
-  std::size_t slide_index = 0;
+  const auto close_slide = [&] {
+    if (auto window = assembler.push_slide(std::move(slide_cells))) {
+      result.windows.push_back(std::move(*window));
+    }
+    slide_cells.clear();
+  };
 
   streamapprox::Stopwatch watch;
   const auto ranges = split_by_interval(records, config.batch_interval_us);
@@ -49,15 +38,10 @@ StreamRunResult run_micro_batches(const std::vector<Record>& records,
     slide_cells.insert(slide_cells.end(),
                        std::make_move_iterator(cells.begin()),
                        std::make_move_iterator(cells.end()));
-    if ((b + 1) % batches_per_slide == 0) {
-      sink(slide_index++, std::move(slide_cells));
-      slide_cells.clear();
-    }
+    if ((b + 1) % batches_per_slide == 0) close_slide();
   }
   // Flush a trailing partial slide so short streams still produce output.
-  if (!slide_cells.empty()) {
-    sink(slide_index, std::move(slide_cells));
-  }
+  if (!slide_cells.empty()) close_slide();
   result.wall_seconds = watch.seconds();
   return result;
 }

@@ -46,24 +46,12 @@ struct StreamRunResult {
 };
 
 /// Executes `job` over every micro-batch of `records` (which must be sorted
-/// by event time) and assembles sliding windows from the produced cells.
-/// Throws std::invalid_argument if the window slide is not a multiple of the
-/// batch interval.
+/// by event time) and assembles sliding windows from the produced cells with
+/// a SlidingWindowAssembler; a trailing partial slide is flushed as the last
+/// slide. Throws std::invalid_argument for an invalid window geometry or if
+/// the window slide is not a multiple of the batch interval.
 StreamRunResult run_micro_batches(const std::vector<Record>& records,
                                   const MicroBatchConfig& config,
                                   const BatchJob& job);
-
-/// Consumes the cells of one completed slide (strictly increasing slide
-/// indices; a trailing partial slide is flushed as the final index).
-using SlideSink = std::function<void(std::size_t slide_index,
-                                     std::vector<estimation::StratumSummary>)>;
-
-/// Same micro-batch loop, but every completed slide's cells go to `sink`
-/// instead of the built-in window assembler (the returned result carries no
-/// windows). This is how core/systems.cpp routes the batched engine onto
-/// the shared slide-lifecycle driver.
-StreamRunResult run_micro_batches(const std::vector<Record>& records,
-                                  const MicroBatchConfig& config,
-                                  const BatchJob& job, const SlideSink& sink);
 
 }  // namespace streamapprox::engine::batched

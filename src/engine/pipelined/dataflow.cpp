@@ -34,25 +34,10 @@ void spin_push(streamapprox::SpscRing<SlideMsg>& ring, SlideMsg msg) {
 batched::StreamRunResult run_pipeline(const std::vector<Record>& records,
                                       const PipelineConfig& config,
                                       const AggregatorFactory& factory) {
-  // Default sink: assemble sliding windows locally (collector-thread state,
-  // joined before the result is read).
+  // Built before any thread starts, so an invalid window geometry throws
+  // here rather than on the collector thread. Collector-thread state
+  // afterwards, joined before the result is read.
   SlidingWindowAssembler assembler(config.window);
-  std::vector<WindowResult> windows;
-  auto result = run_pipeline(
-      records, config, factory,
-      [&](std::size_t, std::vector<estimation::StratumSummary> cells) {
-        if (auto window = assembler.push_slide(std::move(cells))) {
-          windows.push_back(std::move(*window));
-        }
-      });
-  result.windows = std::move(windows);
-  return result;
-}
-
-batched::StreamRunResult run_pipeline(const std::vector<Record>& records,
-                                      const PipelineConfig& config,
-                                      const AggregatorFactory& factory,
-                                      const SlideSink& sink) {
   const std::size_t parallelism =
       config.parallelism == 0 ? 1 : config.parallelism;
   const std::int64_t slide_us = config.window.slide_us;
@@ -110,8 +95,8 @@ batched::StreamRunResult run_pipeline(const std::vector<Record>& records,
     });
   }
 
-  // --- Window collector: joins per-worker slides in order and hands each
-  // completed slide to the sink. Runs concurrently with the workers (true
+  // --- Window collector: joins per-worker slides in order and assembles
+  // windows from them. Runs concurrently with the workers (true
   // pipelining).
   std::thread collector([&] {
     for (std::size_t slide = 0; slide <= final_slide; ++slide) {
@@ -128,7 +113,9 @@ batched::StreamRunResult run_pipeline(const std::vector<Record>& records,
                      std::make_move_iterator(msg->cells.begin()),
                      std::make_move_iterator(msg->cells.end()));
       }
-      sink(slide, std::move(cells));
+      if (auto window = assembler.push_slide(std::move(cells))) {
+        result.windows.push_back(std::move(*window));
+      }
     }
   });
 

@@ -49,27 +49,15 @@ struct PipelineConfig {
   WindowConfig window{};
 };
 
-/// Consumes the joined cells of one completed slide (called with strictly
-/// increasing slide indices, empty slides included). Runs on the collector
-/// thread; the callee owns any downstream state (e.g. a PipelineDriver).
-/// Same contract as the batched engine's sink.
-using SlideSink = batched::SlideSink;
-
 /// Runs the pipelined dataflow over `records` (sorted by event time):
 ///   source -> p parallel aggregators -> window collector
-/// Returns completed windows plus wall-clock throughput, measured across the
-/// concurrently executing pipeline.
+/// The collector joins every slide's cells (empty slides included) into a
+/// SlidingWindowAssembler. Returns completed windows plus wall-clock
+/// throughput, measured across the concurrently executing pipeline. Throws
+/// std::invalid_argument for an invalid window geometry, before any thread
+/// starts.
 batched::StreamRunResult run_pipeline(const std::vector<Record>& records,
                                       const PipelineConfig& config,
                                       const AggregatorFactory& factory);
-
-/// Same dataflow, but every completed slide's joined cells go to `sink`
-/// instead of the built-in window assembler (the returned result carries no
-/// windows). This is how core/systems.cpp routes the pipelined engine onto
-/// the shared slide-lifecycle driver.
-batched::StreamRunResult run_pipeline(const std::vector<Record>& records,
-                                      const PipelineConfig& config,
-                                      const AggregatorFactory& factory,
-                                      const SlideSink& sink);
 
 }  // namespace streamapprox::engine::pipelined

@@ -208,8 +208,7 @@ void Exchange::run(const Emit& emit) {
         out[w]->route_strata = channel_strata[w];
         out[w]->total_strata = total_strata;
         stamp_identity(w, *out[w]);
-        records_routed_.fetch_add(out[w]->size(), std::memory_order_relaxed);
-        batches_emitted_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.batches;
         emit(std::move(out[w]));
         last_sent[w] = resolved;
       } else if (last_sent[w] != resolved) {
@@ -224,7 +223,7 @@ void Exchange::run(const Emit& emit) {
         heartbeat->total_strata = total_strata;
         heartbeat->heartbeat = true;
         stamp_identity(w, *heartbeat);
-        heartbeats_emitted_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.heartbeats;
         emit(std::move(heartbeat));
         last_sent[w] = resolved;
       }

@@ -26,9 +26,10 @@
 // when nothing gates), receivers apply no grace logic of their own.
 //
 // Stratum affinity. route() is deterministic in the stratum, so every record
-// of one sub-stream reaches the same channel — per-stratum reservoirs stay
-// local to one worker and OasrsSampler::merge() remains pure concatenation,
-// preserving the paper's no-synchronisation sampling claim (§3.2).
+// of one sub-stream reaches the same channel and no lock is shared while
+// sampling (§3.2). A stolen morsel is still sampled in the thief's shard,
+// so the driver's close merges a split stratum's parts with
+// OasrsSampler::merge() (see core/sharded.cpp).
 //
 // Occupancy stamps. The exchange thread also counts, in deterministic
 // record order, how many distinct strata have routed to each channel
@@ -71,8 +72,12 @@ struct ExchangeConfig {
 struct ExchangeStats {
   /// Polling rounds that routed at least one record.
   std::uint64_t rounds = 0;
-  /// Records routed (same total as records_routed(), counted at poll time).
+  /// Records routed downstream (counted at poll time).
   std::uint64_t records = 0;
+  /// Data batches emitted across all channels.
+  std::uint64_t batches = 0;
+  /// Watermark-only heartbeat batches emitted across all channels.
+  std::uint64_t heartbeats = 0;
   /// Same-stratum runs walked by the routing kernel's pass 1.
   std::uint64_t runs = 0;
   /// StratumTable slot inspections (one probe chain per run boundary).
@@ -145,20 +150,8 @@ class Exchange {
     return static_cast<std::size_t>(h % workers);
   }
 
-  // ---- Introspection (valid after run() returns; atomic during) ----------
+  // ---- Introspection ------------------------------------------------------
 
-  /// Data batches emitted across all channels.
-  std::uint64_t batches_emitted() const noexcept {
-    return batches_emitted_.load(std::memory_order_relaxed);
-  }
-  /// Watermark-only heartbeat batches emitted across all channels.
-  std::uint64_t heartbeats_emitted() const noexcept {
-    return heartbeats_emitted_.load(std::memory_order_relaxed);
-  }
-  /// Records routed downstream.
-  std::uint64_t records_routed() const noexcept {
-    return records_routed_.load(std::memory_order_relaxed);
-  }
   /// Heartbeat-pool allocation high-water mark.
   std::size_t heartbeats_allocated() const {
     return heartbeat_pool_.allocated();
@@ -191,9 +184,6 @@ class Exchange {
   engine::BatchPool heartbeat_pool_{0};
   std::vector<std::uint64_t> next_seq_;  ///< per-channel, exchange thread only
 
-  std::atomic<std::uint64_t> batches_emitted_{0};
-  std::atomic<std::uint64_t> heartbeats_emitted_{0};
-  std::atomic<std::uint64_t> records_routed_{0};
   std::atomic<std::int64_t> max_routed_event_us_{engine::kNoWatermark};
   ExchangeStats stats_;  ///< exchange thread only; read after run() joins
 };

@@ -20,28 +20,19 @@ void SketchSink::on_slide(
     const std::vector<estimation::StratumSummary>& cells,
     const sampling::StratifiedSample<engine::Record>* sample,
     const SlideSketches* sketches) {
+  (void)cells;
   (void)sample;
   SlideEntry entry;
-  if (sketches != nullptr) {
-    if (const SlideSketchState* state = sketches->find(spec_.id)) {
-      // Complete only when this spec's state digested everything the slide
-      // received — a spec attached after some workers already opened the
-      // slide has seen < total and must not contribute a partial answer.
-      entry.complete = state->seen == sketches->seen();
-      entry.state = *state;
-    } else {
-      entry.complete = sketches->seen() == 0;
-      entry.state = SlideSketchState::make(spec_);
-    }
+  if (const SlideSketchState* state = sketches->find(spec_.id)) {
+    // Complete only when this spec's state digested everything the slide
+    // received — a spec attached after some workers already opened the
+    // slide has seen < total and must not contribute a partial answer.
+    entry.complete = state->seen == sketches->seen();
+    entry.state = *state;
   } else {
-    // Cells-only paths (external pre-summarised slides) carry no record
-    // stream for the sketch to digest: the slide is complete only if it was
-    // genuinely empty, e.g. watermark-padded gaps.
-    std::uint64_t slide_seen = 0;
-    for (const estimation::StratumSummary& cell : cells) {
-      slide_seen += cell.seen;
-    }
-    entry.complete = slide_seen == 0;
+    // No state for this spec: complete only if the slide digested nothing,
+    // e.g. a padded gap.
+    entry.complete = sketches->seen() == 0;
     entry.state = SlideSketchState::make(spec_);
   }
   ring_.push_back(std::move(entry));

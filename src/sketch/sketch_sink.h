@@ -49,9 +49,9 @@ class SketchSink : public core::QuerySink {
  private:
   struct SlideEntry {
     /// True when the slide's sketch state digested every record of the
-    /// slide. False for slides closed before this sink attached mid-slide
-    /// and for cells-only harness paths; any incomplete slide in the ring
-    /// withholds the window's sketch payload.
+    /// slide. False for a slide some worker opened before this sink
+    /// attached; any incomplete slide in the ring withholds the window's
+    /// sketch payload.
     bool complete = false;
     SlideSketchState state;
   };

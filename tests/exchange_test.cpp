@@ -225,7 +225,7 @@ TEST(Exchange, HeartbeatsRecycleThroughZeroReservePool) {
   EXPECT_EQ(delivered, records.size());
   // Three idle channels got heartbeats only — at least a flush sentinel each.
   EXPECT_GE(heartbeats, config.workers - 1);
-  EXPECT_EQ(exchange.heartbeats_emitted(), heartbeats);
+  EXPECT_EQ(exchange.stats().heartbeats, heartbeats);
   // Prompt recycling keeps the high-water mark at the in-flight peak, far
   // below the emitted count; a pool that leaked one allocation per heartbeat
   // would match heartbeats instead.

@@ -1,8 +1,7 @@
 // Tests for the reusable slide-lifecycle driver: cold start away from slide
 // zero, sequential offer/advance/finish, the per-shard stores of open slides
 // and their one close (single-threaded and with concurrent feeders), the
-// external sample/cells paths and their ordering contract, and budget
-// re-tuning.
+// external sample path and its ordering contract, and budget re-tuning.
 #include "core/pipeline_driver.h"
 
 #include <gtest/gtest.h>
@@ -165,57 +164,61 @@ TEST(PipelineDriver, OfferBatchDropsLateRuns) {
   EXPECT_EQ(driver.offer_batch(mixed), 2u);
 }
 
-TEST(PipelineDriver, CellsPathAssemblesWindows) {
-  auto config = small_window_config();
-  config.evaluate = false;
-  std::vector<engine::WindowResult> windows;
-  PipelineDriver driver(
-      std::move(config), nullptr,
-      [&](const engine::WindowResult& w) { windows.push_back(w); });
+/// A one-stratum slide sample: `sampled` records of value 1 standing for
+/// `seen` arrivals.
+sampling::StratifiedSample<Record> one_stratum_sample(
+    sampling::StratumId stratum, std::uint64_t seen, std::size_t sampled) {
+  sampling::StratumSample<Record> part;
+  part.stratum = stratum;
+  part.seen = seen;
+  part.weight = static_cast<double>(seen) / static_cast<double>(sampled);
+  part.items.assign(sampled, Record{stratum, 1.0, 0});
+  sampling::StratifiedSample<Record> sample;
+  sample.strata.push_back(std::move(part));
+  return sample;
+}
+
+TEST(PipelineDriver, ExternalPathAssemblesWindows) {
+  std::vector<WindowOutput> outputs;
+  PipelineDriver driver(bare_window_config(),
+                        [&](const WindowOutput& o) { outputs.push_back(o); });
 
   for (std::int64_t slide = 0; slide < 4; ++slide) {
-    estimation::StratumSummary cell;
-    cell.stratum = 0;
-    cell.seen = 100;
-    cell.sampled = 10;
-    cell.sum = 10.0;
-    cell.sum_sq = 10.0;
-    cell.weight = 10.0;
-    driver.close_slide_cells(slide, {cell});
+    driver.close_slide_sample(slide, one_stratum_sample(0, 100, 10), {});
   }
   // 2 slides per window -> windows end at slides 1, 2, 3.
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_EQ(windows[0].window_end_us, 1'000'000);
-  EXPECT_EQ(windows[0].cells.size(), 2u);
-  EXPECT_EQ(windows[2].window_end_us, 2'000'000);
+  ASSERT_EQ(outputs.size(), 3u);
+  EXPECT_EQ(outputs[0].estimate.window_start_us, 0);
+  EXPECT_EQ(outputs[0].estimate.window_end_us, 1'000'000);
+  EXPECT_EQ(outputs[2].estimate.window_end_us, 2'000'000);
+  for (const auto& output : outputs) {
+    EXPECT_EQ(output.records_seen, 200u);  // both slides' cells
+    EXPECT_EQ(output.records_sampled, 20u);
+  }
 }
 
 TEST(PipelineDriver, ExternalPathPadsGapsWithEmptySlides) {
-  auto config = small_window_config();
-  config.evaluate = false;
-  std::vector<engine::WindowResult> windows;
-  PipelineDriver driver(
-      std::move(config), nullptr,
-      [&](const engine::WindowResult& w) { windows.push_back(w); });
+  std::vector<WindowOutput> outputs;
+  PipelineDriver driver(bare_window_config(),
+                        [&](const WindowOutput& o) { outputs.push_back(o); });
 
-  estimation::StratumSummary cell;
-  cell.stratum = 3;
-  cell.seen = 5;
-  cell.sampled = 5;
-  driver.close_slide_cells(10, {cell});
-  driver.close_slide_cells(14, {cell});  // slides 11..13 padded empty
-  ASSERT_EQ(windows.size(), 4u);         // ends at slides 11, 12, 13, 14
-  EXPECT_EQ(windows.front().window_end_us, 12 * 500'000);
-  EXPECT_TRUE(windows[1].cells.empty());  // slides 12+13 both empty
-  EXPECT_EQ(windows.back().cells.size(), 1u);
+  driver.close_slide_sample(10, one_stratum_sample(3, 5, 5), {});
+  // Slides 11..13 are padded empty.
+  driver.close_slide_sample(14, one_stratum_sample(3, 5, 5), {});
+  ASSERT_EQ(outputs.size(), 4u);  // ends at slides 11, 12, 13, 14
+  EXPECT_EQ(outputs.front().estimate.window_end_us, 12 * 500'000);
+  EXPECT_EQ(outputs.front().records_seen, 5u);  // slide 10 + padded 11
+  EXPECT_EQ(outputs[1].records_seen, 0u);       // padded 11 + 12
+  EXPECT_EQ(outputs[2].records_seen, 0u);       // padded 12 + 13
+  EXPECT_EQ(outputs.back().estimate.window_end_us, 15 * 500'000);
+  EXPECT_EQ(outputs.back().records_seen, 5u);
+  EXPECT_EQ(outputs.back().records_sampled, 5u);
 }
 
 TEST(PipelineDriver, ExternalPathRejectsOutOfOrderSlides) {
-  auto config = small_window_config();
-  config.evaluate = false;
-  PipelineDriver driver(std::move(config), nullptr, nullptr);
-  driver.close_slide_cells(5, {});
-  EXPECT_THROW(driver.close_slide_cells(4, {}), std::logic_error);
+  PipelineDriver driver(bare_window_config(), nullptr);
+  driver.close_slide_sample(5, {}, {});
+  EXPECT_THROW(driver.close_slide_sample(4, {}, {}), std::logic_error);
 }
 
 TEST(PipelineDriver, SamplePathMatchesSequentialSeenCounts) {
@@ -452,7 +455,7 @@ TEST(PipelineDriver, ShardsMergeAtOneClose) {
   std::vector<WindowOutput> outputs;
   PipelineDriver driver(
       std::move(config), [&](const WindowOutput& o) { outputs.push_back(o); },
-      {}, /*shards=*/2);
+      /*shards=*/2);
 
   const auto offer = [&](const std::vector<Record>& records,
                          std::size_t shard) {
@@ -511,7 +514,7 @@ TEST(PipelineDriver, ConcurrentFeedersMatchExactWindows) {
   std::vector<WindowOutput> outputs;
   PipelineDriver driver(
       small_window_config(),
-      [&](const WindowOutput& o) { outputs.push_back(o); }, {},
+      [&](const WindowOutput& o) { outputs.push_back(o); },
       /*shards=*/2);
   constexpr std::int64_t kNothingOffered =
       std::numeric_limits<std::int64_t>::min();

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "engine/pipelined/aggregators.h"
 
 namespace streamapprox::engine::pipelined {
@@ -67,6 +69,16 @@ TEST(Pipeline, SingleWorker) {
 TEST(Pipeline, EmptyStreamProducesNoFullWindows) {
   auto result = run_pipeline({}, make_config(2), exact_factory());
   EXPECT_EQ(result.records_processed, 0u);
+}
+
+TEST(Pipeline, RejectsInvalidWindowBeforeStartingThreads) {
+  // The window assembler is built before any thread starts, so a bad
+  // geometry throws to the caller instead of terminating on the collector
+  // thread.
+  PipelineConfig config = make_config(2);
+  config.window = {10, 3};  // size not a multiple of the slide
+  EXPECT_THROW(run_pipeline(steady_stream(100, 1), config, exact_factory()),
+               std::invalid_argument);
 }
 
 TEST(Pipeline, TumblingWindows) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace streamapprox::core {
 namespace {
 
@@ -88,6 +90,47 @@ TEST(ExactWindows, MatchDirectAggregation) {
     }
     EXPECT_EQ(seen, 200u);
     EXPECT_DOUBLE_EQ(sum, 300.0);  // 100*1 + 100*2
+  }
+}
+
+TEST(ExactWindows, UnsortedInputMatchesSortedInput) {
+  // Two strata appended one after the other over the same 3 s: 1000 records
+  // of stratum 0 (one every 3 ms), then 2500 of stratum 1 (one every
+  // 1.2 ms). 1 s tumbling windows hold 334 + 834, 333 + 833 and 333 + 833.
+  std::vector<Record> records;
+  for (int i = 0; i < 1000; ++i) {
+    records.push_back({0, 1.0, static_cast<std::int64_t>(i) * 3000});
+  }
+  for (int i = 0; i < 2500; ++i) {
+    records.push_back({1, 2.0, static_cast<std::int64_t>(i) * 1200});
+  }
+  const engine::WindowConfig window{1'000'000, 1'000'000};
+  const auto windows = exact_window_results(records, window);
+  ASSERT_EQ(windows.size(), 3u);
+  const std::uint64_t expected[3][2] = {{334, 834}, {333, 833}, {333, 833}};
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    EXPECT_EQ(windows[w].window_end_us,
+              static_cast<std::int64_t>(w + 1) * 1'000'000);
+    std::uint64_t seen[2] = {0, 0};
+    for (const auto& c : windows[w].cells) seen[c.stratum] += c.seen;
+    EXPECT_EQ(seen[0], expected[w][0]) << "window " << w;
+    EXPECT_EQ(seen[1], expected[w][1]) << "window " << w;
+  }
+
+  // The same records in event-time order give the same windows.
+  auto sorted = records;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.event_time_us < b.event_time_us;
+                   });
+  const auto reference = exact_window_results(sorted, window);
+  ASSERT_EQ(reference.size(), windows.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    QuerySpec sum{Aggregation::kSum, true};
+    const auto a = evaluate_window(windows[w], sum);
+    const auto b = evaluate_window(reference[w], sum);
+    EXPECT_EQ(a.overall.estimate, b.overall.estimate) << "window " << w;
+    EXPECT_EQ(a.groups.size(), b.groups.size()) << "window " << w;
   }
 }
 

@@ -1,7 +1,8 @@
 // Sink-level acceptance for sketch-backed queries riding the driver's slide
 // lifecycle: heavy hitters / distinct counts / quantiles evaluated per
 // assembled window next to aggregate queries, completeness gating for
-// dynamically attached sketches, and the cells-only path contract.
+// dynamically attached sketches, and slides closed without the sink's
+// sketch state.
 #include "sketch/sketch_sink.h"
 
 #include <algorithm>
@@ -244,10 +245,11 @@ TEST(SketchQuery, DynamicAttachWithholdsPayloadUntilFullyObservedWindow) {
   EXPECT_TRUE(driver.detach_query("late hitters"));
 }
 
-TEST(SketchQuery, CellsOnlyPathWithholdsPayloadButStaysAligned) {
-  // Slides closed through close_slide_cells carry no record stream: a
-  // non-empty cells-only slide must suppress the sketch payload (never a
-  // partial answer), while genuinely empty slides count as fully observed.
+TEST(SketchQuery, StatelessSlidesWithholdPayloadAndPaddedGapsComplete) {
+  // A slide whose SlideSketches digested records but hold no state for the
+  // sink's spec (provisioned before the spec existed) must suppress the
+  // sketch payload: never a partial answer. Padded gap slides close with
+  // empty sketches and count as fully observed.
   PipelineDriverConfig config;
   config.window = {kWindowUs, kSlideUs};
   SketchSpec spec;
@@ -257,21 +259,22 @@ TEST(SketchQuery, CellsOnlyPathWithholdsPayloadButStaysAligned) {
   PipelineDriver driver(config,
                         [&](const WindowOutput& o) { outputs.push_back(o); });
 
-  estimation::StratumSummary cell;
-  cell.stratum = 1;
-  cell.seen = 100;
-  cell.sampled = 10;
-  cell.sum = 55.0;
-  cell.sum_sq = 400.0;
-  driver.close_slide_cells(0, {cell});
-  driver.close_slide_cells(1, {cell});
-  driver.close_slide_cells(2, {});  // empty: complete by definition
-  driver.close_slide_cells(3, {});
-  ASSERT_EQ(outputs.size(), 3u);
-  ASSERT_EQ(outputs[0].queries.size(), 1u);
+  const auto records = skewed_stream(100, 7);
+  const auto stateless = [&] {
+    sketch::SlideSketches sketches(sketch::SketchPlan{});
+    sketches.absorb(records.data(), records.size());
+    return sketches;
+  };
+  driver.close_slide_sample(0, {}, stateless());
+  driver.close_slide_sample(1, {}, stateless());
+  driver.close_slide_sample(4, {}, stateless());  // pads slides 2 and 3
+  // Windows end at slides 1, 2, 3 and 4; only slides 2+3 are both padded.
+  ASSERT_EQ(outputs.size(), 4u);
+  for (const auto& output : outputs) ASSERT_EQ(output.queries.size(), 1u);
   EXPECT_FALSE(outputs[0].queries[0].sketch.has_value());
   EXPECT_FALSE(outputs[1].queries[0].sketch.has_value());
-  // Window of the two EMPTY slides: complete, payload present, zero counts.
+  EXPECT_FALSE(outputs[3].queries[0].sketch.has_value());
+  // Window of the two padded slides: complete, payload present, zero counts.
   ASSERT_TRUE(outputs[2].queries[0].sketch.has_value());
   EXPECT_EQ(outputs[2].queries[0].sketch->stream_count, 0u);
   EXPECT_EQ(outputs[2].queries[0].sketch->distinct, 0.0);
