@@ -1,14 +1,12 @@
 // Sampler-kernel microbenchmarks (google-benchmark): per-item cost of each
-// sampling algorithm in isolation, plus ablations (Algorithm R vs
-// Algorithm L, OASRS allocation policies, ScaSRS vs Bernoulli, grouping
-// cost of STS).
+// sampling algorithm in isolation, plus ablations (OASRS allocation
+// policies, ScaSRS vs Bernoulli, grouping cost of STS).
 //
-// Before the google-benchmark suite runs, main() measures the OASRS offer
-// paths (per-record skip-ahead offers vs the bulk skip-ahead kernel, each at
-// 1% / 10% / 50% effective sampling fractions) and saves them to
+// Before the google-benchmark suite runs, main() measures the two OASRS
+// offer paths (per-record offer() and offer_run() over same-stratum runs,
+// each at 1% / 10% / 50% effective sampling fractions) and saves them to
 // BENCH_micro_samplers.json, so CI can schema-check and archive the
-// trajectory like the fig_* benches. The Algorithm R vs L comparison lives
-// at reservoir level above.
+// trajectory like the fig_* benches.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -38,7 +36,7 @@ std::vector<Record> bench_stream(std::size_t n) {
   return stream.generate_count(n);
 }
 
-// ---- Reservoir: Algorithm R vs Algorithm L (skip-ahead) ablation.
+// ---- Reservoir: Algorithm R (paper Algorithm 1), per-record offers.
 
 void BM_ReservoirAlgorithmR(benchmark::State& state) {
   const auto records = bench_stream(1 << 16);
@@ -52,39 +50,6 @@ void BM_ReservoirAlgorithmR(benchmark::State& state) {
                           static_cast<std::int64_t>(records.size()));
 }
 BENCHMARK(BM_ReservoirAlgorithmR)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_ReservoirAlgorithmL(benchmark::State& state) {
-  const auto records = bench_stream(1 << 16);
-  const auto capacity = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sampling::FastReservoirSampler<Record> reservoir(capacity, 7);
-    for (const auto& record : records) reservoir.offer(record);
-    benchmark::DoNotOptimize(reservoir.items().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(records.size()));
-}
-BENCHMARK(BM_ReservoirAlgorithmL)->Arg(64)->Arg(1024)->Arg(16384);
-
-// The bulk-offer kernel on exchange-shaped runs: with a saturated reservoir
-// it touches only the geometric acceptance positions of each run.
-
-void BM_ReservoirBulkKernel(benchmark::State& state) {
-  const auto records = bench_stream(1 << 16);
-  const auto capacity = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kRun = 1024;
-  for (auto _ : state) {
-    sampling::FastReservoirSampler<Record> reservoir(capacity, 7);
-    for (std::size_t i = 0; i < records.size(); i += kRun) {
-      reservoir.offer_run(records.data() + i,
-                          std::min(kRun, records.size() - i));
-    }
-    benchmark::DoNotOptimize(reservoir.items().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(records.size()));
-}
-BENCHMARK(BM_ReservoirBulkKernel)->Arg(64)->Arg(1024)->Arg(16384);
 
 // ---- OASRS end-to-end offer cost (3 strata, budget = 10% of stream).
 
@@ -194,7 +159,7 @@ BENCHMARK(BM_OasrsAllocationPolicy)
     ->Arg(static_cast<int>(sampling::AllocationPolicy::kEqual))
     ->Arg(static_cast<int>(sampling::AllocationPolicy::kProportional));
 
-// ---- Saved skip-ahead ablation: BENCH_micro_samplers.json -----------------
+// ---- Saved offer-path runs: BENCH_micro_samplers.json ----------------------
 
 /// Exchange-shaped workload: same-stratum chunks of `kRunLength` records
 /// rotating over `kStrata` strata — the run shape a worker's offer_batch
@@ -251,10 +216,11 @@ bench::Json measure_mode(const char* mode, const std::vector<Record>& records,
   return run;
 }
 
-/// The skip-ahead ablation: two offer paths at three effective sampling
-/// fractions. At 1% the reservoirs saturate almost immediately, which is the
-/// regime the bulk kernel's O(accepted) claim is about.
-void write_skip_ahead_json() {
+/// The two OASRS offer paths at three effective sampling fractions: per
+/// record (one stratum lookup per record) and per same-stratum run (one
+/// lookup per run). At 1% the reservoirs fill almost at once and then
+/// reject nearly every record; at 50% they accept far more.
+void write_offer_paths_json() {
   const std::size_t n = bench::scaled(std::size_t{1} << 20);
   const auto records = chunked_stream(n);
   const int passes = 5;
@@ -267,16 +233,16 @@ void write_skip_ahead_json() {
     const auto per_record = [&](auto& sampler) {
       for (const auto& record : records) sampler.offer(record);
     };
-    const auto bulk_runs = [&](auto& sampler) {
+    const auto per_run = [&](auto& sampler) {
       for (std::size_t i = 0; i < records.size(); i += kRunLength) {
         const std::size_t len = std::min(kRunLength, records.size() - i);
         sampler.offer_run(records[i].stratum, records.data() + i, len);
       }
     };
-    runs.push(measure_mode("skip_ahead_offer", records, budget, fraction,
-                           passes, per_record));
-    runs.push(measure_mode("skip_ahead_bulk_kernel", records, budget,
-                           fraction, passes, bulk_runs));
+    runs.push(measure_mode("oasrs_offer", records, budget, fraction, passes,
+                           per_record));
+    runs.push(measure_mode("oasrs_offer_run", records, budget, fraction,
+                           passes, per_run));
   }
 
   auto body = bench::Json::object();
@@ -290,14 +256,14 @@ void write_skip_ahead_json() {
   body.set("runs", std::move(runs));
   const std::string path = bench::write_bench_json("micro_samplers", body);
   if (!path.empty()) {
-    std::printf("skip-ahead ablation saved to %s\n", path.c_str());
+    std::printf("offer-path runs saved to %s\n", path.c_str());
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  write_skip_ahead_json();
+  write_offer_paths_json();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

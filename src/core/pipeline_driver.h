@@ -325,10 +325,10 @@ class PipelineDriver {
   /// zero); nullopt before the first record/close. Lifecycle thread only.
   std::optional<std::int64_t> next_to_close() const noexcept;
 
-  /// Skip-ahead kernel totals of every slide closed on the live path: bulk
-  /// runs fed to samplers, records accepted into reservoirs, and records
-  /// skipped. Banked at each close (the shards' counters ride along through
-  /// OasrsSampler::merge). Lifecycle thread only.
+  /// Sampler totals of every slide closed on the live path: same-stratum
+  /// runs fed to samplers, records written into reservoirs, and records
+  /// offered but not written. Banked at each close (the shards' counters
+  /// ride along through OasrsSampler::merge). Lifecycle thread only.
   const sampling::OasrsKernelStats& kernel_stats() const noexcept {
     return kernel_stats_;
   }
@@ -356,8 +356,8 @@ class PipelineDriver {
           sketches(plan) {}
 
     /// The one place records reach a sampler and sketches: the sampler
-    /// segments the run into maximal same-stratum runs for its skip-ahead
-    /// kernel, the sketches digest every record.
+    /// segments the run into maximal same-stratum runs, one reservoir
+    /// lookup each, and the sketches digest every record.
     void absorb(const engine::Record* run, std::size_t n) {
       sampler.offer_batch(run, n);
       sketches.absorb(run, n);

@@ -13,10 +13,14 @@ StreamApprox::StreamApprox(ingest::Broker& broker, StreamApproxConfig config)
   // Validated eagerly so misconfiguration fails at construction.
   engine::SlidingWindowAssembler probe(config_.window);
   (void)probe;
-  // A zero-record poll is a misconfiguration: reject it rather than let the
-  // exchange round it up to one record.
+  // A zero-record poll is a misconfiguration in either mode: reject it
+  // rather than let the exchange round it up to one record.
   if (config_.poll_batch == 0) {
     throw std::invalid_argument("StreamApprox: poll_batch must be >= 1");
+  }
+  if (config_.exchange_batch_size == 0) {
+    throw std::invalid_argument(
+        "StreamApprox: exchange_batch_size must be >= 1");
   }
   broker_.topic(config_.topic);  // throws if missing
 }

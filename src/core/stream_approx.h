@@ -133,11 +133,10 @@ struct ShardedRunStats {
   std::uint64_t batches_absorbed = 0;
   std::uint64_t heartbeats_absorbed = 0;
   std::uint64_t records_absorbed = 0;
-  /// Skip-ahead kernel totals: bulk runs fed to samplers, records accepted
-  /// into reservoirs, and records skipped (arrived while the reservoir was
-  /// saturated, so never written and never even read). accepts + skipped
-  /// can trail records_absorbed when late runs are dropped before reaching
-  /// a sampler.
+  /// Sampler totals: same-stratum runs fed to samplers, records written
+  /// into reservoirs, and records offered but not written (the reservoir
+  /// was full and rejected them). accepts + skipped can trail
+  /// records_absorbed when late runs are dropped before reaching a sampler.
   std::uint64_t sampler_bulk_runs = 0;
   std::uint64_t sampler_accepts = 0;
   std::uint64_t sampler_skipped = 0;

@@ -1,7 +1,8 @@
 // Online Adaptive Stratified Reservoir Sampling — the paper's primary
-// contribution (Algorithm 3). One reservoir per stratum, strata discovered on
-// the fly, per-interval counters C_i, weights W_i per Eq. 1, no knowledge of
-// sub-stream statistics required and no synchronisation between workers.
+// contribution (Algorithm 3). One Algorithm R reservoir (Algorithm 1) per
+// stratum, strata discovered on the fly, per-interval counters C_i, weights
+// W_i per Eq. 1, no knowledge of sub-stream statistics required and no
+// synchronisation between workers.
 #pragma once
 
 #include <algorithm>
@@ -32,8 +33,9 @@ struct OasrsConfig {
   std::uint64_t seed = 0x0a5125ULL;
 };
 
-/// Counters from the skip-ahead bulk kernel, accumulated across offer_run
-/// calls (and carried along by merge). `skipped` records were never read.
+/// Sampler counters, accumulated across offer_run calls (and carried along
+/// by merge): `bulk_runs` same-stratum runs offered, `accepted` records
+/// written into a reservoir, `skipped` records offered and not written.
 struct OasrsKernelStats {
   std::uint64_t bulk_runs = 0;
   std::uint64_t accepted = 0;
@@ -48,11 +50,6 @@ struct OasrsKernelStats {
 /// (§3.2). Call take() at the end of every time interval (batch or window
 /// slide) to obtain the (sample, W) pair of Algorithm 3 and reset counters
 /// for the next interval.
-///
-/// Every stratum samples with the skip-ahead kernel (FastReservoirSampler,
-/// Algorithm L): distribution-identical to Algorithm R (ReservoirSampler,
-/// kept as the reference implementation) but O(accepted) instead of
-/// O(arrived) on saturated reservoirs.
 template <typename T, typename KeyFn = std::function<StratumId(const T&)>>
 class OasrsSampler {
  public:
@@ -68,9 +65,8 @@ class OasrsSampler {
   }
 
   /// Offers a contiguous same-stratum run of items whose stratum the caller
-  /// already knows — the skip-ahead bulk kernel, fed by offer_batch. A
-  /// saturated reservoir reads only its accepted positions inside the run;
-  /// the skipped records' values are never copied. Returns the number of
+  /// already knows, fed by offer_batch: one reservoir lookup per run, then
+  /// the reservoir's acceptance loop over the run. Returns the number of
   /// items written to the sample.
   std::size_t offer_run(const StratumId id, const T* items, std::size_t n) {
     if (n == 0) return 0;
@@ -182,7 +178,7 @@ class OasrsSampler {
   /// map walk; merge and take keep it in sync with the per-stratum C_i sums.
   std::uint64_t interval_seen() const noexcept { return interval_seen_; }
 
-  /// Bulk-kernel counters accumulated so far (survive take(); a window's
+  /// Run counters accumulated so far (survive take(); a window's
   /// worth is read by the merger at slide close).
   const OasrsKernelStats& kernel_stats() const noexcept { return stats_; }
 
@@ -212,7 +208,7 @@ class OasrsSampler {
   }
 
  private:
-  using Reservoir = FastReservoirSampler<T>;
+  using Reservoir = ReservoirSampler<T>;
 
   /// Builds a stratum reservoir with its own forked seed.
   Reservoir make_reservoir(std::size_t capacity) {

@@ -1,12 +1,15 @@
 // Tests for OASRS (paper Algorithm 3): per-stratum fairness, Eq. 1 weights,
 // on-the-fly stratum discovery, interval reset semantics, budget allocation,
+// same-stratum run offers and their counters, allocation of taken samples,
 // distributed merge.
 #include "sampling/oasrs.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/record.h"
 #include "estimation/estimators.h"
@@ -423,6 +426,128 @@ TEST(Oasrs, ManyStrataDiscoveryKeepsBudgetInvariant) {
     auto sample = sampler.take();
     EXPECT_EQ(sample.strata.size(), kStrata);
     EXPECT_LE(sample.total_sampled(), config.total_budget);
+  }
+}
+
+// The taken stratum sample is the reservoir's own vector, handed on: at a
+// budget of 2^26 (the feedback cap) one record must not carry a 2^26-slot
+// allocation with it, whether taken directly or after the slide-close merge
+// into an empty sampler.
+TEST(Oasrs, TakenSampleAllocatesOnlyWhatItHolds) {
+  constexpr std::size_t kBudget = std::size_t{1} << 26;
+  OasrsConfig config;
+  config.total_budget = kBudget;
+  auto sampler = make_oasrs<Record>(config);
+  sampler.offer(make_record(3, 1.0));
+  auto part = make_oasrs<Record>(config);
+  part.offer(make_record(3, 2.0));
+  auto merged = make_oasrs<Record>(config);
+  merged.merge(part);
+
+  const auto taken = sampler.take();
+  ASSERT_EQ(taken.strata.size(), 1u);
+  ASSERT_EQ(taken.strata[0].items.size(), 1u);
+  EXPECT_LT(taken.strata[0].items.capacity(), kBudget);
+  const auto closed = merged.take();
+  ASSERT_EQ(closed.strata.size(), 1u);
+  ASSERT_EQ(closed.strata[0].items.size(), 1u);
+  EXPECT_LT(closed.strata[0].items.capacity(), kBudget);
+}
+
+/// 4 strata in blocks of 64 records: the run shape the exchange produces.
+std::vector<Record> stratified_stream(int n) {
+  std::vector<Record> records;
+  records.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    records.push_back(Record{static_cast<StratumId>((i / 64) % 4),
+                             static_cast<double>(i),
+                             static_cast<std::int64_t>(i) * 100});
+  }
+  return records;
+}
+
+// OASRS bookkeeping exactness: every per-stratum C_i, weight, sample SIZE
+// (min(capacity, C_i), whatever the seed), stratum discovery order, and the
+// interval counter equal those of separately seeded per-stratum reservoirs
+// that re-split the budget on discovery the way OASRS does. Only sample
+// MEMBERSHIP may differ.
+TEST(Oasrs, CountersMatchPerStratumReservoirs) {
+  constexpr std::size_t kBudget = 128;
+  const auto records = stratified_stream(20000);
+  OasrsConfig config;
+  config.total_budget = kBudget;
+  config.seed = 42;
+  auto sampler = make_oasrs<Record>(config);
+  sampler.offer_batch(records);
+
+  std::vector<StratumId> order;
+  std::unordered_map<StratumId, ReservoirSampler<Record>> reference;
+  for (const auto& record : records) {
+    auto it = reference.find(record.stratum);
+    if (it == reference.end()) {
+      order.push_back(record.stratum);
+      const std::size_t share = kBudget / order.size();
+      for (auto& [id, reservoir] : reference) reservoir.shrink_capacity(share);
+      it = reference
+               .emplace(record.stratum,
+                        ReservoirSampler<Record>(share, order.size()))
+               .first;
+    }
+    it->second.offer(record);
+  }
+
+  EXPECT_EQ(sampler.interval_seen(), 20000u);
+  EXPECT_EQ(sampler.stratum_count(), order.size());
+  const auto a = sampler.take();
+  ASSERT_EQ(a.strata.size(), order.size());
+  for (std::size_t i = 0; i < a.strata.size(); ++i) {
+    const auto& expected = reference.at(order[i]);
+    EXPECT_EQ(a.strata[i].stratum, order[i]);
+    EXPECT_EQ(a.strata[i].seen, expected.seen());
+    EXPECT_EQ(a.strata[i].items.size(), expected.items().size());
+    EXPECT_DOUBLE_EQ(a.strata[i].weight, expected.weight());
+  }
+  EXPECT_EQ(sampler.interval_seen(), 0u);  // take() resets the running counter
+}
+
+// interval_seen() stays exact through merge (running counter, not map walk).
+TEST(Oasrs, IntervalSeenTracksOfferAndMerge) {
+  auto a = make_oasrs<Record>(fixed_capacity_config(16, 1));
+  auto b = make_oasrs<Record>(fixed_capacity_config(16, 2));
+  const auto records = stratified_stream(1000);
+  a.offer_batch(records.data(), 600);
+  b.offer_batch(records.data() + 600, 400);
+  EXPECT_EQ(a.interval_seen(), 600u);
+  EXPECT_EQ(b.interval_seen(), 400u);
+  a.merge(b);
+  EXPECT_EQ(a.interval_seen(), 1000u);
+}
+
+// The known-stratum offer_run path (what offer_batch feeds with each
+// maximal same-stratum run) is bit-identical to per-record offer(): same
+// reservoirs, same RNG order. Its counters account for every record.
+TEST(Oasrs, OfferRunMatchesPerRecordOffer) {
+  const auto records = stratified_stream(8000);
+  OasrsConfig config;
+  config.total_budget = 96;
+  config.seed = 9;
+  auto per_record = make_oasrs<Record>(config);
+  auto via_runs = make_oasrs<Record>(config);
+  for (const auto& r : records) per_record.offer(r);
+  for (std::size_t i = 0; i < records.size(); i += 64) {
+    via_runs.offer_run(records[i].stratum, records.data() + i, 64);
+  }
+  EXPECT_GT(via_runs.kernel_stats().bulk_runs, 0u);
+  EXPECT_EQ(via_runs.kernel_stats().accepted +
+                via_runs.kernel_stats().skipped,
+            8000u);
+  const auto a = per_record.take();
+  const auto b = via_runs.take();
+  ASSERT_EQ(a.strata.size(), b.strata.size());
+  for (std::size_t i = 0; i < a.strata.size(); ++i) {
+    EXPECT_EQ(a.strata[i].stratum, b.strata[i].stratum);
+    EXPECT_EQ(a.strata[i].seen, b.strata[i].seen);
+    EXPECT_EQ(a.strata[i].items, b.strata[i].items);
   }
 }
 

@@ -560,6 +560,45 @@ TEST(WorkStealing, ForcedStealsMatchSequential) {
   expect_identical_windows(sequential, sharded.outputs);
 }
 
+TEST(WorkStealing, SamplerCountersMatchSequential) {
+  // Tiny deques + per-record ingest cost force morsels through the steal
+  // path (the recipe above) on the gaussian stream: watermarks, late drops
+  // and per-window records_seen must equal the sequential run's, and the
+  // sampler counters must show the run path actually ran. On the
+  // sequential run no record is late, so every record is counted as
+  // accepted or skipped. It reads the same exchange on its own thread, so
+  // it reports the same scheduler and exchange counters, with no steals.
+  const auto records = make_stream(3.0, 20000.0, 32);
+  const auto sequential = run_mode_with_stats(records, 1, 2);
+  const ShardedRunStats& sequential_stats = sequential.stats;
+  EXPECT_GT(sequential_stats.sampler_bulk_runs, 0u);
+  EXPECT_EQ(sequential_stats.sampler_accepts + sequential_stats.sampler_skipped,
+            records.size());
+  EXPECT_EQ(sequential_stats.records_absorbed, records.size());
+  EXPECT_EQ(sequential_stats.exchange_records_routed, records.size());
+  ASSERT_EQ(sequential_stats.per_worker_records.size(), 1u);
+  EXPECT_EQ(sequential_stats.per_worker_records[0], records.size());
+  EXPECT_GT(sequential_stats.batches_absorbed, 0u);
+  EXPECT_EQ(sequential_stats.owner_pops, sequential_stats.batches_absorbed);
+  EXPECT_EQ(sequential_stats.steals, 0u);
+  EXPECT_FALSE(sequential_stats.watermark_lag_us.empty());
+  const auto sharded = run_mode_with_stats(
+      records, 8, 2, [](StreamApproxConfig& c) {
+        c.steal_deque_capacity = 2;
+        c.ingest_cost = {500};
+      });
+  ASSERT_GT(sequential.outputs.size(), 2u);
+  expect_identical_windows(sequential.outputs, sharded.outputs);
+  const ShardedRunStats& stats = sharded.stats;
+  EXPECT_GT(stats.sampler_bulk_runs, 0u);
+  EXPECT_GT(stats.sampler_accepts, 0u);
+  // Every counted record was absorbed; late-dropped runs may make the sum
+  // trail records_absorbed but never exceed it.
+  EXPECT_LE(stats.sampler_accepts + stats.sampler_skipped,
+            stats.records_absorbed);
+  EXPECT_GT(stats.sampler_accepts + stats.sampler_skipped, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Sketch sinks: unlike sample-backed estimates (whose sampled counts are
 // timing-dependent when sharded), sketch state is merge-EXACT — counter adds,

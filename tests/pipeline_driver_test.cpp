@@ -1,7 +1,8 @@
 // Tests for the reusable slide-lifecycle driver: cold start away from slide
 // zero, sequential offer/advance/finish, the per-shard stores of open slides
-// and their one close (single-threaded and with concurrent feeders), the
-// external sample path and its ordering contract, and budget re-tuning.
+// and their one close (single-threaded and with concurrent feeders), slide
+// runs reaching the samplers, the external sample path and its ordering
+// contract, and budget re-tuning.
 #include "core/pipeline_driver.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <limits>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -499,6 +501,106 @@ TEST(PipelineDriver, ShardsMergeAtOneClose) {
   // Four accepted single-stratum runs; the late ones never reached a
   // sampler.
   EXPECT_EQ(driver.kernel_stats().bulk_runs, 4u);
+}
+
+/// Keeps a copy of every closed slide's sample.
+class SampleRecorder final : public QuerySink {
+ public:
+  explicit SampleRecorder(
+      std::vector<sampling::StratifiedSample<Record>>* samples)
+      : QuerySink("samples"), samples_(samples) {}
+
+  void on_slide(const std::vector<estimation::StratumSummary>&,
+                const sampling::StratifiedSample<Record>* sample,
+                const sketch::SlideSketches*) override {
+    samples_->push_back(*sample);
+  }
+  QueryOutput evaluate(const engine::WindowResult&) override { return {}; }
+  std::unique_ptr<QuerySink> clone() const override {
+    return std::make_unique<SampleRecorder>(samples_);
+  }
+
+ private:
+  std::vector<sampling::StratifiedSample<Record>>* samples_;
+};
+
+// The absorb path every live feeder runs (slide runs from
+// for_each_slide_run, late slides dropped at the fence, every kept run
+// absorbed into its slide's sampler) against per-record offer() into
+// per-slide samplers. The batch has a stratum run that crosses a slide
+// boundary and a whole late-dropped slide, so the sampler must segment each
+// kept slide run on its own: its runs are exactly the maximal same-stratum
+// runs inside that slide run.
+TEST(PipelineDriver, SlideRunsStraddlingSlidesMatchPerRecordOffer) {
+  constexpr std::int64_t kSlideUs = 1000;
+  std::vector<Record> batch;
+  std::int64_t t = 0;
+  const auto append = [&](sampling::StratumId stratum, int n,
+                          std::int64_t slide) {
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t time = std::max(t, slide * kSlideUs);
+      batch.push_back(Record{stratum, static_cast<double>(batch.size()), time});
+      t = time + 1;
+    }
+  };
+  append(5, 30, 0);  // slide 0: late-dropped below
+  append(6, 20, 0);
+  append(1, 40, 1);  // slide 1: three maximal runs...
+  append(2, 30, 1);
+  append(3, 25, 1);  // ...the last continues into slide 2
+  append(3, 35, 2);  // slide 2: four maximal runs
+  append(1, 50, 2);
+  append(2, 1, 2);
+  append(1, 2, 2);
+  const std::map<std::int64_t, std::uint64_t> expected_runs = {{1, 3},
+                                                               {2, 4}};
+
+  std::vector<sampling::StratifiedSample<Record>> samples;
+  PipelineDriverConfig config;
+  config.window = {kSlideUs, kSlideUs};  // one slide per window
+  config.initial_budget = 16;  // every reservoir fills and starts rejecting
+  // An accuracy budget keeps the cost function out, and the recorder's
+  // zero-bound windows hold the budget at its floor of 16.
+  config.budget = estimation::QueryBudget::relative_error(0.01);
+  config.queries.add(std::make_unique<SampleRecorder>(&samples));
+  PipelineDriver driver(config, nullptr);
+  // Close slide 0 first, so the batch's slide-0 runs arrive late.
+  ASSERT_TRUE(driver.offer(Record{9, 0.0, 0}));
+  ASSERT_EQ(driver.advance(kSlideUs), 1u);
+  EXPECT_EQ(driver.offer_batch(batch), batch.size() - 50);
+
+  std::map<std::int64_t, PipelineDriver::Sampler> per_record;
+  for (const auto& record : batch) {
+    const std::int64_t slide = record.event_time_us / kSlideUs;
+    if (slide < 1) continue;
+    auto it = per_record.find(slide);
+    if (it == per_record.end()) {
+      it = per_record
+               .try_emplace(slide, driver.slide_sampler_config(slide),
+                            engine::RecordStratum{})
+               .first;
+    }
+    it->second.offer(record);
+  }
+  ASSERT_EQ(per_record.size(), 2u);
+
+  for (auto& [slide, sampler] : per_record) {
+    const std::uint64_t runs_before = driver.kernel_stats().bulk_runs;
+    ASSERT_EQ(driver.advance((slide + 1) * kSlideUs), 1u);
+    EXPECT_EQ(driver.kernel_stats().bulk_runs - runs_before,
+              expected_runs.at(slide))
+        << "slide " << slide;
+    ASSERT_EQ(samples.size(), static_cast<std::size_t>(slide) + 1);
+    const auto& a = samples.back();
+    const auto b = sampler.take();
+    ASSERT_EQ(a.strata.size(), b.strata.size()) << "slide " << slide;
+    for (std::size_t i = 0; i < a.strata.size(); ++i) {
+      EXPECT_EQ(a.strata[i].stratum, b.strata[i].stratum);
+      EXPECT_EQ(a.strata[i].seen, b.strata[i].seen);
+      EXPECT_EQ(a.strata[i].weight, b.strata[i].weight);
+      EXPECT_EQ(a.strata[i].items, b.strata[i].items);
+    }
+  }
 }
 
 TEST(PipelineDriver, ConcurrentFeedersMatchExactWindows) {

@@ -1,11 +1,14 @@
-// Tests for Algorithm R (paper Algorithm 1) and Algorithm L reservoirs:
-// size bounds, counters, Eq. 1 weights, selection uniformity (chi-square),
-// distributed merge.
+// Tests for the Algorithm R reservoir (paper Algorithm 1): size bounds,
+// counters, Eq. 1 weights, selection uniformity (chi-square) over per-record
+// and run offers and after a mid-stream shrink, allocation, distributed
+// merge.
 #include "sampling/reservoir.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -99,6 +102,142 @@ TEST(Reservoir, TakeItemsMovesOut) {
   EXPECT_EQ(reservoir.seen(), 4u);  // counter unaffected
 }
 
+// A stratum's capacity can be the whole slide budget (2^26 at the feedback
+// cap) while it holds a few records: the sample vector must grow with what
+// arrives, not reserve the capacity, at construction or at reset.
+TEST(Reservoir, AllocatesOnlyWhatItHolds) {
+  constexpr std::size_t kCapacity = std::size_t{1} << 26;
+  ReservoirSampler<int> reservoir(kCapacity, 17);
+  for (int i = 0; i < 3; ++i) reservoir.offer(i);
+  EXPECT_EQ(reservoir.items().size(), 3u);
+  EXPECT_LT(reservoir.items().capacity(), kCapacity);
+  reservoir.reset(kCapacity);
+  EXPECT_LT(reservoir.items().capacity(), kCapacity);
+  for (int i = 0; i < 3; ++i) reservoir.offer(i);
+  EXPECT_LT(reservoir.items().capacity(), kCapacity);
+}
+
+// offer() is offer_run() over one item, and a run draws what its items
+// offered one at a time would draw, so cutting a stream into runs changes
+// nothing. Ragged run lengths cross the fill boundary and put acceptances
+// both at run edges and inside runs.
+TEST(Reservoir, OfferRunMatchesPerRecordOffer) {
+  constexpr std::size_t kCapacity = 32;
+  constexpr int kStream = 5000;
+  std::vector<int> stream(kStream);
+  std::iota(stream.begin(), stream.end(), 0);
+
+  ReservoirSampler<int> per_record(kCapacity, 77);
+  ReservoirSampler<int> runs(kCapacity, 77);
+  for (int x : stream) per_record.offer(x);
+  const std::size_t lengths[] = {7, 64, 1, 130, 3, 500};
+  std::size_t i = 0, c = 0;
+  while (i < stream.size()) {
+    const std::size_t n = std::min(lengths[c++ % 6], stream.size() - i);
+    runs.offer_run(stream.data() + i, n);
+    i += n;
+  }
+  EXPECT_EQ(per_record.seen(), runs.seen());
+  EXPECT_EQ(per_record.items(), runs.items());
+  EXPECT_DOUBLE_EQ(per_record.weight(), runs.weight());
+}
+
+// Selection uniformity through offer_run: every one of 2000 stream positions
+// must land in the sample with probability N/n. Positions are bucketed
+// 20-wide; chi-square with 99 dof, alpha=0.001 critical ~148.2.
+TEST(Reservoir, RunSelectionIsUniform) {
+  constexpr int kStream = 2000;
+  constexpr std::size_t kCapacity = 50;
+  constexpr int kTrials = 1000;
+  constexpr int kBuckets = 100;
+  constexpr int kWidth = kStream / kBuckets;
+  std::vector<int> stream(kStream);
+  std::iota(stream.begin(), stream.end(), 0);
+  std::vector<double> hits(kBuckets, 0.0);
+  for (int t = 0; t < kTrials; ++t) {
+    ReservoirSampler<int> reservoir(kCapacity, 31000 + t);
+    for (int i = 0; i < kStream; i += 64) {
+      reservoir.offer_run(stream.data() + i,
+                          std::min<std::size_t>(64, kStream - i));
+    }
+    for (int item : reservoir.items()) hits[item / kWidth] += 1.0;
+  }
+  const std::vector<double> expected(
+      kBuckets, kTrials * static_cast<double>(kCapacity) / kBuckets);
+  EXPECT_LT(streamapprox::chi_square(hits, expected), 148.2);
+}
+
+// OASRS shrinks every reservoir whenever a new stratum joins the shared
+// budget, mid-stream. Selection must stay uniform across the shrink: the
+// positions before it must not be over- or under-represented in the final
+// sample. Chi-square as above.
+TEST(Reservoir, ShrinkKeepsSelectionUniform) {
+  constexpr int kStream = 2000;  // 1000 before the shrink, 1000 after
+  constexpr int kTrials = 2000;
+  constexpr int kBuckets = 100;
+  constexpr int kWidth = kStream / kBuckets;
+  std::vector<int> stream(kStream);
+  std::iota(stream.begin(), stream.end(), 0);
+  std::vector<double> hits(kBuckets, 0.0);
+  for (int t = 0; t < kTrials; ++t) {
+    ReservoirSampler<int> reservoir(64, 64000 + t);
+    reservoir.offer_run(stream.data(), 1000);
+    reservoir.shrink_capacity(16);
+    reservoir.offer_run(stream.data() + 1000, 1000);
+    EXPECT_EQ(reservoir.seen(), 2000u);
+    EXPECT_EQ(reservoir.items().size(), 16u);
+    for (int item : reservoir.items()) hits[item / kWidth] += 1.0;
+  }
+  const std::vector<double> expected(kBuckets, kTrials * 16.0 / kBuckets);
+  EXPECT_LT(streamapprox::chi_square(hits, expected), 148.2);
+}
+
+// Counters and sizes across the operations OASRS exercises, in the order it
+// runs them: take keeps the counters, reset, shrink then continue, zero
+// capacity, merge then continue.
+TEST(Reservoir, CountersSurviveTakeResetShrinkAndMerge) {
+  ReservoirSampler<int> r(8, 1);
+  for (int i = 0; i < 100; ++i) r.offer(i);
+  EXPECT_EQ(r.seen(), 100u);
+  EXPECT_EQ(r.items().size(), 8u);
+  EXPECT_DOUBLE_EQ(r.weight(), 100.0 / 8.0);
+
+  const auto taken = r.take_items();
+  EXPECT_EQ(taken.size(), 8u);
+  EXPECT_EQ(r.seen(), 100u);  // counters survive the take
+  EXPECT_TRUE(r.items().empty());
+
+  r.reset(4);
+  EXPECT_EQ(r.seen(), 0u);
+  EXPECT_EQ(r.capacity(), 4u);
+  for (int i = 0; i < 50; ++i) r.offer(i);
+  r.shrink_capacity(2);
+  EXPECT_EQ(r.items().size(), 2u);
+  EXPECT_EQ(r.seen(), 50u);
+  EXPECT_DOUBLE_EQ(r.weight(), 25.0);
+  for (int i = 50; i < 200; ++i) r.offer(i);  // sampling continues
+  EXPECT_EQ(r.seen(), 200u);
+  EXPECT_EQ(r.items().size(), 2u);
+
+  ReservoirSampler<int> zero(0, 2);
+  int payload = 1;
+  zero.offer(payload);
+  EXPECT_EQ(zero.offer_run(&payload, 1), 0u);
+  EXPECT_EQ(zero.seen(), 2u);
+  EXPECT_TRUE(zero.items().empty());
+
+  ReservoirSampler<int> a(10, 3);
+  ReservoirSampler<int> b(10, 4);
+  for (int i = 0; i < 100; ++i) a.offer(i);
+  for (int i = 100; i < 150; ++i) b.offer(i);
+  a.merge(b);
+  EXPECT_EQ(a.seen(), 150u);
+  EXPECT_EQ(a.items().size(), 10u);
+  for (int i = 150; i < 400; ++i) a.offer(i);  // sampling continues
+  EXPECT_EQ(a.seen(), 400u);
+  EXPECT_EQ(a.items().size(), 10u);
+}
+
 TEST(ReservoirMerge, CountsAccumulate) {
   ReservoirSampler<int> a(10, 9);
   ReservoirSampler<int> b(10, 10);
@@ -170,75 +309,24 @@ TEST(ReservoirMerge, MergedSelectionIsUniform) {
   EXPECT_LT(streamapprox::chi_square(hits, expected), 148.2);
 }
 
-TEST(FastReservoir, SizeAndCounter) {
-  FastReservoirSampler<int> reservoir(16, 14);
-  for (int i = 0; i < 5000; ++i) reservoir.offer(i);
-  EXPECT_EQ(reservoir.items().size(), 16u);
-  EXPECT_EQ(reservoir.seen(), 5000u);
-  EXPECT_DOUBLE_EQ(reservoir.weight(), 5000.0 / 16.0);
-}
-
-TEST(FastReservoir, UnderFilledKeepsAll) {
-  FastReservoirSampler<int> reservoir(100, 15);
-  for (int i = 0; i < 30; ++i) reservoir.offer(i);
-  EXPECT_EQ(reservoir.items().size(), 30u);
-  EXPECT_DOUBLE_EQ(reservoir.weight(), 1.0);
-}
-
-TEST(FastReservoir, SelectionIsUniform) {
-  constexpr int kStream = 100;
-  constexpr int kCapacity = 10;
-  constexpr int kTrials = 20000;
-  std::vector<double> hits(kStream, 0.0);
-  for (int t = 0; t < kTrials; ++t) {
-    FastReservoirSampler<int> reservoir(kCapacity, 4000 + t);
-    for (int i = 0; i < kStream; ++i) reservoir.offer(i);
-    for (int item : reservoir.items()) hits[item] += 1.0;
-  }
-  const std::vector<double> expected(
-      kStream, kTrials * static_cast<double>(kCapacity) / kStream);
-  EXPECT_LT(streamapprox::chi_square(hits, expected), 148.2);
-}
-
-TEST(FastReservoir, ResetRestartsCleanly) {
-  FastReservoirSampler<int> reservoir(8, 16);
-  for (int i = 0; i < 100; ++i) reservoir.offer(i);
-  reservoir.reset();
-  EXPECT_EQ(reservoir.seen(), 0u);
-  for (int i = 0; i < 8; ++i) reservoir.offer(i);
-  EXPECT_EQ(reservoir.items().size(), 8u);
-  EXPECT_DOUBLE_EQ(reservoir.weight(), 1.0);
-}
-
-// Algorithm R and Algorithm L draw statistically identical samples: compare
-// their selection frequencies on the same stream with the two-sample
-// chi-square statistic sum (O_l - O_r)^2 / (O_l + O_r), which is chi-square
-// with dof = positions - 1 when both samplers share one distribution.
-TEST(FastReservoir, MatchesAlgorithmRDistribution) {
-  constexpr int kStream = 60;
-  constexpr int kCapacity = 6;
-  constexpr int kTrials = 30000;
-  std::vector<double> hits_r(kStream, 0.0);
-  std::vector<double> hits_l(kStream, 0.0);
-  for (int t = 0; t < kTrials; ++t) {
-    ReservoirSampler<int> r(kCapacity, 5000 + t);
-    FastReservoirSampler<int> l(kCapacity, 90000 + t);
-    for (int i = 0; i < kStream; ++i) {
-      r.offer(i);
-      l.offer(i);
-    }
-    for (int item : r.items()) hits_r[item] += 1.0;
-    for (int item : l.items()) hits_l[item] += 1.0;
-  }
-  double two_sample = 0.0;
-  for (int i = 0; i < kStream; ++i) {
-    const double total = hits_l[i] + hits_r[i];
-    if (total <= 0.0) continue;
-    const double diff = hits_l[i] - hits_r[i];
-    two_sample += diff * diff / total;
-  }
-  // 59 dof, alpha=0.001 critical ~98.3.
-  EXPECT_LT(two_sample, 98.3);
+// The consuming merge overload draws the same randomness as the copying one
+// (so either call site gets the identical merged sample) and moves the
+// donor's items instead of copying them.
+TEST(ReservoirMerge, ConsumingMergeMatchesCopyingMerge) {
+  const auto fill = [](auto& reservoir, int from, int to) {
+    for (int i = from; i < to; ++i) reservoir.offer(i);
+  };
+  ReservoirSampler<int> a1(12, 5), a2(12, 5), b1(12, 6), b2(12, 6);
+  fill(a1, 0, 300);
+  fill(a2, 0, 300);
+  fill(b1, 300, 500);
+  fill(b2, 300, 500);
+  a1.merge(b1);             // copying
+  a2.merge(std::move(b2));  // consuming
+  EXPECT_EQ(a1.items(), a2.items());
+  EXPECT_EQ(a1.seen(), a2.seen());
+  EXPECT_FALSE(b1.items().empty());  // copy preserved the donor
+  EXPECT_TRUE(b2.items().empty());   // move consumed it
 }
 
 }  // namespace

@@ -43,13 +43,18 @@ TEST(StreamApprox, RequiresExistingTopic) {
 
 TEST(StreamApprox, RejectsZeroPollBatch) {
   // A zero-record poll is a misconfiguration: construction refuses it
-  // rather than let the exchange round it up to one record.
+  // rather than let the exchange round it up to one record. Both poll sizes
+  // are checked whatever the worker count.
   ingest::Broker broker;
   broker.create_topic("input", 1);
   auto config = base_config();
   config.poll_batch = 0;
   EXPECT_THROW(StreamApprox(broker, config), std::invalid_argument);
   config.poll_batch = 1;
+  EXPECT_NO_THROW(StreamApprox(broker, config));
+  config.exchange_batch_size = 0;
+  EXPECT_THROW(StreamApprox(broker, config), std::invalid_argument);
+  config.exchange_batch_size = 1;
   EXPECT_NO_THROW(StreamApprox(broker, config));
 }
 
