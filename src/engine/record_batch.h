@@ -95,18 +95,32 @@ struct RecordBatch {
 
 /// Calls `fn(slide, run, count)` for every run of consecutive records in
 /// [records, records + count) mapping to the same slide index
-/// (event_time_us / slide_us). This is the ONE run segmentation every
-/// batched ingest hot path uses — the sequential driver and the sharded
-/// workers apply their late-drop rules to identical runs, which the
-/// parallel-equivalence guarantee depends on.
+/// (event_time_us / slide_us, truncating, so slide 0 holds all of
+/// (−slide_us, slide_us)). This is the ONE run segmentation every batched
+/// ingest hot path uses — the sequential driver and the sharded workers
+/// apply their late-drop rules to identical runs, which the
+/// parallel-equivalence guarantee depends on. Each run divides once, for
+/// its first record; the rest of the run is found by comparing event times
+/// with that slide's bounds. `slide_us` must be positive.
 template <typename Fn>
 void for_each_slide_run(const Record* records, std::size_t count,
                         std::int64_t slide_us, Fn&& fn) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t span = slide_us - 1;
   std::size_t i = 0;
   while (i < count) {
     const std::int64_t slide = records[i].event_time_us / slide_us;
+    // |start| ≤ |event time|, so the product cannot overflow; the bounds
+    // clamp where start ± span would pass the int64 range.
+    const std::int64_t start = slide * slide_us;
+    const std::int64_t lo =
+        slide > 0 ? start : (start < kMin + span ? kMin : start - span);
+    const std::int64_t hi =
+        slide < 0 ? start : (start > kMax - span ? kMax : start + span);
     std::size_t end = i + 1;
-    while (end < count && records[end].event_time_us / slide_us == slide) {
+    while (end < count && records[end].event_time_us >= lo &&
+           records[end].event_time_us <= hi) {
       ++end;
     }
     fn(slide, records + i, end - i);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 namespace streamapprox::sketch {
@@ -167,6 +169,15 @@ QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
   }
   gamma_ = (1.0 + alpha) / (1.0 - alpha);
   log_gamma_ = std::log(gamma_);
+  // DBL_MAX (where ±inf counts too) has the largest bucket index, and every
+  // magnitude above 1e-12 one smaller in absolute value, so this one check
+  // keeps every index in int32.
+  if (!(std::ceil(std::log(std::numeric_limits<double>::max()) / log_gamma_) <=
+        std::numeric_limits<std::int32_t>::max())) {
+    throw std::invalid_argument(
+        "quantile alpha is too small: the bucket index of DBL_MAX overflows "
+        "int32");
+  }
 }
 
 std::int32_t QuantileSketch::bucket_index(double magnitude) const {
@@ -177,21 +188,93 @@ std::int32_t QuantileSketch::bucket_index(double magnitude) const {
 double QuantileSketch::representative(std::int32_t index) const {
   // Midpoint (harmonic) of bucket (γ^(i−1), γ^i]: 2γ^i / (γ+1) — within α
   // relative error of every value in the bucket.
-  return 2.0 * std::pow(gamma_, static_cast<double>(index)) / (gamma_ + 1.0);
+  const double midpoint =
+      2.0 * std::pow(gamma_, static_cast<double>(index)) / (gamma_ + 1.0);
+  if (std::isfinite(midpoint)) [[likely]] return midpoint;
+  // The buckets next to DBL_MAX overflow γ^i or 2γ^i: take the midpoint from
+  // γ^(i−1) instead, and DBL_MAX when even the midpoint is past it (every
+  // finite value of the bucket is then at most DBL_MAX, so the error only
+  // shrinks).
+  return std::min(std::pow(gamma_, static_cast<double>(index) - 1.0) *
+                      (2.0 * gamma_ / (gamma_ + 1.0)),
+                  std::numeric_limits<double>::max());
+}
+
+void QuantileSketch::Store::add(std::int32_t index) {
+  std::int64_t slot = std::int64_t{index} - offset_;
+  if (static_cast<std::uint64_t>(slot) >= counts_.size()) [[unlikely]] {
+    cover(index, index);
+    slot = std::int64_t{index} - offset_;
+  }
+  ++counts_[static_cast<std::size_t>(slot)];
+}
+
+void QuantileSketch::Store::cover(std::int32_t lo, std::int32_t hi) {
+  if (counts_.empty()) {
+    offset_ = lo;
+    counts_.assign(static_cast<std::size_t>(std::int64_t{hi} - lo + 1), 0);
+    return;
+  }
+  // A side that grows gains at least kHeadroom buckets, so a stream whose
+  // extreme walks outward one bucket at a time moves the store once per
+  // kHeadroom buckets instead of once per bucket.
+  constexpr std::int64_t kHeadroom = 64;
+  const std::int64_t old_lo = offset_;
+  const std::int64_t old_hi = old_lo + std::ssize(counts_) - 1;
+  if (hi > old_hi) {
+    const std::int64_t new_hi =
+        std::min<std::int64_t>(std::max<std::int64_t>(hi, old_hi + kHeadroom),
+                               std::numeric_limits<std::int32_t>::max());
+    counts_.resize(static_cast<std::size_t>(new_hi - old_lo + 1), 0);
+  }
+  if (lo < old_lo) {
+    const std::int64_t new_lo =
+        std::max<std::int64_t>(std::min<std::int64_t>(lo, old_lo - kHeadroom),
+                               std::numeric_limits<std::int32_t>::min());
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(old_lo - new_lo),
+                   0);
+    offset_ = static_cast<std::int32_t>(new_lo);
+  }
+}
+
+void QuantileSketch::Store::merge(const Store& other) {
+  if (other.counts_.empty()) return;
+  const std::int64_t other_hi =
+      std::int64_t{other.offset_} + std::ssize(other.counts_) - 1;
+  cover(other.offset_, static_cast<std::int32_t>(other_hi));
+  const auto shift = static_cast<std::size_t>(std::int64_t{other.offset_} -
+                                              offset_);
+  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+    counts_[shift + i] += other.counts_[i];
+  }
+}
+
+bool QuantileSketch::Store::agrees_within(const Store& other) const noexcept {
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const auto slot = static_cast<std::uint64_t>(
+        std::int64_t{offset_} + static_cast<std::int64_t>(i) - other.offset_);
+    const std::uint64_t theirs =
+        slot < other.counts_.size() ? other.counts_[slot] : 0;
+    if (counts_[i] != theirs) return false;
+  }
+  return true;
 }
 
 void QuantileSketch::update(double value) {
+  if (std::isnan(value)) return;  // no rank: not counted
   ++count_;
   // Magnitudes below the smallest representable bucket boundary collapse to
   // the zero bucket (their absolute value is ≤ 1e-12; relative error on such
-  // answers is meaningless at double precision anyway).
-  const double magnitude = std::abs(value);
+  // answers is meaningless at double precision anyway). ±inf counts at the
+  // bucket of ±DBL_MAX.
+  const double magnitude =
+      std::min(std::abs(value), std::numeric_limits<double>::max());
   if (magnitude <= 1e-12) {
     ++zero_count_;
   } else if (value > 0.0) {
-    ++positive_[bucket_index(magnitude)];
+    positive_.add(bucket_index(magnitude));
   } else {
-    ++negative_[bucket_index(magnitude)];
+    negative_.add(bucket_index(magnitude));
   }
 }
 
@@ -202,23 +285,31 @@ double QuantileSketch::quantile(double q) const {
       q * static_cast<double>(count_ - 1);  // rank in [0, count)
   std::uint64_t cumulative = 0;
   // Ascending value order: most-negative first (descending |v| index), then
-  // zeros, then positives ascending.
-  for (auto it = negative_.rbegin(); it != negative_.rend(); ++it) {
-    cumulative += it->second;
+  // zeros, then positives ascending. An empty bucket leaves `cumulative`
+  // unchanged, so it never answers.
+  const std::vector<std::uint64_t>& negative = negative_.counts();
+  for (std::size_t i = negative.size(); i-- > 0;) {
+    cumulative += negative[i];
     if (static_cast<double>(cumulative) > target) {
-      return -representative(it->first);
+      return -representative(negative_.offset() + static_cast<std::int32_t>(i));
     }
   }
   cumulative += zero_count_;
   if (static_cast<double>(cumulative) > target) return 0.0;
-  for (const auto& [index, bucket_count] : positive_) {
-    cumulative += bucket_count;
+  const std::vector<std::uint64_t>& positive = positive_.counts();
+  for (std::size_t i = 0; i < positive.size(); ++i) {
+    cumulative += positive[i];
     if (static_cast<double>(cumulative) > target) {
-      return representative(index);
+      return representative(positive_.offset() + static_cast<std::int32_t>(i));
     }
   }
   // Numerically unreachable; return the largest representative for safety.
-  return positive_.empty() ? 0.0 : representative(positive_.rbegin()->first);
+  for (std::size_t i = positive.size(); i-- > 0;) {
+    if (positive[i] != 0) {
+      return representative(positive_.offset() + static_cast<std::int32_t>(i));
+    }
+  }
+  return 0.0;
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -227,22 +318,22 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   }
   count_ += other.count_;
   zero_count_ += other.zero_count_;
-  for (const auto& [index, bucket_count] : other.positive_) {
-    positive_[index] += bucket_count;
-  }
-  for (const auto& [index, bucket_count] : other.negative_) {
-    negative_[index] += bucket_count;
-  }
+  positive_.merge(other.positive_);
+  negative_.merge(other.negative_);
 }
 
 std::uint64_t QuantileSketch::digest() const noexcept {
   std::uint64_t acc = mix64(std::bit_cast<std::uint64_t>(alpha_));
-  for (const auto& [index, bucket_count] : positive_) {
-    acc = fold(acc, static_cast<std::uint64_t>(index) * 2 + 2, bucket_count);
-  }
-  for (const auto& [index, bucket_count] : negative_) {
-    acc = fold(acc, static_cast<std::uint64_t>(index) * 2 + 3, bucket_count);
-  }
+  const auto fold_store = [&acc](const Store& store, std::uint64_t tag) {
+    const std::vector<std::uint64_t>& counts = store.counts();
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] == 0) continue;
+      const auto index = store.offset() + static_cast<std::int32_t>(i);
+      acc = fold(acc, static_cast<std::uint64_t>(index) * 2 + tag, counts[i]);
+    }
+  };
+  fold_store(positive_, 2);
+  fold_store(negative_, 3);
   return mix64(acc ^ (count_ * 0x9e3779b97f4a7c15ULL) ^ zero_count_);
 }
 

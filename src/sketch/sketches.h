@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace streamapprox::sketch {
@@ -125,17 +124,24 @@ class HyperLogLog {
   std::vector<std::uint8_t> registers_;
 };
 
-/// Quantile sketch over log-spaced buckets (DDSketch-style): bucket i covers
-/// (γ^(i−1), γ^i] with γ = (1+α)/(1−α), so any reported quantile of the
-/// positive (or negative, via a mirrored store) values has relative value
-/// error at most α — deterministically, not just in expectation. Merging
-/// adds bucket counts — exact. This fills the KLL slot of the query family;
-/// KLL's randomized compaction was rejected because its state depends on
-/// arrival order, which would break sharded ≡ sequential bit-identity.
+/// Quantile sketch over log-spaced buckets (DDSketch; Masson, Rim & Lee,
+/// VLDB 2019): bucket i covers (γ^(i−1), γ^i] with γ = (1+α)/(1−α), so any
+/// reported quantile of the positive (or negative, via a mirrored store)
+/// values has relative value error at most α — deterministically, not just
+/// in expectation. Each sign keeps DDSketch's dense store, so an update is
+/// an index and an add and a merge is an element-wise add — exact. This
+/// fills the KLL slot of the query family; KLL's randomized compaction was
+/// rejected because its state depends on arrival order, which would break
+/// sharded ≡ sequential bit-identity.
 class QuantileSketch {
  public:
+  /// Throws std::invalid_argument unless α ∈ (0, 1) and α is large enough
+  /// that the bucket index of DBL_MAX fits in int32 (α ≳ 1.7e-7).
   explicit QuantileSketch(double alpha);
 
+  /// Counts one value. ±inf counts at the bucket of ±DBL_MAX, so it ranks
+  /// as the extreme value and answers finitely; NaN has no rank and is
+  /// skipped (count() does not include it). Magnitudes ≤ 1e-12 count as 0.
   void update(double value);
 
   /// Value at quantile q ∈ [0, 1] (midpoint of the covering bucket, so the
@@ -151,10 +157,42 @@ class QuantileSketch {
 
   std::uint64_t digest() const noexcept;
 
+  /// Equal bucket contents (stores compare by content, see Store).
   friend bool operator==(const QuantileSketch&,
                          const QuantileSketch&) = default;
 
  private:
+  /// DDSketch's dense store: counts()[i] is the count of bucket
+  /// offset() + i. The extent grows at either end to cover a new index, so
+  /// memory is one counter per bucket between the smallest and largest
+  /// magnitude seen (plus a little headroom). The extent depends on the
+  /// order the store grew in, so equality compares bucket contents, with
+  /// buckets outside an extent counting 0.
+  class Store {
+   public:
+    void add(std::int32_t index);
+    void merge(const Store& other);
+
+    std::int32_t offset() const noexcept { return offset_; }
+    const std::vector<std::uint64_t>& counts() const noexcept {
+      return counts_;
+    }
+
+    friend bool operator==(const Store& a, const Store& b) noexcept {
+      return a.agrees_within(b) && b.agrees_within(a);
+    }
+
+   private:
+    /// Grows the extent to cover [lo, hi].
+    void cover(std::int32_t lo, std::int32_t hi);
+    /// Every bucket in this store's extent has the same count in `other`
+    /// (0 outside `other`'s extent).
+    bool agrees_within(const Store& other) const noexcept;
+
+    std::int32_t offset_ = 0;
+    std::vector<std::uint64_t> counts_;
+  };
+
   std::int32_t bucket_index(double magnitude) const;
   double representative(std::int32_t index) const;
 
@@ -163,8 +201,8 @@ class QuantileSketch {
   double log_gamma_ = 0.0;
   std::uint64_t count_ = 0;
   std::uint64_t zero_count_ = 0;
-  std::map<std::int32_t, std::uint64_t> positive_;
-  std::map<std::int32_t, std::uint64_t> negative_;  // keyed by index of |v|
+  Store positive_;
+  Store negative_;  // indexed by the bucket of |v|
 };
 
 }  // namespace streamapprox::sketch

@@ -6,9 +6,11 @@
 #include "sketch/sketches.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
 #include <functional>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -188,6 +190,172 @@ TEST(Quantile, HandlesZerosAndEmpty) {
   sketch.update(10.0);
   EXPECT_EQ(sketch.quantile(0.25), 0.0);
   EXPECT_NEAR(sketch.quantile(1.0), 10.0, 0.5);
+}
+
+// Golden values recorded from the earlier std::map bucket stores: the dense
+// stores must reproduce every digest and every answer bit for bit.
+std::vector<double> golden_stream() {
+  // 200k mixed-sign log-normal values, 5 % of them exactly zero.
+  Rng rng(20190704);
+  std::vector<double> values;
+  values.reserve(200'000);
+  for (int i = 0; i < 200'000; ++i) {
+    const double u = rng.uniform();
+    if (u < 0.05) {
+      values.push_back(0.0);
+      continue;
+    }
+    const double magnitude = rng.lognormal(1.0, 2.5);
+    values.push_back(u < 0.35 ? -magnitude : magnitude);
+  }
+  return values;
+}
+
+TEST(Quantile, GoldenDigestsAndAnswers) {
+  struct Golden {
+    double alpha;
+    std::uint64_t digest;
+    std::array<double, 7> answers;  // at kProbes
+  };
+  constexpr std::array<double, 7> kProbes = {0.0,  0.01, 0.25, 0.5,
+                                             0.75, 0.99, 1.0};
+  const std::array<Golden, 3> goldens = {{
+      {0.01, 0xb119e1289c52e423ULL,
+       {-99741.157797414926, -273.18166371111323, -0.23454722188287233,
+        0.43601541932813259, 5.7546506369829293, 607.99318741106924,
+        287900.15720533475}},
+      {0.02, 0x26c53289bf418765ULL,
+       {-98847.512256460279, -265.21588072801967, -0.23214461676056133,
+        0.4402954062106802, 5.6975258299456781, 614.40613398799997,
+        291116.17578886478}},
+      {0.05, 0x1436db06d3c0c431ULL,
+       {-104651.16898347739, -258.10858921508179, -0.23399355325756208,
+        0.42657760839696091, 5.7558052813421412, 635.32171717657991,
+        284708.88577545388}},
+  }};
+  const std::vector<double> values = golden_stream();
+  for (const Golden& golden : goldens) {
+    QuantileSketch sketch(golden.alpha);
+    for (const double v : values) sketch.update(v);
+    EXPECT_EQ(sketch.count(), values.size());
+    EXPECT_EQ(sketch.digest(), golden.digest) << "alpha=" << golden.alpha;
+    for (std::size_t i = 0; i < kProbes.size(); ++i) {
+      EXPECT_EQ(sketch.quantile(kProbes[i]), golden.answers[i])
+          << "alpha=" << golden.alpha << " q=" << kProbes[i];
+    }
+  }
+}
+
+TEST(Quantile, EqualityIgnoresGrowthOrder) {
+  // A store's extent depends on the order it grew in; equality and the
+  // digest must not.
+  std::vector<double> values = golden_stream();
+  values.resize(20'000);
+  std::sort(values.begin(), values.end(),
+            [](double a, double b) { return std::abs(a) < std::abs(b); });
+  QuantileSketch low_first(0.02);
+  for (const double v : values) low_first.update(v);
+  QuantileSketch high_first(0.02);
+  for (auto it = values.rbegin(); it != values.rend(); ++it) {
+    high_first.update(*it);
+  }
+  // Merged from parts: the extremes first, then the middle, into a fresh
+  // sketch.
+  QuantileSketch extremes(0.02);
+  QuantileSketch middle(0.02);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const bool outer = i < 2'000 || i + 2'000 >= values.size();
+    (outer ? extremes : middle).update(values[i]);
+  }
+  QuantileSketch merged(0.02);
+  merged.merge(extremes);
+  merged.merge(middle);
+
+  EXPECT_EQ(low_first, high_first);
+  EXPECT_EQ(low_first, merged);
+  EXPECT_EQ(high_first.digest(), low_first.digest());
+  EXPECT_EQ(merged.digest(), low_first.digest());
+  QuantileSketch one_more = merged;
+  one_more.update(values.front());
+  EXPECT_FALSE(one_more == merged);
+  EXPECT_NE(one_more.digest(), merged.digest());
+}
+
+TEST(Quantile, PositiveInfinityRanksAsLargest) {
+  const double alpha = 0.01;
+  const double max = std::numeric_limits<double>::max();
+  QuantileSketch sketch(alpha);
+  for (int v = 1; v <= 100; ++v) sketch.update(v);
+  sketch.update(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sketch.count(), 101u);
+  EXPECT_NEAR(sketch.quantile(0.0), 1.0, alpha);
+  EXPECT_NEAR(sketch.quantile(0.5), 51.0, alpha * 51.0);
+  EXPECT_NEAR(sketch.quantile(0.99), 100.0, alpha * 100.0);
+  const double top = sketch.quantile(1.0);
+  EXPECT_TRUE(std::isfinite(top));
+  EXPECT_NEAR(top / max, 1.0, alpha);
+}
+
+TEST(Quantile, NegativeInfinityRanksAsSmallest) {
+  const double alpha = 0.01;
+  const double max = std::numeric_limits<double>::max();
+  QuantileSketch sketch(alpha);
+  sketch.update(-std::numeric_limits<double>::infinity());
+  for (int v = 1; v <= 100; ++v) sketch.update(-v);
+  sketch.update(-max);
+  EXPECT_EQ(sketch.count(), 102u);
+  const double bottom = sketch.quantile(0.0);
+  EXPECT_TRUE(std::isfinite(bottom));
+  EXPECT_NEAR(bottom / -max, 1.0, alpha);
+  EXPECT_NEAR(sketch.quantile(0.01) / -max, 1.0, alpha);
+  EXPECT_NEAR(sketch.quantile(1.0), -1.0, alpha);
+}
+
+TEST(Quantile, NanIsSkippedAndNotCounted) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  QuantileSketch with_nan(0.01);
+  QuantileSketch without(0.01);
+  for (int v = -50; v <= 50; ++v) {
+    with_nan.update(v);
+    without.update(v);
+    if (v % 10 == 0) with_nan.update(v < 0 ? -nan : nan);
+  }
+  EXPECT_EQ(with_nan.count(), 101u);
+  EXPECT_EQ(with_nan, without);
+  EXPECT_EQ(with_nan.digest(), without.digest());
+  for (const double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    EXPECT_EQ(with_nan.quantile(q), without.quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(Quantile, TinyAndHugeMagnitudesInOneSketch) {
+  // 1e-11 and 1e300 span about 36k buckets at α = 0.01; both answer within
+  // α, and so does a merge of the two apart.
+  const double alpha = 0.01;
+  QuantileSketch sketch(alpha);
+  QuantileSketch tiny(alpha);
+  QuantileSketch huge(alpha);
+  for (int i = 0; i < 10; ++i) {
+    sketch.update(1e-11);
+    tiny.update(1e-11);
+    sketch.update(1e300);
+    huge.update(1e300);
+  }
+  EXPECT_NEAR(sketch.quantile(0.0), 1e-11, alpha * 1e-11);
+  EXPECT_NEAR(sketch.quantile(1.0), 1e300, alpha * 1e300);
+  huge.merge(tiny);
+  EXPECT_EQ(huge, sketch);
+  EXPECT_EQ(huge.digest(), sketch.digest());
+}
+
+TEST(Quantile, RejectsAlphaOutsideItsRange) {
+  EXPECT_THROW(QuantileSketch(0.0), std::invalid_argument);
+  EXPECT_THROW(QuantileSketch(1.0), std::invalid_argument);
+  EXPECT_THROW(QuantileSketch(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  // So small that the bucket index of DBL_MAX would overflow int32.
+  EXPECT_THROW(QuantileSketch(1e-8), std::invalid_argument);
+  EXPECT_NO_THROW(QuantileSketch(1e-6));
 }
 
 // ---------------------------------------------- Merge property tests
