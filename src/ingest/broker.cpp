@@ -3,29 +3,56 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace streamapprox::ingest {
 
 // ---------------------------------------------------------------- Partition
 
-Offset PartitionLog::append(const engine::Record& record) {
-  Offset offset = 0;
+Offset PartitionLog::append(const engine::Record* records,
+                            std::size_t count) {
+  Offset first = 0;
   {
     std::lock_guard lock(mutex_);
+    first = size_;
+    if (count == 0) return first;
     if (sealed_) throw std::logic_error("PartitionLog: append after seal");
-    log_.push_back(record);
-    offset = log_.size() - 1;
+    while (count > 0) {
+      if (segments_.empty() || segments_.back().size() == kSegmentRecords) {
+        std::vector<engine::Record> segment;
+        segment.reserve(kSegmentRecords);
+        segments_.push_back(std::move(segment));
+      }
+      auto& tail = segments_.back();
+      const std::size_t n = std::min(count, kSegmentRecords - tail.size());
+      tail.insert(tail.end(), records, records + n);
+      records += n;
+      count -= n;
+      size_ += n;
+    }
   }
   data_.notify_all();
-  return offset;
+  return first;
+}
+
+Offset PartitionLog::copy_out(Offset from, std::size_t max_records,
+                              std::vector<engine::Record>& out) const {
+  if (from >= size_) return from;
+  const Offset end = from + std::min<Offset>(max_records, size_ - from);
+  for (Offset at = from; at < end;) {
+    const engine::Record* segment = segments_[at / kSegmentRecords].data();
+    const std::size_t index = at % kSegmentRecords;
+    const std::size_t n = std::min<Offset>(end - at, kSegmentRecords - index);
+    out.insert(out.end(), segment + index, segment + index + n);
+    at += n;
+  }
+  return end;
 }
 
 Offset PartitionLog::read(Offset from, std::size_t max_records,
                           std::vector<engine::Record>& out) const {
   std::lock_guard lock(mutex_);
-  const Offset end = std::min<Offset>(log_.size(), from + max_records);
-  for (Offset i = from; i < end; ++i) out.push_back(log_[i]);
-  return end > from ? end : from;
+  return copy_out(from, max_records, out);
 }
 
 Offset PartitionLog::read_blocking(Offset from, std::size_t max_records,
@@ -33,15 +60,13 @@ Offset PartitionLog::read_blocking(Offset from, std::size_t max_records,
                                    std::int64_t timeout_ms) const {
   std::unique_lock lock(mutex_);
   data_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                 [&] { return sealed_ || log_.size() > from; });
-  const Offset end = std::min<Offset>(log_.size(), from + max_records);
-  for (Offset i = from; i < end; ++i) out.push_back(log_[i]);
-  return end > from ? end : from;
+                 [&] { return sealed_ || size_ > from; });
+  return copy_out(from, max_records, out);
 }
 
 Offset PartitionLog::end_offset() const {
   std::lock_guard lock(mutex_);
-  return log_.size();
+  return size_;
 }
 
 void PartitionLog::seal() {
@@ -118,7 +143,22 @@ void Producer::send(const engine::Record& record) {
 }
 
 void Producer::send_batch(const std::vector<engine::Record>& records) {
-  for (const auto& record : records) send(record);
+  // Bounded chunks keep the scatter buffers cache-resident whatever the
+  // batch size; within a chunk each partition's share keeps input order.
+  constexpr std::size_t kChunkRecords = 4096;
+  std::vector<std::vector<engine::Record>> shares(topic_.partition_count());
+  for (std::size_t first = 0; first < records.size(); first += kChunkRecords) {
+    const std::size_t last =
+        std::min(records.size(), first + kChunkRecords);
+    for (std::size_t i = first; i < last; ++i) {
+      shares[topic_.partition_for_key(records[i].stratum)].push_back(
+          records[i]);
+    }
+    for (std::size_t p = 0; p < shares.size(); ++p) {
+      topic_.partition(p).append(shares[p].data(), shares[p].size());
+      shares[p].clear();
+    }
+  }
 }
 
 void Producer::finish() { topic_.seal(); }

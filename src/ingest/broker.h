@@ -3,15 +3,18 @@
 // disjoint sub-streams").
 //
 // Faithful subset: named topics divided into partitions; each partition is
-// an append-only log addressed by offset; producers append (optionally
-// keyed, so one sub-stream maps deterministically onto one partition);
-// consumers poll from their tracked offsets and never remove data, so
-// several consumers can read the same stream independently. Out of scope
-// (docs/architecture.md, "Scope and substitutions"): replication,
-// persistence, consumer groups and their rebalancing protocol.
+// an append-only log addressed by offset and stored, as Kafka stores it, in
+// fixed-size segments that an append never moves; producers append
+// (optionally keyed, so one sub-stream maps deterministically onto one
+// partition); consumers poll from their tracked offsets and never remove
+// data, so several consumers can read the same stream independently. Out of
+// scope (docs/architecture.md, "Scope and substitutions"): replication,
+// persistence, retention and segment deletion, consumer groups and their
+// rebalancing protocol.
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -28,13 +31,28 @@ namespace streamapprox::ingest {
 using Offset = std::uint64_t;
 
 /// One append-only partition log. Thread-safe.
+///
+/// Records live in segments of kSegmentRecords that are allocated when the
+/// tail segment fills and never move or shrink afterwards, so an append
+/// copies only its own records and never waits behind a copy of the log.
+/// Memory is the records plus at most one partly filled segment.
 class PartitionLog {
  public:
-  /// Appends a record, returning its offset.
-  Offset append(const engine::Record& record);
+  /// Records per segment: 2^16 records, 1.5 MiB.
+  static constexpr std::size_t kSegmentRecords = std::size_t{1} << 16;
 
-  /// Copies up to `max_records` records starting at `from` into `out`;
-  /// returns the next offset to read. Does not block.
+  /// Appends a record, returning its offset.
+  Offset append(const engine::Record& record) { return append(&record, 1); }
+
+  /// Appends `count` records in order under one lock acquisition and wakes
+  /// blocked readers once; returns the offset of the first. A count of 0
+  /// appends nothing and returns end_offset(). Throws std::logic_error when
+  /// `count` > 0 and the log is sealed.
+  Offset append(const engine::Record* records, std::size_t count);
+
+  /// Copies up to `max_records` records starting at `from` into `out`, one
+  /// range per segment touched; returns the next offset to read. Does not
+  /// block.
   Offset read(Offset from, std::size_t max_records,
               std::vector<engine::Record>& out) const;
 
@@ -69,9 +87,16 @@ class PartitionLog {
   bool sealed() const;
 
  private:
+  /// Copies [from, from + max_records) clipped to the log; mutex_ held.
+  Offset copy_out(Offset from, std::size_t max_records,
+                  std::vector<engine::Record>& out) const;
+
   mutable std::mutex mutex_;
   mutable std::condition_variable data_;
-  std::vector<engine::Record> log_;
+  /// Each segment is reserved to kSegmentRecords and never grows past it,
+  /// so its buffer keeps its address; only the tail is partly filled.
+  std::vector<std::vector<engine::Record>> segments_;
+  Offset size_ = 0;
   bool sealed_ = false;
 };
 
@@ -136,7 +161,10 @@ class Producer {
   /// Sends one record (keyed by stratum).
   void send(const engine::Record& record);
 
-  /// Sends a batch.
+  /// Sends a batch: scatters bounded chunks of it into per-partition
+  /// shares and appends each share with one bulk append, so every partition
+  /// holds the same records in the same order as a loop of send() leaves.
+  /// Throws std::logic_error after finish(), as send() does.
   void send_batch(const std::vector<engine::Record>& records);
 
   /// Marks the stream complete (seals the topic).

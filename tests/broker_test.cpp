@@ -1,9 +1,14 @@
 // Tests for the Kafka-like broker: partition logs, offsets, keyed routing,
-// sealing, multi-consumer independence.
+// sealing, multi-consumer independence, segment boundaries, bulk appends and
+// concurrent producers and consumers.
 #include "ingest/broker.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <thread>
 
 namespace streamapprox::ingest {
@@ -14,6 +19,29 @@ using engine::Record;
 Record make_record(sampling::StratumId stratum, double value,
                    std::int64_t time_us = 0) {
   return Record{stratum, value, time_us};
+}
+
+constexpr std::size_t kSegment = PartitionLog::kSegmentRecords;
+
+/// Record `i` of a numbered log: its value and time name its offset, so any
+/// misplaced copy shows.
+Record numbered(std::size_t i) {
+  return make_record(static_cast<sampling::StratumId>(i % 7),
+                     static_cast<double>(i), static_cast<std::int64_t>(i));
+}
+
+/// Reads [from, from + max_records) and checks the returned offset and
+/// every record copied.
+void expect_window(const PartitionLog& log, Offset from,
+                   std::size_t max_records, Offset expected_next) {
+  std::vector<Record> out;
+  out.push_back(make_record(99, -1.0));  // read() appends after this
+  EXPECT_EQ(log.read(from, max_records, out), expected_next)
+      << "from " << from << " max " << max_records;
+  ASSERT_EQ(out.size(), 1 + (expected_next - from));
+  for (std::size_t k = 1; k < out.size(); ++k) {
+    ASSERT_EQ(out[k], numbered(from + k - 1)) << "from " << from << " k " << k;
+  }
 }
 
 TEST(PartitionLog, AppendAssignsSequentialOffsets) {
@@ -40,6 +68,37 @@ TEST(PartitionLog, ReadPastEndReturnsNothing) {
   std::vector<Record> out;
   EXPECT_EQ(log.read(5, 10, out), 5u);
   EXPECT_TRUE(out.empty());
+}
+
+TEST(PartitionLog, ReadWindowDoesNotWrapOnHugeMaxRecords) {
+  PartitionLog log;
+  for (std::size_t i = 0; i < 10; ++i) log.append(numbered(i));
+  constexpr auto kAll = std::numeric_limits<std::size_t>::max();
+  expect_window(log, 5, kAll, 10);
+  expect_window(log, 0, kAll, 10);
+  expect_window(log, 10, kAll, 10);
+
+  std::vector<Record> out;
+  EXPECT_EQ(log.read_blocking(5, kAll, out, 0), 10u);
+  EXPECT_EQ(out.size(), 5u);
+}
+
+TEST(Consumer, PollWithHugeMaxRecordsReadsTheRest) {
+  Broker broker;
+  broker.create_topic("t", 1);
+  Producer producer(broker, "t");
+  for (std::size_t i = 0; i < 10; ++i) producer.send(numbered(i));
+  producer.finish();
+
+  Consumer consumer(broker, "t");
+  std::vector<Record> buffer;
+  EXPECT_EQ(consumer.poll(buffer, 4, 0), 4u);
+  // Bounded, so a consumer stuck at offset 4 fails instead of hanging.
+  for (int round = 0; round < 10 && !consumer.exhausted(); ++round) {
+    consumer.poll(buffer, std::numeric_limits<std::size_t>::max(), 0);
+  }
+  EXPECT_TRUE(consumer.exhausted());
+  EXPECT_EQ(consumer.consumed(), 10u);
 }
 
 TEST(PartitionLog, AppendAfterSealThrows) {
@@ -73,6 +132,130 @@ TEST(PartitionLog, BlockingReadWakesOnSeal) {
   sealer.join();
   EXPECT_EQ(next, 0u);
   EXPECT_TRUE(out.empty());
+}
+
+// ---- Segmented storage: reads and appends that straddle segment ends.
+
+/// Two full segments plus 17 records.
+constexpr std::size_t kStraddle = 2 * kSegment + 17;
+
+void expect_straddling_windows(const PartitionLog& log) {
+  ASSERT_EQ(log.end_offset(), kStraddle);
+  expect_window(log, kSegment - 1, 2, kSegment + 1);  // one before a boundary
+  expect_window(log, kSegment - 1, 1, kSegment);
+  expect_window(log, kSegment - 5, kSegment + 10, 2 * kSegment + 5);  // two
+  expect_window(log, 10, kSegment - 10, kSegment);  // ends on a boundary
+  expect_window(log, kSegment, kSegment, 2 * kSegment);  // exactly one
+  expect_window(log, 2 * kSegment, 100, kStraddle);      // the tail
+  expect_window(log, 0, kStraddle, kStraddle);           // everything
+  expect_window(log, kStraddle - 1, 5, kStraddle);
+
+  engine::RecordBatch batch;
+  EXPECT_EQ(log.read(kSegment - 3, 6, batch), kSegment + 3);
+  ASSERT_EQ(batch.size(), 6u);
+  EXPECT_EQ(batch.records.front(), numbered(kSegment - 3));
+  EXPECT_EQ(batch.records.back(), numbered(kSegment + 2));
+}
+
+TEST(PartitionLog, SingleAppendsAcrossSegments) {
+  PartitionLog log;
+  for (std::size_t i = 0; i < kStraddle; ++i) {
+    ASSERT_EQ(log.append(numbered(i)), i);
+  }
+  expect_straddling_windows(log);
+}
+
+TEST(PartitionLog, BulkAppendsAcrossSegments) {
+  std::vector<Record> records(kStraddle);
+  for (std::size_t i = 0; i < kStraddle; ++i) records[i] = numbered(i);
+  PartitionLog log;
+  // Appends that end short of a boundary, exactly on it, and one longer than
+  // a segment that crosses the next; the empty one is a no-op.
+  const std::array<std::size_t, 6> chunks = {kSegment - 3, 3, 10,
+                                             kSegment + 1, 0, kSegment};
+  std::size_t at = 0;
+  for (std::size_t c = 0; at < kStraddle; ++c) {
+    const std::size_t n =
+        std::min(kStraddle - at, chunks[c % chunks.size()]);
+    ASSERT_EQ(log.append(records.data() + at, n), at);
+    at += n;
+    ASSERT_EQ(log.end_offset(), at);
+  }
+  expect_straddling_windows(log);
+
+  // One append that fills two segments and starts a third.
+  PartitionLog whole;
+  ASSERT_EQ(whole.append(records.data(), records.size()), 0u);
+  expect_straddling_windows(whole);
+}
+
+TEST(PartitionLog, BulkAppendOfNothingIsANoOp) {
+  PartitionLog log;
+  EXPECT_EQ(log.append(nullptr, 0), 0u);
+  EXPECT_EQ(log.end_offset(), 0u);
+  log.append(numbered(0));
+  const Record unused = numbered(1);
+  EXPECT_EQ(log.append(&unused, 0), 1u);
+  EXPECT_EQ(log.end_offset(), 1u);
+  expect_window(log, 0, 10, 1);
+  log.seal();
+  EXPECT_EQ(log.append(&unused, 0), 1u);
+  EXPECT_THROW(log.append(&unused, 1), std::logic_error);
+}
+
+TEST(PartitionLog, BlockingReadWakesOnBulkAppend) {
+  PartitionLog log;
+  const std::vector<Record> records = {numbered(0), numbered(1), numbered(2)};
+  std::vector<Record> out;
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    log.append(records.data(), records.size());
+  });
+  const auto next = log.read_blocking(0, 10, out, 2000);
+  writer.join();
+  EXPECT_EQ(next, 3u);
+  EXPECT_EQ(out, records);
+}
+
+TEST(Producer, SendBatchMatchesSendLoopOnEveryPartition) {
+  constexpr std::size_t kPartitions = 5;
+  // Not a multiple of send_batch's chunk or of the segment size, and large
+  // enough that every partition crosses a segment boundary.
+  constexpr std::size_t kCount = kPartitions * kSegment + 12345;
+  std::mt19937_64 rng(20261019);
+  std::uniform_int_distribution<sampling::StratumId> stratum(0, 99);
+  std::vector<Record> records(kCount);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    records[i] = make_record(stratum(rng), static_cast<double>(i),
+                             static_cast<std::int64_t>(i));
+  }
+
+  Broker broker;
+  broker.create_topic("looped", kPartitions);
+  broker.create_topic("batched", kPartitions);
+  Producer looped(broker, "looped");
+  for (const auto& record : records) looped.send(record);
+  Producer batched(broker, "batched");
+  batched.send_batch(records);
+
+  for (std::size_t p = 0; p < kPartitions; ++p) {
+    std::vector<Record> expected;
+    std::vector<Record> actual;
+    broker.topic("looped").partition(p).read(0, kCount, expected);
+    broker.topic("batched").partition(p).read(0, kCount, actual);
+    EXPECT_GT(expected.size(), kSegment) << "partition " << p;
+    EXPECT_TRUE(expected == actual) << "partition " << p;
+  }
+}
+
+TEST(Producer, SendBatchAfterFinishThrows) {
+  Broker broker;
+  broker.create_topic("t", 2);
+  Producer producer(broker, "t");
+  producer.finish();
+  EXPECT_THROW(producer.send(make_record(0, 1.0)), std::logic_error);
+  EXPECT_THROW(producer.send_batch({make_record(0, 1.0), make_record(1, 2.0)}),
+               std::logic_error);
 }
 
 TEST(Broker, CreateTopicIdempotent) {
@@ -166,6 +349,74 @@ TEST(Consumer, ConcurrentProduceConsume) {
   }
   producer_thread.join();
   EXPECT_EQ(received, static_cast<std::size_t>(kCount));
+}
+
+TEST(Consumer, ConcurrentMixedSendsReachEveryConsumerInPartitionOrder) {
+  constexpr std::size_t kPartitions = 3;
+  constexpr std::size_t kCount = 60000;
+  Broker broker;
+  broker.create_topic("t", kPartitions);
+
+  // Each record's value is its sequence number within its partition
+  // (stratum % kPartitions), so a reader checks order and completeness.
+  std::thread producer_thread([&] {
+    Producer producer(broker, "t");
+    std::mt19937_64 rng(7);
+    std::uniform_int_distribution<sampling::StratumId> stratum(0, 11);
+    std::uniform_int_distribution<std::size_t> batch_size(1, 3000);
+    std::array<std::uint64_t, kPartitions> next{};
+    const auto next_record = [&] {
+      const sampling::StratumId s = stratum(rng);
+      return make_record(s, static_cast<double>(next[s % kPartitions]++));
+    };
+    std::vector<Record> batch;
+    for (std::size_t sent = 0; sent < kCount;) {
+      if (rng() % 2 == 0) {
+        producer.send(next_record());
+        ++sent;
+        continue;
+      }
+      batch.clear();
+      const std::size_t n = std::min(kCount - sent, batch_size(rng));
+      for (std::size_t i = 0; i < n; ++i) batch.push_back(next_record());
+      producer.send_batch(batch);
+      sent += n;
+    }
+    producer.finish();
+  });
+
+  const auto consume = [&](std::array<std::uint64_t, kPartitions>& seen,
+                           std::size_t& mismatches) {
+    Consumer consumer(broker, "t");
+    std::vector<Record> buffer;
+    while (!consumer.exhausted()) {
+      consumer.poll(buffer, 512, 5);
+      for (const auto& record : buffer) {
+        auto& expected = seen[record.stratum % kPartitions];
+        if (record.value != static_cast<double>(expected)) ++mismatches;
+        ++expected;
+      }
+    }
+  };
+  std::array<std::array<std::uint64_t, kPartitions>, 2> seen{};
+  std::array<std::size_t, 2> mismatches{};
+  std::thread first([&] { consume(seen[0], mismatches[0]); });
+  std::thread second([&] { consume(seen[1], mismatches[1]); });
+  producer_thread.join();
+  first.join();
+  second.join();
+
+  const Topic& topic = broker.topic("t");
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(mismatches[c], 0u) << "consumer " << c;
+    std::uint64_t total = 0;
+    for (std::size_t p = 0; p < kPartitions; ++p) {
+      EXPECT_EQ(seen[c][p], topic.partition(p).end_offset())
+          << "consumer " << c << " partition " << p;
+      total += seen[c][p];
+    }
+    EXPECT_EQ(total, kCount) << "consumer " << c;
+  }
 }
 
 // ---- Partition-aware consumers / consumer groups (ingest-layer sharding).
