@@ -21,7 +21,6 @@
 #include "sampling/oasrs.h"
 #include "sampling/reservoir.h"
 #include "sampling/scasrs.h"
-#include "sampling/streaming_bernoulli.h"
 #include "sampling/sts.h"
 #include "workload/synthetic.h"
 
@@ -125,10 +124,30 @@ BENCHMARK(BM_GroupByStratum);
 
 // ---- Streaming Bernoulli (lower-bound baseline).
 
+/// Keeps each offered record independently with probability `fraction`: the
+/// simplest online sampler. Unlike OASRS it has no per-stratum fairness, and
+/// its sample size is unbounded in expectation (fraction * stream length).
+class StreamingBernoulliSampler {
+ public:
+  StreamingBernoulliSampler(double fraction, std::uint64_t seed)
+      : fraction_(fraction), rng_(seed) {}
+
+  void offer(const Record& record) {
+    if (rng_.bernoulli(fraction_)) items_.push_back(record);
+  }
+
+  const std::vector<Record>& items() const noexcept { return items_; }
+
+ private:
+  double fraction_;
+  Rng rng_;
+  std::vector<Record> items_;
+};
+
 void BM_StreamingBernoulli(benchmark::State& state) {
   const auto records = bench_stream(1 << 16);
   for (auto _ : state) {
-    sampling::StreamingBernoulliSampler<Record> sampler(0.6, 15);
+    StreamingBernoulliSampler sampler(0.6, 15);
     for (const auto& record : records) sampler.offer(record);
     benchmark::DoNotOptimize(sampler.items().data());
   }

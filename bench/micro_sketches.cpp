@@ -1,12 +1,14 @@
 // Sketch-vs-sample ablation: the three mergeable sketch kinds (Count-Min
 // heavy hitters, HyperLogLog distinct count, log-bucket quantiles) against
-// the same query classes answered from a 10% OASRS stratified sample
-// (estimation/sample_queries.h). The axes are the key regime (Zipf-skewed /
-// uniform) and the key universe ("strata"), because that is what separates
-// the two approaches structurally: weight-scaled sample counts track heavy
-// hitters well under skew, but a sample cannot see the distinct keys it
-// dropped and its tail quantiles degrade with the sampling fraction — the
-// gap the full-stream sketch sinks close at a fixed small memory cost.
+// the same query classes answered from a 10% OASRS stratified sample. The
+// sample-backed answers (sample_heavy_hitters, sample_distinct,
+// sample_quantile) are defined below; only this ablation uses them. The axes
+// are the key regime (Zipf-skewed / uniform) and the key universe
+// ("strata"), because that is what separates the two approaches
+// structurally: weight-scaled sample counts track heavy hitters well under
+// skew, but a sample cannot see the distinct keys it dropped and its tail
+// quantiles degrade with the sampling fraction — the gap the full-stream
+// sketch sinks close at a fixed small memory cost.
 //
 // Writes BENCH_micro_sketches.json (schema-gated by
 // scripts/check_bench_json.py): one run per (method, sketch kind, regime,
@@ -17,6 +19,9 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -24,7 +29,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "engine/record.h"
-#include "estimation/sample_queries.h"
 #include "sampling/oasrs.h"
 #include "sketch/sketches.h"
 
@@ -164,6 +168,70 @@ bench::Json run_json(const std::string& method, const std::string& sketch,
   return entry;
 }
 
+// ---- Sample-backed answers to the sketch query classes, keyed by stratum
+// as main() keys the sketches.
+
+/// Population-scale key frequencies estimated from the sample: every sampled
+/// record contributes its stratum weight W_i to its key's count. Returns the
+/// top_k keys ordered by estimated count desc, key asc (the sketch sink's
+/// deterministic ordering, so ablation rows compare like for like).
+std::vector<std::pair<std::uint64_t, double>> sample_heavy_hitters(
+    const sampling::StratifiedSample<Record>& sample, std::size_t top_k) {
+  std::unordered_map<std::uint64_t, double> estimated;
+  for (const auto& stratum : sample.strata) {
+    for (const auto& record : stratum.items) {
+      estimated[record.stratum] += stratum.weight;
+    }
+  }
+  std::vector<std::pair<std::uint64_t, double>> ranked(estimated.begin(),
+                                                       estimated.end());
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return a.first < b.first;
+            });
+  if (ranked.size() > top_k) ranked.resize(top_k);
+  return ranked;
+}
+
+/// Distinct keys OBSERVED in the sample. A sample cannot estimate past its
+/// kept records, so this undercounts the stream's true cardinality whenever
+/// the sampling fraction drops below 1 — the structural sample-vs-sketch gap
+/// the ablation measures.
+std::uint64_t sample_distinct(
+    const sampling::StratifiedSample<Record>& sample) {
+  std::unordered_set<std::uint64_t> keys;
+  for (const auto& stratum : sample.strata) {
+    for (const auto& record : stratum.items) keys.insert(record.stratum);
+  }
+  return keys.size();
+}
+
+/// Weight-expanded sample quantile: the value at rank q of the sampled
+/// records, each counted with its stratum weight W_i. Returns 0 when the
+/// sample is empty.
+double sample_quantile(const sampling::StratifiedSample<Record>& sample,
+                       double q) {
+  std::vector<std::pair<double, double>> weighted;  // (value, weight)
+  double total_weight = 0.0;
+  for (const auto& stratum : sample.strata) {
+    for (const auto& record : stratum.items) {
+      weighted.emplace_back(record.value, stratum.weight);
+      total_weight += stratum.weight;
+    }
+  }
+  if (weighted.empty() || total_weight <= 0.0) return 0.0;
+  std::sort(weighted.begin(), weighted.end());
+  q = std::clamp(q, 0.0, 1.0);
+  const double target = q * total_weight;
+  double cumulative = 0.0;
+  for (const auto& [value, weight] : weighted) {
+    cumulative += weight;
+    if (cumulative >= target) return value;
+  }
+  return weighted.back().first;
+}
+
 sampling::StratifiedSample<Record> draw_sample(
     const std::vector<Record>& records) {
   sampling::OasrsConfig config;
@@ -191,10 +259,6 @@ int main() {
   };
   const std::vector<Cell> cells = {
       {"zipf", 256}, {"zipf", 4096}, {"uniform", 256}, {"uniform", 4096}};
-
-  const auto key_fn = [](const Record& r) {
-    return static_cast<std::uint64_t>(r.stratum);
-  };
 
   auto runs_json = bench::Json::array();
   Table table("Sketch vs sample accuracy (mean relative error)",
@@ -230,8 +294,7 @@ int main() {
         });
     const auto sample_hh = measure(records.size(), sample_digest, [&] {
       std::map<std::uint64_t, double> estimated;
-      for (const auto& [key, est] :
-           estimation::sample_heavy_hitters(sample, key_fn, kTopK)) {
+      for (const auto& [key, est] : sample_heavy_hitters(sample, kTopK)) {
         estimated[key] = est;
       }
       return heavy_hitter_error(truth, estimated);
@@ -258,21 +321,20 @@ int main() {
           const double truth_d = static_cast<double>(truth.distinct);
           return std::abs(hll.estimate() - truth_d) / truth_d;
         });
-    const auto sample_distinct = measure(records.size(), sample_digest, [&] {
+    const auto sample_keys = measure(records.size(), sample_digest, [&] {
       const double truth_d = static_cast<double>(truth.distinct);
-      const double est =
-          static_cast<double>(estimation::sample_distinct(sample, key_fn));
+      const double est = static_cast<double>(sample_distinct(sample));
       return std::abs(est - truth_d) / truth_d;
     });
     runs_json.push(run_json("sketch", "hll", cell.regime, cell.universe,
                             records.size(), hll_measured));
     runs_json.push(run_json("sample", "hll", cell.regime, cell.universe,
-                            records.size(), sample_distinct));
+                            records.size(), sample_keys));
     table.add_row({cell.regime, std::to_string(cell.universe), "distinct",
                    Table::num(hll_measured.measured_error),
-                   Table::num(sample_distinct.measured_error),
+                   Table::num(sample_keys.measured_error),
                    bench::format_throughput(hll_measured.records_per_sec),
-                   bench::format_throughput(sample_distinct.records_per_sec)});
+                   bench::format_throughput(sample_keys.records_per_sec)});
 
     // ---- Log-bucket quantiles vs weight-expanded sample quantiles.
     sketch::QuantileSketch quant(kQuantileAlpha);
@@ -290,7 +352,7 @@ int main() {
     const auto sample_quant = measure(records.size(), sample_digest, [&] {
       std::vector<double> answers;
       for (const double q : kProbes) {
-        answers.push_back(estimation::sample_quantile(sample, q));
+        answers.push_back(sample_quantile(sample, q));
       }
       return quantile_error(truth, answers);
     });

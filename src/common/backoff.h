@@ -20,46 +20,41 @@ namespace streamapprox {
 /// the round found work.
 class IdleBackoff {
  public:
-  struct Config {
-    /// Empty rounds spent spinning (cpu-relax hint) before yielding.
-    std::uint32_t spins = 64;
-    /// Empty rounds spent yielding before sleeping.
-    std::uint32_t yields = 8;
-    /// First sleep duration; doubles on each further sleeping pause.
-    std::uint32_t min_sleep_us = 4;
-    /// Sleep ceiling — the deepest-idle cost per pause.
-    std::uint32_t max_sleep_us = 256;
-  };
-
-  IdleBackoff() : IdleBackoff(Config{}) {}
-  explicit IdleBackoff(Config config) : config_(config) { reset(); }
+  /// Empty rounds spent spinning (cpu-relax hint) before yielding.
+  static constexpr std::uint32_t kSpins = 64;
+  /// Empty rounds spent yielding before sleeping.
+  static constexpr std::uint32_t kYields = 8;
+  /// First sleep duration; doubles on each further sleeping pause.
+  static constexpr std::uint32_t kMinSleepUs = 4;
+  /// Sleep ceiling — the deepest-idle cost per pause.
+  static constexpr std::uint32_t kMaxSleepUs = 256;
 
   /// Back to the spinning stage; the next sleep restarts at the floor.
   void reset() noexcept {
     round_ = 0;
-    sleep_us_ = std::max<std::uint32_t>(1, config_.min_sleep_us);
+    sleep_us_ = kMinSleepUs;
   }
 
   /// One escalation step: spin, then yield, then sleep (doubling, capped).
   void pause() {
-    if (round_ < config_.spins) {
+    if (round_ < kSpins) {
       ++round_;
       cpu_relax();
       return;
     }
-    if (round_ < config_.spins + config_.yields) {
+    if (round_ < kSpins + kYields) {
       ++round_;
       std::this_thread::yield();
       return;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us_));
-    sleep_us_ = std::min(config_.max_sleep_us, sleep_us_ * 2);
+    sleep_us_ = std::min(kMaxSleepUs, sleep_us_ * 2);
   }
 
   /// Duration the next sleeping pause() would take; 0 while the backoff is
   /// still in its spin/yield stages. Introspection for tests and tuning.
   std::uint32_t next_sleep_us() const noexcept {
-    return round_ < config_.spins + config_.yields ? 0 : sleep_us_;
+    return round_ < kSpins + kYields ? 0 : sleep_us_;
   }
 
  private:
@@ -71,9 +66,8 @@ class IdleBackoff {
 #endif
   }
 
-  Config config_;
   std::uint32_t round_ = 0;
-  std::uint32_t sleep_us_ = 0;
+  std::uint32_t sleep_us_ = kMinSleepUs;
 };
 
 }  // namespace streamapprox

@@ -1,5 +1,5 @@
-// Timing utilities: wall-clock stopwatch, throughput meter, and a token
-// bucket used by the replay tool for rate-controlled stream injection.
+// Timing utilities: a wall-clock stopwatch, and a token bucket used by the
+// replay tool for rate-controlled stream injection.
 #pragma once
 
 #include <chrono>
@@ -26,34 +26,8 @@ class Stopwatch {
   /// Elapsed time in milliseconds.
   double millis() const { return seconds() * 1e3; }
 
-  /// Elapsed time in microseconds.
-  double micros() const { return seconds() * 1e6; }
-
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Counts events against wall-clock time to report a rate (items/second).
-class RateMeter {
- public:
-  /// Records `n` processed items.
-  void add(std::uint64_t n) noexcept { count_ += n; }
-
-  /// Total items recorded.
-  std::uint64_t count() const noexcept { return count_; }
-
-  /// Items per second since construction.
-  double rate() const {
-    const double elapsed = watch_.seconds();
-    return elapsed > 0.0 ? static_cast<double>(count_) / elapsed : 0.0;
-  }
-
-  /// Seconds since construction.
-  double seconds() const { return watch_.seconds(); }
-
- private:
-  Stopwatch watch_;
-  std::uint64_t count_ = 0;
 };
 
 /// Token bucket pacing events to a target rate; rate == 0 disables pacing
@@ -81,15 +55,6 @@ class TokenBucket {
       refill();
     }
     tokens_ -= n;
-  }
-
-  /// Non-blocking acquire; returns false when not enough tokens are banked.
-  bool try_acquire(double n = 1.0) {
-    if (rate_ <= 0.0) return true;
-    refill();
-    if (tokens_ < n) return false;
-    tokens_ -= n;
-    return true;
   }
 
  private:

@@ -71,14 +71,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_slices(count, size(),
-                  [&fn](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) fn(i);
-                  });
-}
-
 void ThreadPool::parallel_slices(
     std::size_t count, std::size_t slices,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {

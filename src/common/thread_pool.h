@@ -1,10 +1,11 @@
 // Fixed-size worker pool used by the batched engine's stage scheduler.
 //
 // Semantics mirror what the micro-batch model needs: submit() enqueues an
-// arbitrary task; parallel_for() slices an index range across the workers and
-// BLOCKS until every slice completed — this barrier is precisely the per-stage
-// synchronisation of a Spark job, and is what makes shuffle-heavy operations
-// (Spark STS's groupBy) expensive in our reproduction, as in the paper.
+// arbitrary task; parallel_slices() splits an index range across the workers
+// and BLOCKS until every slice completed — this barrier is precisely the
+// per-stage synchronisation of a Spark job, and is what makes shuffle-heavy
+// operations (Spark STS's groupBy) expensive in our reproduction, as in the
+// paper.
 #pragma once
 
 #include <condition_variable>
@@ -40,15 +41,10 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void submit(std::function<void()> task);
 
-  /// Runs fn(i) for every i in [0, count) across the pool and waits for all
-  /// invocations to finish (stage barrier). Work is divided into contiguous
-  /// slices, one per worker, to keep per-task overhead negligible.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
-
   /// Runs fn(slice_index, begin, end) for `slices` contiguous sub-ranges of
-  /// [0, count) and waits for completion. Useful when the callee wants one
-  /// context object per slice (e.g. per-partition samplers).
+  /// [0, count) and waits for all of them to finish (stage barrier). One
+  /// task per slice keeps per-task overhead negligible, and the callee can
+  /// keep one context object per slice (e.g. per-partition samplers).
   void parallel_slices(
       std::size_t count, std::size_t slices,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);

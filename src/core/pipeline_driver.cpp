@@ -394,13 +394,11 @@ void PipelineDriver::complete_slide(
   // push may emit ends at exactly this index.
   const std::uint64_t slide_index = assembler_.slides_pushed();
 
-  // Arrival statistics always stay fresh: a detach can empty the bank at
-  // any boundary, and the cost-function fallback then resumes from the
-  // LAST slide's count, not a stale snapshot.
+  // The cost-function fallback below sizes the next slide from this slide's
+  // count: a detach can empty the bank at any boundary, and the fallback
+  // then resumes from the freshest arrivals, not a stale snapshot.
   std::uint64_t slide_seen = 0;
   for (const auto& cell : cells) slide_seen += cell.seen;
-  last_slide_seen_ = slide_seen;
-  if (feedback_.empty()) last_cells_ = cells;
   // Slide-granular fan-out: sinks that keep per-slide state (the HISTOGRAM
   // ring) see every closed slide, empty padded ones included.
   for (auto& q : queries_) q.sink->on_slide(cells, &sample, &sketches);
@@ -463,11 +461,11 @@ void PipelineDriver::complete_slide(
   if (!fed_back && feedback_.empty() &&
       config_.budget.kind != estimation::BudgetKind::kRelativeError) {
     // No accuracy target anywhere: re-derive the sample size from the cost
-    // function using the freshest arrival statistics.
+    // function using the freshest arrival count. An accuracy budget is the
+    // feedback bank's alone.
     slide_budget_.store(
         std::max<std::size_t>(
-            1, cost_function_.sample_size(config_.budget, last_slide_seen_,
-                                          last_cells_)),
+            1, cost_function_.sample_size(config_.budget, slide_seen)),
         std::memory_order_relaxed);
   }
 }

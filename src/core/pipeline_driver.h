@@ -483,9 +483,6 @@ class PipelineDriver {
   /// The next slide to close; set by the first close. Lifecycle thread only.
   std::optional<std::int64_t> next_to_close_;
   sampling::OasrsKernelStats kernel_stats_;
-
-  std::uint64_t last_slide_seen_ = 0;
-  std::vector<estimation::StratumSummary> last_cells_;
 };
 
 }  // namespace streamapprox::core

@@ -195,20 +195,11 @@ std::vector<engine::WindowResult> exact_window_results(
 
   const auto ranges = engine::split_by_interval(records, window.slide_us);
   for (const auto& [begin, end] : ranges) {
-    std::unordered_map<sampling::StratumId, StratumSummary> cells;
+    estimation::ExactCells cells;
     for (std::size_t i = begin; i < end; ++i) {
-      const auto& record = records[i];
-      auto& cell = cells[record.stratum];
-      cell.stratum = record.stratum;
-      ++cell.seen;
-      ++cell.sampled;
-      cell.sum += record.value;
-      cell.sum_sq += record.value * record.value;
+      cells.add(records[i].stratum, records[i].value);
     }
-    std::vector<StratumSummary> slide_cells;
-    slide_cells.reserve(cells.size());
-    for (auto& [id, cell] : cells) slide_cells.push_back(cell);
-    if (auto result = assembler.push_slide(std::move(slide_cells))) {
+    if (auto result = assembler.push_slide(cells.take())) {
       windows.push_back(std::move(*result));
     }
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "engine/batched/dataset.h"
 #include "engine/batched/scheduler.h"
@@ -28,34 +27,11 @@ using engine::batched::SchedulerConfig;
 using engine::batched::StreamRunResult;
 using estimation::StratumSummary;
 using sampling::StratifiedSample;
-using sampling::StratumId;
 
 std::size_t partitions_of(const SystemConfig& config) {
   return config.partitions != 0 ? config.partitions
                                 : std::max<std::size_t>(1, 2 * config.workers);
 }
-
-/// Accumulates one record's (possibly weighted) value into a cell map.
-struct CellMap {
-  std::unordered_map<StratumId, StratumSummary> cells;
-
-  void add_exact(StratumId stratum, double value) {
-    auto& cell = cells[stratum];
-    cell.stratum = stratum;
-    ++cell.seen;
-    ++cell.sampled;
-    cell.sum += value;
-    cell.sum_sq += value * value;
-  }
-
-  std::vector<StratumSummary> take() {
-    std::vector<StratumSummary> out;
-    out.reserve(cells.size());
-    for (auto& [id, cell] : cells) out.push_back(cell);
-    cells.clear();
-    return out;
-  }
-};
 
 // ------------------------------------------------------------- Native Spark
 
@@ -69,9 +45,9 @@ BatchJob make_native_spark_job(Scheduler& scheduler,
     auto dataset = Dataset<Record>::from(batch, partitions, scheduler);
     auto parts = dataset.map_partitions<std::vector<StratumSummary>>(
         [work](std::size_t, const std::vector<Record>& part) {
-          CellMap cells;
+          estimation::ExactCells cells;
           for (const Record& record : part) {
-            cells.add_exact(record.stratum, work.charge(record.value));
+            cells.add(record.stratum, work.charge(record.value));
           }
           return cells.take();
         },
@@ -170,9 +146,9 @@ BatchJob make_spark_srs_job(Scheduler& scheduler, const SystemConfig& config,
         Dataset<Record>::from_partitions(std::move(sample_parts));
     auto cell_parts = sample_ds.map_partitions<std::vector<StratumSummary>>(
         [work, weight](std::size_t, const std::vector<Record>& part) {
-          CellMap cells;
+          estimation::ExactCells cells;
           for (const Record& record : part) {
-            cells.add_exact(record.stratum, work.charge(record.value));
+            cells.add(record.stratum, work.charge(record.value));
           }
           auto out = cells.take();
           // SRS knows only the global population: per-stratum counts C_i are

@@ -2,13 +2,13 @@
 //
 // A Dataset<T> is an immutable collection split into partitions; every
 // transformation is executed eagerly as one scheduler stage (task per
-// partition, barrier at the end). Narrow transformations (map / filter /
-// map_partitions) touch each partition independently; the wide ones
-// (shuffle.h) exchange data between partitions — the expensive path Spark
-// STS takes. Compared to Spark, laziness and lineage-based fault tolerance
-// are out of scope (docs/architecture.md, "Scope and substitutions"): what
-// matters for the paper's measurements is the stage/barrier execution
-// structure, which is faithful.
+// partition, barrier at the end). The narrow one (map_partitions) touches
+// each partition independently; the wide one (shuffle.h) exchanges data
+// between partitions — the expensive path Spark STS takes. Compared to
+// Spark, laziness and lineage-based fault tolerance are out of scope
+// (docs/architecture.md, "Scope and substitutions"): what matters for the
+// paper's measurements is the stage/barrier execution structure, which is
+// faithful.
 #pragma once
 
 #include <cstddef>
@@ -69,33 +69,6 @@ class Dataset {
     return partitions_;
   }
 
-  /// Narrow transformation: one output element per input element.
-  template <typename U, typename Fn>
-  Dataset<U> map(Fn fn, Scheduler& scheduler) const {
-    Dataset<U> out;
-    out.partitions_.resize(partitions_.size());
-    scheduler.run_stage(partitions_.size(), [&](std::size_t p) {
-      out.partitions_[p].reserve(partitions_[p].size());
-      for (const T& item : partitions_[p]) {
-        out.partitions_[p].push_back(fn(item));
-      }
-    });
-    return out;
-  }
-
-  /// Narrow transformation: keeps elements satisfying the predicate.
-  template <typename Fn>
-  Dataset<T> filter(Fn fn, Scheduler& scheduler) const {
-    Dataset out;
-    out.partitions_.resize(partitions_.size());
-    scheduler.run_stage(partitions_.size(), [&](std::size_t p) {
-      for (const T& item : partitions_[p]) {
-        if (fn(item)) out.partitions_[p].push_back(item);
-      }
-    });
-    return out;
-  }
-
   /// Runs fn over each whole partition, producing one U per partition
   /// (the workhorse for per-partition sampling and aggregation).
   template <typename U, typename Fn>
@@ -106,19 +79,6 @@ class Dataset {
     });
     return results;
   }
-
-  /// Gathers every element to the driver.
-  std::vector<T> collect() const {
-    std::vector<T> out;
-    out.reserve(size());
-    for (const auto& p : partitions_) {
-      out.insert(out.end(), p.begin(), p.end());
-    }
-    return out;
-  }
-
-  template <typename U>
-  friend class Dataset;
 
  private:
   std::vector<std::vector<T>> partitions_;

@@ -23,11 +23,6 @@ template <typename T>
 using GroupedPartitions =
     std::vector<std::unordered_map<sampling::StratumId, std::vector<T>>>;
 
-/// Result of reduce_by_key: per-reducer maps key -> reduced value.
-template <typename V>
-using ReducedPartitions =
-    std::vector<std::unordered_map<sampling::StratumId, V>>;
-
 /// groupBy over a dataset: returns per-reducer grouped data. KeyFn maps an
 /// element to its StratumId; `reducers` defaults to the input partition
 /// count. Two stages with a full barrier in between.
@@ -61,57 +56,6 @@ GroupedPartitions<T> shuffle_group_by(const Dataset<T>& input, KeyFn key,
     }
   });
   return grouped;
-}
-
-/// reduceByKey with map-side combining (Spark's efficient wide aggregation):
-/// each mapper pre-reduces its partition into (key, V) pairs, the shuffle
-/// only moves combined values, and reducers merge. `init(item)` seeds the
-/// accumulator from one element, `fold(acc, item)` adds an element, and
-/// `merge(acc, acc)` combines accumulators. Two stages, like group-by, but
-/// far less data movement — included so the engine's API matches what the
-/// paper's query jobs would really use in Spark.
-template <typename T, typename V, typename KeyFn, typename InitFn,
-          typename FoldFn, typename MergeFn>
-ReducedPartitions<V> shuffle_reduce_by_key(const Dataset<T>& input, KeyFn key,
-                                           InitFn init, FoldFn fold,
-                                           MergeFn merge, Scheduler& scheduler,
-                                           std::size_t reducers = 0) {
-  const std::size_t maps = input.partition_count();
-  if (reducers == 0) reducers = maps;
-
-  // Map side with combining: one (key -> V) map per mapper.
-  std::vector<std::unordered_map<sampling::StratumId, V>> combined(maps);
-  scheduler.run_stage(maps, [&](std::size_t p) {
-    auto& local = combined[p];
-    for (const T& item : input.partitions()[p]) {
-      const auto k = key(item);
-      auto it = local.find(k);
-      if (it == local.end()) {
-        local.emplace(k, init(item));
-      } else {
-        fold(it->second, item);
-      }
-    }
-  });
-  // <- stage barrier.
-
-  // Reduce side: merge each reducer's share of the combined maps.
-  ReducedPartitions<V> reduced(reducers);
-  scheduler.run_stage(reducers, [&](std::size_t r) {
-    auto& out = reduced[r];
-    for (std::size_t p = 0; p < maps; ++p) {
-      for (auto& [k, value] : combined[p]) {
-        if (static_cast<std::size_t>(k) % reducers != r) continue;
-        auto it = out.find(k);
-        if (it == out.end()) {
-          out.emplace(k, value);
-        } else {
-          merge(it->second, value);
-        }
-      }
-    }
-  });
-  return reduced;
 }
 
 }  // namespace streamapprox::engine::batched

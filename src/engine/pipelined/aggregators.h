@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/pipelined/dataflow.h"
@@ -31,26 +30,16 @@ class ExactSlideAggregator final : public SlideAggregator {
   explicit ExactSlideAggregator(QueryCost work = {}) : work_(work) {}
 
   void offer(const Record& record) override {
-    const double value = work_.charge(record.value);
-    auto& cell = cells_[record.stratum];
-    cell.stratum = record.stratum;
-    ++cell.seen;
-    ++cell.sampled;
-    cell.sum += value;
-    cell.sum_sq += value * value;
+    cells_.add(record.stratum, work_.charge(record.value));
   }
 
   std::vector<estimation::StratumSummary> take_slide() override {
-    std::vector<estimation::StratumSummary> out;
-    out.reserve(cells_.size());
-    for (auto& [id, cell] : cells_) out.push_back(cell);
-    cells_.clear();
-    return out;
+    return cells_.take();
   }
 
  private:
   QueryCost work_;
-  std::unordered_map<sampling::StratumId, estimation::StratumSummary> cells_;
+  estimation::ExactCells cells_;
 };
 
 /// OASRS sampling + aggregation operator (Flink-based StreamApprox). Records
@@ -70,11 +59,6 @@ class OasrsSlideAggregator final : public SlideAggregator {
     return estimation::summarize(
         sampler_.take(),
         [this](const Record& record) { return work_.charge(record.value); });
-  }
-
-  /// Re-tunes the per-slide budget (adaptive feedback path).
-  void set_total_budget(std::size_t budget) {
-    sampler_.set_total_budget(budget);
   }
 
  private:

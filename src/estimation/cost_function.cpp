@@ -2,51 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "estimation/confidence.h"
+#include <stdexcept>
 
 namespace streamapprox::estimation {
-namespace {
 
-// Accuracy budget: choose the equal per-stratum sample size Y so that the
-// 95%-confidence relative error of the SUM estimate stays below `target`,
-// using the previous interval's per-stratum statistics. From Eq. 6 with
-// C_i >> Y:  Var ≈ Σ C_i² s_i² / Y, so
-//   Y >= z² · Σ C_i² s_i²  /  (target · SUM)².
-std::size_t size_for_accuracy(double target,
-                              const std::vector<StratumSummary>& last,
-                              std::uint64_t expected_items) {
-  if (last.empty() || target <= 0.0) {
-    // No history yet: start from a conservative 10% fraction.
-    return static_cast<std::size_t>(
-        std::max(1.0, 0.1 * static_cast<double>(expected_items)));
-  }
-  double weighted_var = 0.0;
-  double sum_estimate = 0.0;
-  for (const auto& s : last) {
-    const double ci = static_cast<double>(s.seen);
-    weighted_var += ci * ci * s.sample_variance();
-    sum_estimate += s.sum * s.weight;
-  }
-  if (sum_estimate == 0.0 || weighted_var == 0.0) {
-    return static_cast<std::size_t>(
-        std::max(1.0, 0.1 * static_cast<double>(expected_items)));
-  }
-  const double z = kZ95;
-  const double denom = target * std::abs(sum_estimate);
-  const double per_stratum = z * z * weighted_var / (denom * denom);
-  const double total =
-      per_stratum * static_cast<double>(last.size());
-  const double capped =
-      std::min(total, static_cast<double>(expected_items));
-  return static_cast<std::size_t>(std::max(1.0, std::ceil(capped)));
-}
-
-}  // namespace
-
-std::size_t CostFunction::sample_size(
-    const QueryBudget& budget, std::uint64_t expected_items,
-    const std::vector<StratumSummary>& last_interval) const {
+std::size_t CostFunction::sample_size(const QueryBudget& budget,
+                                      std::uint64_t expected_items) const {
   const double expected = static_cast<double>(expected_items);
   switch (budget.kind) {
     case BudgetKind::kSampleFraction: {
@@ -68,7 +29,9 @@ std::size_t CostFunction::sample_size(
           std::max(1.0, std::min(expected, capacity)));
     }
     case BudgetKind::kRelativeError:
-      return size_for_accuracy(budget.value, last_interval, expected_items);
+      throw std::invalid_argument(
+          "CostFunction: relative_error budgets are sized by the feedback "
+          "loop, not the cost function");
   }
   return expected_items;
 }

@@ -1,16 +1,14 @@
 // The "virtual cost function" of paper §2.3/§7: translates a user-specified
 // query budget into a per-interval sample size. The paper assumes such a
-// function exists; we implement the concrete mechanisms §7 sketches —
-// a plain sampling fraction, a latency budget over a calibrated throughput
-// model, a Pulsar-style resource-token budget, and an accuracy budget that
-// inverts the Eq. 6/9 variance formulas using the previous interval's
-// statistics.
+// function exists; we implement three of the mechanisms §7 sketches — a
+// plain sampling fraction, a latency budget over a throughput model, and a
+// Pulsar-style resource-token budget. An accuracy budget is not sized here:
+// the adaptive feedback loop (estimation/feedback.h, paper §4.2) grows the
+// sample until the observed error bound meets the target.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "estimation/estimators.h"
 
 namespace streamapprox::estimation {
 
@@ -43,11 +41,12 @@ struct QueryBudget {
   }
 };
 
-/// Calibration of the execution substrate, used by the latency and token
-/// budgets. Defaults are deliberately conservative; systems measure and
-/// update them at runtime (see core::StreamApprox).
+/// The execution substrate's cost, used by the latency and token budgets.
+/// The defaults are fixed and conservative; nothing measures or updates them
+/// at run time, so a latency budget assumes 1000 items/ms per worker and a
+/// token budget one token per item.
 struct CostModel {
-  double items_per_ms_per_worker = 1000.0;  ///< measured processing rate
+  double items_per_ms_per_worker = 1000.0;  ///< assumed processing rate
   double tokens_per_item = 1.0;             ///< resource cost of one item
   std::size_t workers = 1;                  ///< parallel workers available
 };
@@ -58,26 +57,12 @@ class CostFunction {
   CostFunction() = default;
   explicit CostFunction(CostModel model) : model_(model) {}
 
-  /// Computes the sample size for the next interval.
-  ///
-  /// `expected_items` is the anticipated number of arrivals in the interval
-  /// (typically the previous interval's count); `last_interval` carries the
-  /// previous interval's per-stratum statistics for the accuracy budget (may
-  /// be empty, in which case a fraction of 10% of expected_items is used as
-  /// a safe starting point).
-  std::size_t sample_size(
-      const QueryBudget& budget, std::uint64_t expected_items,
-      const std::vector<StratumSummary>& last_interval = {}) const;
-
-  /// Updates the measured substrate throughput (items/ms/worker).
-  void calibrate_throughput(double items_per_ms_per_worker) {
-    if (items_per_ms_per_worker > 0.0) {
-      model_.items_per_ms_per_worker = items_per_ms_per_worker;
-    }
-  }
-
-  /// The current cost model.
-  const CostModel& model() const noexcept { return model_; }
+  /// Computes the sample size for the next interval from
+  /// `expected_items`, the anticipated number of arrivals in it (typically
+  /// the previous interval's count). Throws std::invalid_argument for a
+  /// `relative_error` budget, which the feedback loop sizes.
+  std::size_t sample_size(const QueryBudget& budget,
+                          std::uint64_t expected_items) const;
 
  private:
   CostModel model_{};

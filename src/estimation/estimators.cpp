@@ -1,20 +1,8 @@
 #include "estimation/estimators.h"
 
 #include <sstream>
-#include <unordered_map>
 
 namespace streamapprox::estimation {
-
-void StratumSummary::merge(const StratumSummary& other) noexcept {
-  seen += other.seen;
-  sampled += other.sampled;
-  sum += other.sum;
-  sum_sq += other.sum_sq;
-  // Recompute the Eq. 1 weight from the merged counters.
-  weight = (sampled > 0 && seen > sampled)
-               ? static_cast<double>(seen) / static_cast<double>(sampled)
-               : 1.0;
-}
 
 std::string ApproxResult::to_string(double z) const {
   std::ostringstream out;
@@ -74,49 +62,6 @@ ApproxResult estimate_count(const std::vector<StratumSummary>& strata) {
     // estimate is exact whenever weights follow Eq. 1.
   }
   return result;
-}
-
-ApproxResult estimate_stratum_sum(const StratumSummary& s) {
-  ApproxResult result;
-  result.population = s.seen;
-  result.sample_size = s.sampled;
-  result.estimate = s.sum * s.weight;
-  if (s.sampled > 0 && s.seen > s.sampled) {
-    const double ci = static_cast<double>(s.seen);
-    const double yi = static_cast<double>(s.sampled);
-    result.variance = ci * (ci - yi) * s.sample_variance() / yi;
-  }
-  return result;
-}
-
-ApproxResult estimate_stratum_mean(const StratumSummary& s) {
-  ApproxResult result;
-  result.population = s.seen;
-  result.sample_size = s.sampled;
-  result.estimate = s.mean();
-  if (s.sampled > 0 && s.seen > s.sampled) {
-    const double ci = static_cast<double>(s.seen);
-    const double yi = static_cast<double>(s.sampled);
-    result.variance = (s.sample_variance() / yi) * ((ci - yi) / ci);
-  }
-  return result;
-}
-
-std::vector<StratumSummary> merge_summaries(
-    const std::vector<std::vector<StratumSummary>>& parts) {
-  std::vector<StratumSummary> merged;
-  std::unordered_map<sampling::StratumId, std::size_t> index;
-  for (const auto& part : parts) {
-    for (const auto& summary : part) {
-      auto [it, inserted] = index.emplace(summary.stratum, merged.size());
-      if (inserted) {
-        merged.push_back(summary);
-      } else {
-        merged[it->second].merge(summary);
-      }
-    }
-  }
-  return merged;
 }
 
 }  // namespace streamapprox::estimation

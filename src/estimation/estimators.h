@@ -3,11 +3,12 @@
 //
 // Estimators consume per-stratum summaries (C_i, Y_i, Σx, Σx²) so they are
 // independent of the record type: any sampler output can be summarised with
-// `summarize()` and fed through here. All computation is O(#strata).
+// `summarize()`, and unsampled records with `ExactCells`, and fed through
+// here. All computation is O(#strata).
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "estimation/approx_result.h"
@@ -36,9 +37,6 @@ struct StratumSummary {
     const double centered = sum_sq - sum * sum / n;
     return centered > 0.0 ? centered / (n - 1.0) : 0.0;
   }
-
-  /// Merges another summary of the SAME stratum (distributed workers).
-  void merge(const StratumSummary& other) noexcept;
 };
 
 /// Builds summaries from a stratified sample, extracting each item's numeric
@@ -64,6 +62,35 @@ std::vector<StratumSummary> summarize(
   return out;
 }
 
+/// Exact per-stratum cells of unsampled records: every value added counts as
+/// seen and sampled, so each cell has weight 1 and the estimators below
+/// return its exact answer with zero variance. The ground truth and the
+/// no-sampling baselines build their cells with it.
+class ExactCells {
+ public:
+  /// Adds one record's value to its stratum's cell.
+  void add(sampling::StratumId stratum, double value) {
+    auto& cell = cells_[stratum];
+    cell.stratum = stratum;
+    ++cell.seen;
+    ++cell.sampled;
+    cell.sum += value;
+    cell.sum_sq += value * value;
+  }
+
+  /// Hands out the cells in the map's iteration order and clears the map.
+  std::vector<StratumSummary> take() {
+    std::vector<StratumSummary> out;
+    out.reserve(cells_.size());
+    for (const auto& [stratum, cell] : cells_) out.push_back(cell);
+    cells_.clear();
+    return out;
+  }
+
+ private:
+  std::unordered_map<sampling::StratumId, StratumSummary> cells_;
+};
+
 /// Approximate SUM over all strata: Eq. 2-3 point estimate with Eq. 6
 /// variance. Strata with C_i <= Y_i (fully observed) contribute zero
 /// variance, as the theory requires.
@@ -77,18 +104,5 @@ ApproxResult estimate_mean(const std::vector<StratumSummary>& strata);
 /// equals Σ C_i exactly when weights follow Eq. 1 — kept as a consistency
 /// check and for samplers whose counters are themselves estimates).
 ApproxResult estimate_count(const std::vector<StratumSummary>& strata);
-
-/// SUM restricted to one stratum (a per-group aggregate such as "bytes of
-/// TCP traffic"): Eq. 2 with the single-stratum term of Eq. 6.
-ApproxResult estimate_stratum_sum(const StratumSummary& stratum);
-
-/// MEAN restricted to one stratum (e.g. "average trip distance in
-/// Manhattan").
-ApproxResult estimate_stratum_mean(const StratumSummary& stratum);
-
-/// Merges summaries of the same stratum coming from distributed workers,
-/// preserving first-seen order of strata.
-std::vector<StratumSummary> merge_summaries(
-    const std::vector<std::vector<StratumSummary>>& parts);
 
 }  // namespace streamapprox::estimation

@@ -8,65 +8,46 @@
 namespace streamapprox {
 namespace {
 
+constexpr std::uint32_t kWakeRounds =
+    IdleBackoff::kSpins + IdleBackoff::kYields;
+
 TEST(IdleBackoff, EscalatesSpinYieldThenCappedDoublingSleep) {
-  IdleBackoff::Config config;
-  config.spins = 4;
-  config.yields = 2;
-  config.min_sleep_us = 8;
-  config.max_sleep_us = 32;
-  IdleBackoff backoff(config);
+  IdleBackoff backoff;
 
   // Spin + yield stages: no sleeping yet.
-  for (std::uint32_t i = 0; i < config.spins + config.yields; ++i) {
+  for (std::uint32_t i = 0; i < kWakeRounds; ++i) {
     EXPECT_EQ(backoff.next_sleep_us(), 0u) << "pause " << i;
     backoff.pause();
   }
   // Sleep stage: starts at the floor, doubles, saturates at the cap.
-  EXPECT_EQ(backoff.next_sleep_us(), 8u);
+  for (std::uint32_t expected = IdleBackoff::kMinSleepUs;
+       expected < IdleBackoff::kMaxSleepUs; expected *= 2) {
+    EXPECT_EQ(backoff.next_sleep_us(), expected);
+    backoff.pause();
+  }
+  EXPECT_EQ(backoff.next_sleep_us(), IdleBackoff::kMaxSleepUs);
   backoff.pause();
-  EXPECT_EQ(backoff.next_sleep_us(), 16u);
-  backoff.pause();
-  EXPECT_EQ(backoff.next_sleep_us(), 32u);
-  backoff.pause();
-  EXPECT_EQ(backoff.next_sleep_us(), 32u) << "sleep must stay capped";
+  EXPECT_EQ(backoff.next_sleep_us(), IdleBackoff::kMaxSleepUs)
+      << "sleep must stay capped";
 }
 
 TEST(IdleBackoff, ResetReturnsToSpinStageAndSleepFloor) {
-  IdleBackoff::Config config;
-  config.spins = 1;
-  config.yields = 1;
-  config.min_sleep_us = 4;
-  config.max_sleep_us = 64;
-  IdleBackoff backoff(config);
+  IdleBackoff backoff;
 
   // Escalate all the way to the cap.
-  for (int i = 0; i < 8; ++i) backoff.pause();
-  EXPECT_EQ(backoff.next_sleep_us(), 64u);
+  while (backoff.next_sleep_us() < IdleBackoff::kMaxSleepUs) backoff.pause();
 
   // A round with data resets everything: spin again, and the next sleep
   // starts back at the floor instead of the cap.
   backoff.reset();
   EXPECT_EQ(backoff.next_sleep_us(), 0u);
-  backoff.pause();  // spin
-  backoff.pause();  // yield
-  EXPECT_EQ(backoff.next_sleep_us(), 4u);
+  for (std::uint32_t i = 0; i < kWakeRounds; ++i) backoff.pause();
+  EXPECT_EQ(backoff.next_sleep_us(), IdleBackoff::kMinSleepUs);
 }
 
-TEST(IdleBackoff, DefaultConfigStartsNonSleeping) {
+TEST(IdleBackoff, StartsNonSleeping) {
   IdleBackoff backoff;
   EXPECT_EQ(backoff.next_sleep_us(), 0u);
-}
-
-TEST(IdleBackoff, ZeroSpinZeroYieldSleepsImmediately) {
-  IdleBackoff::Config config;
-  config.spins = 0;
-  config.yields = 0;
-  config.min_sleep_us = 2;
-  config.max_sleep_us = 8;
-  IdleBackoff backoff(config);
-  EXPECT_EQ(backoff.next_sleep_us(), 2u);
-  backoff.pause();
-  EXPECT_EQ(backoff.next_sleep_us(), 4u);
 }
 
 }  // namespace

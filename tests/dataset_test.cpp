@@ -21,6 +21,15 @@ std::vector<int> iota(int n) {
   return v;
 }
 
+/// Every element, partition after partition.
+std::vector<int> flatten(const Dataset<int>& dataset) {
+  std::vector<int> out;
+  for (const auto& partition : dataset.partitions()) {
+    out.insert(out.end(), partition.begin(), partition.end());
+  }
+  return out;
+}
+
 TEST(Scheduler, CountsStages) {
   auto scheduler = make_scheduler();
   EXPECT_EQ(scheduler.stages_run(), 0u);
@@ -53,51 +62,27 @@ TEST(Dataset, FromSplitsEvenly) {
     EXPECT_EQ(partition.size(), 25u);
   }
   // Order preserved across the concatenation.
-  EXPECT_EQ(dataset.collect(), items);
+  EXPECT_EQ(flatten(dataset), items);
 }
 
 TEST(Dataset, FromUnevenSplit) {
   auto scheduler = make_scheduler();
   auto dataset = Dataset<int>::from(iota(10), 4, scheduler);
   EXPECT_EQ(dataset.size(), 10u);
-  EXPECT_EQ(dataset.collect(), iota(10));
+  EXPECT_EQ(flatten(dataset), iota(10));
 }
 
 TEST(Dataset, FromEmpty) {
   auto scheduler = make_scheduler();
   auto dataset = Dataset<int>::from(std::vector<int>{}, 4, scheduler);
   EXPECT_EQ(dataset.size(), 0u);
-  EXPECT_TRUE(dataset.collect().empty());
+  EXPECT_TRUE(flatten(dataset).empty());
 }
 
 TEST(Dataset, ZeroPartitionsCoerced) {
   auto scheduler = make_scheduler();
   auto dataset = Dataset<int>::from(iota(5), 0, scheduler);
   EXPECT_EQ(dataset.partition_count(), 1u);
-}
-
-TEST(Dataset, MapTransforms) {
-  auto scheduler = make_scheduler();
-  auto dataset = Dataset<int>::from(iota(50), 4, scheduler);
-  auto doubled = dataset.map<int>([](int x) { return 2 * x; }, scheduler);
-  const auto out = doubled.collect();
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(out[i], 2 * i);
-}
-
-TEST(Dataset, MapChangesType) {
-  auto scheduler = make_scheduler();
-  auto dataset = Dataset<int>::from(iota(10), 2, scheduler);
-  auto strings = dataset.map<std::string>(
-      [](int x) { return std::to_string(x); }, scheduler);
-  EXPECT_EQ(strings.collect()[7], "7");
-}
-
-TEST(Dataset, FilterKeeps) {
-  auto scheduler = make_scheduler();
-  auto dataset = Dataset<int>::from(iota(100), 4, scheduler);
-  auto evens = dataset.filter([](int x) { return x % 2 == 0; }, scheduler);
-  EXPECT_EQ(evens.size(), 50u);
-  for (int x : evens.collect()) EXPECT_EQ(x % 2, 0);
 }
 
 TEST(Dataset, MapPartitionsOnePerPartition) {
@@ -119,7 +104,7 @@ TEST(Dataset, FromPartitionsWrapsWithoutCopy) {
   auto dataset = Dataset<int>::from_partitions(std::move(parts));
   EXPECT_EQ(dataset.partition_count(), 3u);
   EXPECT_EQ(dataset.size(), 3u);
-  EXPECT_EQ(dataset.collect(), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(flatten(dataset), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Dataset, FromPartitionsEmptyGetsOnePartition) {
@@ -130,8 +115,11 @@ TEST(Dataset, FromPartitionsEmptyGetsOnePartition) {
 TEST(Dataset, EachTransformationIsOneStage) {
   auto scheduler = make_scheduler();
   auto dataset = Dataset<int>::from(iota(10), 2, scheduler);  // stage 1
-  dataset.map<int>([](int x) { return x; }, scheduler);       // stage 2
-  dataset.filter([](int) { return true; }, scheduler);        // stage 3
+  const auto identity = [](std::size_t, const std::vector<int>& part) {
+    return part;
+  };
+  dataset.map_partitions<std::vector<int>>(identity, scheduler);  // stage 2
+  dataset.map_partitions<std::vector<int>>(identity, scheduler);  // stage 3
   EXPECT_EQ(scheduler.stages_run(), 3u);
 }
 

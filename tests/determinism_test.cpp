@@ -6,7 +6,6 @@
 
 #include "core/query.h"
 #include "core/systems.h"
-#include "engine/batched/shuffle.h"
 #include "sampling/oasrs.h"
 #include "sampling/scasrs.h"
 #include "workload/synthetic.h"
@@ -138,52 +137,6 @@ TEST(Invariance, StsNonExactVariantStillAccurate) {
       mean_accuracy_loss(evaluate_windows(result.windows, query),
                          evaluate_windows(exact, query), query);
   EXPECT_LT(loss, 0.02);
-}
-
-TEST(ReduceByKey, MatchesDirectAggregation) {
-  const auto records = stream(7);
-  engine::batched::SchedulerConfig scheduler_config;
-  scheduler_config.workers = 4;
-  scheduler_config.stage_overhead = std::chrono::microseconds(0);
-  engine::batched::Scheduler scheduler(scheduler_config);
-  auto dataset =
-      engine::batched::Dataset<Record>::from(records, 8, scheduler);
-
-  const auto reduced = engine::batched::shuffle_reduce_by_key<Record, double>(
-      dataset, engine::RecordStratum{},
-      [](const Record& r) { return r.value; },
-      [](double& acc, const Record& r) { acc += r.value; },
-      [](double& acc, const double& other) { acc += other; }, scheduler);
-
-  std::unordered_map<sampling::StratumId, double> expected;
-  for (const auto& record : records) expected[record.stratum] += record.value;
-
-  std::unordered_map<sampling::StratumId, double> actual;
-  for (const auto& reducer : reduced) {
-    for (const auto& [key, value] : reducer) {
-      EXPECT_EQ(actual.count(key), 0u) << "key on two reducers";
-      actual[key] = value;
-    }
-  }
-  ASSERT_EQ(actual.size(), expected.size());
-  for (const auto& [key, value] : expected) {
-    EXPECT_NEAR(actual.at(key), value, std::abs(value) * 1e-9);
-  }
-}
-
-TEST(ReduceByKey, EmptyInput) {
-  engine::batched::SchedulerConfig scheduler_config;
-  scheduler_config.workers = 2;
-  scheduler_config.stage_overhead = std::chrono::microseconds(0);
-  engine::batched::Scheduler scheduler(scheduler_config);
-  auto dataset = engine::batched::Dataset<Record>::from(
-      std::vector<Record>{}, 4, scheduler);
-  const auto reduced = engine::batched::shuffle_reduce_by_key<Record, double>(
-      dataset, engine::RecordStratum{},
-      [](const Record& r) { return r.value; },
-      [](double& acc, const Record& r) { acc += r.value; },
-      [](double& acc, const double& other) { acc += other; }, scheduler);
-  for (const auto& reducer : reduced) EXPECT_TRUE(reducer.empty());
 }
 
 }  // namespace

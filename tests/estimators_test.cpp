@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -44,16 +45,6 @@ TEST(StratumSummary, DegenerateVariance) {
   // Constant sample: zero variance despite count.
   EXPECT_NEAR(make_summary(0, 10, {3.0, 3.0, 3.0}).sample_variance(), 0.0,
               1e-12);
-}
-
-TEST(StratumSummary, MergeCombinesAndReweights) {
-  auto a = make_summary(0, 100, {1.0, 2.0});
-  const auto b = make_summary(0, 50, {3.0});
-  a.merge(b);
-  EXPECT_EQ(a.seen, 150u);
-  EXPECT_EQ(a.sampled, 3u);
-  EXPECT_DOUBLE_EQ(a.sum, 6.0);
-  EXPECT_DOUBLE_EQ(a.weight, 50.0);
 }
 
 TEST(EstimateSum, PaperEquationTwoThree) {
@@ -124,33 +115,47 @@ TEST(EstimateCount, MatchesPopulationWithEqOneWeights) {
   EXPECT_EQ(result.population, 1003u);
 }
 
+// A per-group answer (evaluate_window's per-stratum SUM and MEAN) is the
+// overall estimator over that group's cells alone.
 TEST(EstimateStratumSum, SingleGroup) {
   const auto s = make_summary(3, 50, {2.0, 4.0});
-  const auto result = estimate_stratum_sum(s);
+  const auto result = estimate_sum({s});
   EXPECT_NEAR(result.estimate, 6.0 * 25.0, 1e-9);
   EXPECT_GT(result.variance, 0.0);
 }
 
 TEST(EstimateStratumMean, SingleGroup) {
   const auto s = make_summary(3, 50, {2.0, 4.0});
-  const auto result = estimate_stratum_mean(s);
+  const auto result = estimate_mean({s});
   EXPECT_DOUBLE_EQ(result.estimate, 3.0);
   // Var = s^2/Y*(C-Y)/C = 2/2 * 48/50 = 0.96.
   EXPECT_NEAR(result.variance, 0.96, 1e-9);
 }
 
-TEST(MergeSummaries, GroupsAcrossWorkers) {
-  std::vector<std::vector<StratumSummary>> parts = {
-      {make_summary(0, 10, {1.0}), make_summary(1, 20, {2.0})},
-      {make_summary(1, 30, {3.0}), make_summary(2, 5, {4.0})},
-  };
-  const auto merged = merge_summaries(parts);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].stratum, 0u);
-  EXPECT_EQ(merged[1].stratum, 1u);
-  EXPECT_EQ(merged[1].seen, 50u);
-  EXPECT_EQ(merged[1].sampled, 2u);
-  EXPECT_EQ(merged[2].stratum, 2u);
+TEST(ExactCells, EveryValueIsSeenAndSampled) {
+  ExactCells cells;
+  cells.add(1, 2.0);
+  cells.add(2, 5.0);
+  cells.add(1, 4.0);
+  auto out = cells.take();
+  ASSERT_EQ(out.size(), 2u);
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.stratum < b.stratum;
+  });
+  EXPECT_EQ(out[0].stratum, 1u);
+  EXPECT_EQ(out[0].seen, 2u);
+  EXPECT_EQ(out[0].sampled, 2u);
+  EXPECT_DOUBLE_EQ(out[0].sum, 6.0);
+  EXPECT_DOUBLE_EQ(out[0].sum_sq, 20.0);
+  EXPECT_DOUBLE_EQ(out[0].weight, 1.0);
+  EXPECT_EQ(out[1].stratum, 2u);
+  EXPECT_EQ(out[1].seen, 1u);
+  // Exact cells estimate exactly, with zero variance.
+  const auto sum = estimate_sum(out);
+  EXPECT_DOUBLE_EQ(sum.estimate, 11.0);
+  EXPECT_EQ(sum.variance, 0.0);
+  // take() empties the set for the next slide.
+  EXPECT_TRUE(cells.take().empty());
 }
 
 TEST(Summarize, FromStratifiedSample) {

@@ -96,12 +96,5 @@ TEST(TokenBucket, SaturationModeNeverBlocks) {
   EXPECT_LT(watch.seconds(), 0.5);
 }
 
-TEST(TokenBucket, TryAcquireHonoursBalance) {
-  streamapprox::TokenBucket bucket(10.0, 2.0);  // 2-token burst
-  EXPECT_TRUE(bucket.try_acquire(1.0));
-  EXPECT_TRUE(bucket.try_acquire(1.0));
-  EXPECT_FALSE(bucket.try_acquire(1.0));  // drained; refill is ~instant-free
-}
-
 }  // namespace
 }  // namespace streamapprox::ingest

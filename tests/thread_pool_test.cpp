@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -15,6 +16,15 @@
 
 namespace streamapprox {
 namespace {
+
+/// Runs fn(i) for every i in [0, count), one slice per pool worker.
+void for_each_index(ThreadPool& pool, std::size_t count,
+                    const std::function<void(std::size_t)>& fn) {
+  pool.parallel_slices(count, pool.size(),
+                       [&](std::size_t, std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) fn(i);
+                       });
+}
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(4);
@@ -30,27 +40,27 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
+TEST(ThreadPool, ParallelSlicesCoverAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for_each_index(pool, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForIsABarrier) {
+TEST(ThreadPool, ParallelSlicesIsABarrier) {
   ThreadPool pool(4);
   std::atomic<int> done{0};
-  pool.parallel_for(64, [&](std::size_t) {
-    done.fetch_add(1);
-  });
-  // If parallel_for returned before completion this could be < 64.
+  for_each_index(pool, 64, [&](std::size_t) { done.fetch_add(1); });
+  // If parallel_slices returned before completion this could be < 64.
   EXPECT_EQ(done.load(), 64);
 }
 
-TEST(ThreadPool, ParallelForZeroCount) {
+TEST(ThreadPool, ParallelSlicesZeroCount) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
+  pool.parallel_slices(0, 2, [&](std::size_t, std::size_t, std::size_t) {
+    called = true;
+  });
   EXPECT_FALSE(called);
 }
 
@@ -88,9 +98,8 @@ TEST(ThreadPool, ParallelSlicesMoreSlicesThanItems) {
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::atomic<long long> sum{0};
-  pool.parallel_for(1000, [&](std::size_t i) {
-    sum += static_cast<long long>(i);
-  });
+  for_each_index(pool, 1000,
+                 [&](std::size_t i) { sum += static_cast<long long>(i); });
   EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
 }
 
@@ -151,9 +160,9 @@ TEST(ThreadPool, NestedStagesSequential) {
   // Two consecutive barriers: second stage must observe all of first.
   ThreadPool pool(4);
   std::vector<int> data(256, 0);
-  pool.parallel_for(256, [&](std::size_t i) { data[i] = 1; });
+  for_each_index(pool, 256, [&](std::size_t i) { data[i] = 1; });
   std::atomic<int> sum{0};
-  pool.parallel_for(256, [&](std::size_t i) { sum += data[i]; });
+  for_each_index(pool, 256, [&](std::size_t i) { sum += data[i]; });
   EXPECT_EQ(sum.load(), 256);
 }
 
