@@ -9,35 +9,20 @@
 #include "estimation/estimators.h"
 
 namespace streamapprox::core {
-namespace {
-
-estimation::FeedbackConfig feedback_base_config() {
-  // Controller tuning shared by every registered target; each target
-  // overrides target_relative_error when it registers with the bank.
-  return estimation::FeedbackConfig{};
-}
-
-}  // namespace
 
 PipelineDriver::PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
                                std::size_t shards)
     : config_(std::move(config)),
       on_output_(std::move(on_output)),
       assembler_(config_.window),
-      feedback_(feedback_base_config(), config_.initial_budget),
+      feedback_(config_.initial_budget),
       slide_budget_(config_.initial_budget),
       shards_(std::max<std::size_t>(1, shards)) {
   for (auto& sink : config_.queries.clone_sinks()) {
     register_sink(std::move(sink), nullptr, /*attach_slide=*/0,
                   config_.initial_budget);
   }
-  if (feedback_.empty() && fallback_target() && !queries_.empty()) {
-    // Histogram-only registry with an accuracy budget: no sink inherited the
-    // fallback target, but the user still asked for accuracy-driven
-    // adaptation — drive one controller from the first query's observed
-    // bound rather than silently pinning the budget at its initial value.
-    queries_.front().controller = feedback_.add_target(*fallback_target());
-  }
+  drive_fallback_controller();
   for (const auto& q : queries_) live_names_.push_back(q.sink->name());
   live_query_count_.store(queries_.size(), std::memory_order_release);
   publish_sketch_plan();
@@ -62,6 +47,17 @@ std::optional<double> PipelineDriver::fallback_target() const {
   return config_.budget.kind == estimation::BudgetKind::kRelativeError
              ? std::optional<double>(config_.budget.value)
              : std::nullopt;
+}
+
+void PipelineDriver::drive_fallback_controller() {
+  // A histogram-only registry, or the last targeted query detached: no sink
+  // carries the fallback target, but the user still asked for accuracy-
+  // driven adaptation, so the first query's observed bound drives one
+  // controller rather than the budget staying pinned where it stands.
+  if (feedback_.empty() && fallback_target() && !queries_.empty()) {
+    queries_.front().controller = feedback_.add_target(
+        *fallback_target(), slide_budget_.load(std::memory_order_relaxed));
+  }
 }
 
 void PipelineDriver::register_sink(
@@ -92,24 +88,17 @@ void PipelineDriver::register_sink(
 
 std::shared_ptr<QuerySubscription> PipelineDriver::attach_query(
     std::unique_ptr<QuerySink> sink, std::size_t subscription_capacity) {
-  std::shared_ptr<QuerySubscription> subscription;
-  if (subscription_capacity > 0) {
-    subscription = std::make_shared<QuerySubscription>(subscription_capacity);
-  }
-  attach_query(std::move(sink), subscription);
-  return subscription;
-}
-
-void PipelineDriver::attach_query(
-    std::unique_ptr<QuerySink> sink,
-    std::shared_ptr<QuerySubscription> subscription) {
-  if (!sink) return;
-  std::lock_guard lock(control_mutex_);
+  if (!sink) return nullptr;
   PendingOp op;
   op.sink = std::move(sink);
-  op.subscription = std::move(subscription);
+  if (subscription_capacity > 0) {
+    op.subscription = std::make_shared<QuerySubscription>(subscription_capacity);
+  }
+  std::shared_ptr<QuerySubscription> subscription = op.subscription;
+  std::lock_guard lock(control_mutex_);
   pending_.push_back(std::move(op));
   control_generation_.fetch_add(1, std::memory_order_release);
+  return subscription;
 }
 
 bool PipelineDriver::detach_query(const std::string& name) {
@@ -123,8 +112,13 @@ bool PipelineDriver::detach_query(const std::string& name) {
       return true;
     }
   }
-  if (std::find(live_names_.begin(), live_names_.end(), name) ==
-      live_names_.end()) {
+  // A queued detach of this name retires one query; a repeat must not
+  // retire a second query that shares the name.
+  const bool queued = std::any_of(
+      pending_.begin(), pending_.end(),
+      [&](const PendingOp& op) { return !op.sink && op.detach_name == name; });
+  if (queued || std::find(live_names_.begin(), live_names_.end(), name) ==
+                    live_names_.end()) {
     return false;
   }
   PendingOp op;
@@ -164,13 +158,7 @@ void PipelineDriver::apply_pending_ops() {
     }
   }
   pending_.clear();
-  if (feedback_.empty() && fallback_target() && !queries_.empty()) {
-    // The last targeted query detached under an accuracy budget: keep
-    // adaptation alive exactly as the constructor would (first query's
-    // observed bound drives one controller).
-    queries_.front().controller = feedback_.add_target(
-        *fallback_target(), slide_budget_.load(std::memory_order_relaxed));
-  }
+  drive_fallback_controller();
   if (!feedback_.empty()) {
     // Membership changed: the strictest-target budget is rebuilt from the
     // surviving (and newly seeded) controllers. An emptied bank instead
@@ -372,12 +360,8 @@ void PipelineDriver::close_slide_sample(
     std::int64_t slide, sampling::StratifiedSample<engine::Record> sample,
     sketch::SlideSketches sketches) {
   pad_until(slide);
-  const engine::QueryCost work = config_.query_cost;
-  complete_slide(estimation::summarize(sample,
-                                       [work](const engine::Record& r) {
-                                         return work.charge(r.value);
-                                       }),
-                 sample, sketches);
+  complete_slide(estimation::summarize(sample, engine::RecordValue{}), sample,
+                 sketches);
   ++*next_to_close_;
 }
 
@@ -461,11 +445,12 @@ void PipelineDriver::complete_slide(
   if (!fed_back && feedback_.empty() &&
       config_.budget.kind != estimation::BudgetKind::kRelativeError) {
     // No accuracy target anywhere: re-derive the sample size from the cost
-    // function using the freshest arrival count. An accuracy budget is the
-    // feedback bank's alone.
+    // function using the freshest arrival count, one worker per shard. An
+    // accuracy budget is the feedback bank's alone.
     slide_budget_.store(
-        std::max<std::size_t>(
-            1, cost_function_.sample_size(config_.budget, slide_seen)),
+        std::max<std::size_t>(1, estimation::sample_size(config_.budget,
+                                                         slide_seen,
+                                                         shards_.size())),
         std::memory_order_relaxed);
   }
 }

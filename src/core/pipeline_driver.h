@@ -68,7 +68,6 @@
 
 #include "common/queue.h"
 #include "core/query.h"
-#include "engine/query_cost.h"
 #include "engine/window.h"
 #include "estimation/cost_function.h"
 #include "estimation/feedback.h"
@@ -125,9 +124,6 @@ class QuerySubscription {
 
  private:
   friend class PipelineDriver;
-  /// The facade closes channels of pre-run attaches it cancels or discards
-  /// (no driver exists yet to do it).
-  friend class StreamApprox;
 
   /// Lifecycle thread only: non-blocking publish, drop-newest when full.
   void publish(WindowOutput output) {
@@ -154,15 +150,14 @@ struct PipelineDriverConfig {
   estimation::QueryBudget budget = estimation::QueryBudget::fraction(0.6);
   /// Sliding-window geometry.
   engine::WindowConfig window{};
-  /// Per-record query cost model, charged against sampled items at close.
-  engine::QueryCost query_cost{};
   /// Default confidence (standard deviations) for bounds and the feedback
   /// loop; individual queries may override it per sink.
   double z = 2.0;
   /// RNG seed; per-slide sampler seeds are derived deterministically.
   std::uint64_t seed = 2017;
-  /// Sample budget before any arrival statistics exist; the cost function /
-  /// feedback loop re-tunes it from the first completed slide on.
+  /// Sample budget before any arrival statistics exist; the cost function
+  /// (scaled by the shard count) or the feedback loop re-tunes it from the
+  /// first completed slide on.
   std::size_t initial_budget = 1024;
 };
 
@@ -177,7 +172,8 @@ class PipelineDriver {
 
   /// Creates a driver. `on_output` receives evaluated window outputs (may be
   /// null). `shards` is the number of feeding threads live ingest runs on:
-  /// 1 on the sequential path, one per worker on the sharded path.
+  /// 1 on the sequential path, one per worker on the sharded path; a
+  /// latency budget allows each shard its own worker's throughput.
   PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
                  std::size_t shards = 1);
 
@@ -280,22 +276,19 @@ class PipelineDriver {
   /// channel is created and nullptr is returned. If the sink carries an
   /// accuracy target (explicit, or inherited from an accuracy-kind budget),
   /// its FeedbackController joins the bank seeded at the budget currently
-  /// in force.
+  /// in force. A null sink attaches nothing and returns nullptr.
   std::shared_ptr<QuerySubscription> attach_query(
       std::unique_ptr<QuerySink> sink, std::size_t subscription_capacity = 0);
 
-  /// As above with a caller-provided channel (may be null) — the facade
-  /// uses this to create subscriptions before the driver exists.
-  void attach_query(std::unique_ptr<QuerySink> sink,
-                    std::shared_ptr<QuerySubscription> subscription);
-
-  /// Queues detachment of the first query registered under `name`, effective
-  /// at the next slide-close boundary: the sink stops observing slides, its
-  /// controller (if any) retires and the FeedbackBank budget is rebuilt
-  /// from the remaining targets, and its subscription channel (if any)
-  /// closes after the buffered outputs. Returns true when a live query or a
-  /// still-pending attach matched (a pending attach is simply cancelled);
-  /// false when the name is unknown.
+  /// Detaches a query registered under `name`. A still-pending attach of
+  /// that name is cancelled at once (its channel closes). Otherwise the
+  /// detach of the first live query under `name` is queued for the next
+  /// slide-close boundary: the sink stops observing slides, its controller
+  /// (if any) retires and the FeedbackBank budget is rebuilt from the
+  /// remaining targets, and its subscription channel (if any) closes after
+  /// the buffered outputs. Returns false when the name is unknown or its
+  /// detach is already queued (a repeated detach retires nothing more, even
+  /// when another query shares the name).
   bool detach_query(const std::string& name);
 
   /// Monotone registry generation: bumps every time attach/detach
@@ -305,7 +298,8 @@ class PipelineDriver {
     return registry_generation_.load(std::memory_order_acquire);
   }
 
-  /// Number of live (boundary-applied) queries.
+  /// Number of live queries: boundary-applied, so a queued attach or detach
+  /// shows from the next slide close on.
   std::size_t query_count() const noexcept {
     return live_query_count_.load(std::memory_order_acquire);
   }
@@ -411,6 +405,11 @@ class PipelineDriver {
   /// is accuracy-kind).
   std::optional<double> fallback_target() const;
 
+  /// Under an accuracy budget with no targeted query left, the first query
+  /// drives one controller, seeded at the budget in force. Lifecycle thread
+  /// only (construction and registration boundaries).
+  void drive_fallback_controller();
+
   /// Rebuilds the published sketch plan from the live registry. Lifecycle
   /// thread only (constructor seeding and registration boundaries).
   void publish_sketch_plan();
@@ -436,7 +435,6 @@ class PipelineDriver {
   OutputFn on_output_;
 
   engine::SlidingWindowAssembler assembler_;
-  estimation::CostFunction cost_function_;
   /// One controller per accuracy-targeted query; budget = max across them.
   estimation::FeedbackBank feedback_;
   std::atomic<std::size_t> slide_budget_;

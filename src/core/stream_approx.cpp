@@ -25,102 +25,39 @@ StreamApprox::StreamApprox(ingest::Broker& broker, StreamApproxConfig config)
   broker_.topic(config_.topic);  // throws if missing
 }
 
+PipelineDriver& StreamApprox::driver_locked() {
+  if (!driver_) {
+    PipelineDriverConfig driver;
+    driver.queries = config_.queries;
+    driver.budget = config_.budget;
+    driver.window = config_.window;
+    driver.z = config_.z;
+    driver.seed = config_.seed;
+    // Only run() drives the driver, so on_window_ is set whenever it emits.
+    driver_ = std::make_unique<PipelineDriver>(
+        std::move(driver),
+        [this](const WindowOutput& output) {
+          if (*on_window_) (*on_window_)(output);
+        },
+        std::max<std::size_t>(1, config_.workers));
+  }
+  return *driver_;
+}
+
 std::shared_ptr<QuerySubscription> StreamApprox::attach_query(
     std::unique_ptr<QuerySink> sink, std::size_t subscription_capacity) {
-  if (!sink) return nullptr;
   std::lock_guard lock(control_mutex_);
-  if (live_driver_ != nullptr) {
-    return live_driver_->attach_query(std::move(sink), subscription_capacity);
-  }
-  // No run yet: create the channel now and queue the attach for the next
-  // run's driver, where it applies before the first slide closes.
-  PendingAttach pending;
-  pending.sink = std::move(sink);
-  if (subscription_capacity > 0) {
-    pending.subscription =
-        std::make_shared<QuerySubscription>(subscription_capacity);
-  }
-  auto subscription = pending.subscription;
-  pre_run_attaches_.push_back(std::move(pending));
-  return subscription;
+  return driver_locked().attach_query(std::move(sink), subscription_capacity);
 }
 
 bool StreamApprox::detach_query(const std::string& name) {
   std::lock_guard lock(control_mutex_);
-  if (live_driver_ != nullptr) return live_driver_->detach_query(name);
-  for (auto it = pre_run_attaches_.begin(); it != pre_run_attaches_.end();
-       ++it) {
-    if (it->sink->name() == name) {
-      // The cancelled attach never reaches a driver: close its channel here
-      // so a waiting consumer observes finished().
-      if (it->subscription) it->subscription->close();
-      pre_run_attaches_.erase(it);
-      return true;
-    }
-  }
-  // A config-registered query: queue the detach so the next run's driver
-  // drops it before the first slide closes. A name already slated is gone
-  // as far as the caller is concerned — don't queue (and count) it twice.
-  if (config_has_query(name) &&
-      std::find(pre_run_detaches_.begin(), pre_run_detaches_.end(), name) ==
-          pre_run_detaches_.end()) {
-    pre_run_detaches_.push_back(name);
-    return true;
-  }
-  return false;
-}
-
-bool StreamApprox::config_has_query(const std::string& name) const {
-  for (const auto& sink : config_.queries.sinks()) {
-    if (sink->name() == name) return true;
-  }
-  return false;
-}
-
-StreamApprox::~StreamApprox() {
-  // Pre-run attaches that never reached a driver still hold live channels:
-  // close them so consumers are not left waiting on finished().
-  std::lock_guard lock(control_mutex_);
-  for (auto& pending : pre_run_attaches_) {
-    if (pending.subscription) pending.subscription->close();
-  }
+  return driver_locked().detach_query(name);
 }
 
 std::size_t StreamApprox::query_count() const {
   std::lock_guard lock(control_mutex_);
-  if (live_driver_ != nullptr) return live_driver_->query_count();
-  const std::size_t total =
-      config_.queries.size() + pre_run_attaches_.size();
-  return total > pre_run_detaches_.size() ? total - pre_run_detaches_.size()
-                                          : 0;
-}
-
-void StreamApprox::install_driver(PipelineDriver& driver) {
-  std::lock_guard lock(control_mutex_);
-  for (auto& pending : pre_run_attaches_) {
-    driver.attach_query(std::move(pending.sink),
-                        std::move(pending.subscription));
-  }
-  for (const auto& name : pre_run_detaches_) driver.detach_query(name);
-  pre_run_attaches_.clear();
-  pre_run_detaches_.clear();
-  live_driver_ = &driver;
-}
-
-void StreamApprox::uninstall_driver() {
-  std::lock_guard lock(control_mutex_);
-  live_driver_ = nullptr;
-}
-
-PipelineDriverConfig StreamApprox::driver_config() const {
-  PipelineDriverConfig driver;
-  driver.queries = config_.queries;
-  driver.budget = config_.budget;
-  driver.window = config_.window;
-  driver.query_cost = config_.query_cost;
-  driver.z = config_.z;
-  driver.seed = config_.seed;
-  return driver;
+  return driver_ ? driver_->query_count() : config_.queries.size();
 }
 
 void StreamApprox::run(
@@ -132,10 +69,31 @@ void StreamApprox::run(
   run_stats_.workers = workers;
   run_stats_.per_worker_records.assign(workers, 0);
 
-  // One driver shard per feeding thread: the run thread, or each worker.
-  PipelineDriver driver(driver_config(), on_window, workers);
-  const DriverInstallation installation(*this, driver);
-  slide_budget_ = driver.current_budget();
+  on_window_ = &on_window;
+  // However run() exits, it drops its driver: the driver's destructor
+  // closes the run's channels and any attach it never applied, and the
+  // next attach or run builds a fresh one from the config.
+  class DriverReset {
+   public:
+    explicit DriverReset(StreamApprox& system) : system_(system) {}
+    DriverReset(const DriverReset&) = delete;
+    DriverReset& operator=(const DriverReset&) = delete;
+    ~DriverReset() {
+      std::unique_ptr<PipelineDriver> done;
+      {
+        std::lock_guard lock(system_.control_mutex_);
+        done = std::move(system_.driver_);
+      }
+      system_.on_window_ = nullptr;
+    }
+
+   private:
+    StreamApprox& system_;
+  } const reset(*this);
+  PipelineDriver& driver = [this]() -> PipelineDriver& {
+    std::lock_guard lock(control_mutex_);
+    return driver_locked();
+  }();
 
   ingest::ExchangeConfig exchange_config;
   exchange_config.workers = workers;
@@ -193,7 +151,6 @@ std::size_t StreamApprox::close_behind(PipelineDriver& driver,
                                        std::int64_t watermark) {
   const std::size_t closed = driver.advance(watermark);
   if (closed == 0) return 0;
-  slide_budget_ = driver.current_budget();
   // Watermark lag: how far ingest had run ahead of each close.
   const std::int64_t max_event = exchange.max_routed_event_us();
   if (max_event != engine::kNoWatermark) {

@@ -34,7 +34,10 @@
 // retires together with its FeedbackController, and the strictest-target
 // budget is rebuilt on every membership change. Each attached query may get
 // its own QuerySubscription output channel so consumers drain results
-// independently of the run's shared WindowOutput callback.
+// independently of the run's shared WindowOutput callback. The facade keeps
+// no registry of its own: it forwards every operation to the driver of its
+// current or next run, so operations made before run() follow the same
+// rules and take effect at that run's first slide close.
 //
 // This is the public API a downstream user programs against (see
 // examples/quickstart.cpp); the evaluation harness in systems.h bypasses the
@@ -52,7 +55,6 @@
 #include "core/query.h"
 #include "engine/query_cost.h"
 #include "estimation/cost_function.h"
-#include "estimation/feedback.h"
 #include "ingest/broker.h"
 
 namespace streamapprox::ingest {
@@ -77,8 +79,6 @@ struct StreamApproxConfig {
   /// Records per partition poll of the exchange when workers <= 1 (the
   /// sharded mode polls exchange_batch_size).
   std::size_t poll_batch = 4096;
-  /// Per-record query cost model (charged against sampled items).
-  engine::QueryCost query_cost{};
   /// Per-record ingest cost model (parse / field conversion work charged
   /// against EVERY arriving record, before sampling) — the deployment work
   /// the paper's Kafka connector performs; what the sharded mode
@@ -87,7 +87,8 @@ struct StreamApproxConfig {
   /// Worker threads for the sharded execution mode. 1 (or 0) = sequential.
   /// The repartitioning exchange polls the partitions in batches and re-keys
   /// them by stratum hash onto `workers` channels, so the worker count is
-  /// independent of the topic's partition count.
+  /// independent of the topic's partition count. A latency budget allows
+  /// each worker its own throughput.
   std::size_t workers = 1;
   /// Records per partition poll of the exchange when workers >= 2, which
   /// bounds each morsel of the batched data plane (the one-worker mode polls
@@ -162,15 +163,12 @@ struct ShardedRunStats {
 /// Thread safety: run() is driven by one thread. attach_query(),
 /// detach_query() and query_count() are safe from ANY thread, including
 /// concurrently with a live run() (that is their purpose) and from inside
-/// the run's own window callback. current_budget() is informational and
-/// safe to read from the run thread between callbacks.
+/// the run's own window callback. last_run_stats() is read from the run
+/// thread.
 class StreamApprox {
  public:
   /// Binds to a broker topic. The topic must already exist.
   StreamApprox(ingest::Broker& broker, StreamApproxConfig config);
-
-  /// Closes the channels of pre-run attaches that never reached a driver.
-  ~StreamApprox();
 
   /// Consumes the topic until it is exhausted (sealed and fully read),
   /// invoking `on_window` for every completed sliding window. Slides are
@@ -180,41 +178,33 @@ class StreamApprox {
 
   // ---- Dynamic query lifecycle (safe from any thread) --------------------
 
-  /// Attaches a query to the pipeline — while it is RUNNING (sequential or
-  /// sharded) or before run() starts. The attach takes effect at the next
-  /// slide-close boundary: the query observes every slide from there on and
-  /// reports only windows assembled ENTIRELY after its attach (no
-  /// partial-window results). When `subscription_capacity` > 0, returns a
-  /// per-query output channel the caller drains with
+  /// Attaches a query on the driver of the current run, or of the next run
+  /// when none is running, under PipelineDriver::attach_query's rules: it
+  /// takes effect at that run's next slide-close boundary and reports only
+  /// windows assembled ENTIRELY after it. When `subscription_capacity` > 0,
+  /// returns a per-query output channel the caller drains with
   /// QuerySubscription::poll() (one consumer thread); the channel closes on
-  /// detach or when the run's driver is torn down, and buffered outputs
-  /// stay drainable after close. Returns nullptr when no channel was
-  /// requested. If the sink carries an accuracy target it joins the
-  /// feedback bank seeded at the budget currently in force. Dynamic
-  /// attachments are one-shot: they apply to the current (or next) run and
-  /// do not modify the durable config.
+  /// detach, when the run ends, or with the facade if no run started, and
+  /// buffered outputs stay drainable after close. Otherwise, or for a null
+  /// sink, returns nullptr. Dynamic attachments are one-shot: they apply to
+  /// the current (or next) run and do not modify the durable config.
   std::shared_ptr<QuerySubscription> attach_query(
       std::unique_ptr<QuerySink> sink, std::size_t subscription_capacity = 0);
 
   /// Detaches the query registered under `name` — config-registered or
-  /// dynamically attached — at the next slide-close boundary: the sink
-  /// stops observing slides, its FeedbackController (if any) retires and
-  /// the strictest-target budget is rebuilt from the remaining queries
-  /// (falling back to the config budget when no target remains), and its
-  /// subscription channel (if any) closes after the buffered outputs.
-  /// Returns true when a matching query (live, or a not-yet-applied attach,
-  /// which is simply cancelled) was found.
+  /// dynamically attached — on the driver of the current or next run, under
+  /// PipelineDriver::detach_query's rules: a not-yet-applied attach is
+  /// cancelled at once; a live query retires at the next slide-close
+  /// boundary with its FeedbackController, the strictest-target budget is
+  /// rebuilt, and its channel closes after the buffered outputs. Returns
+  /// false when the name is unknown or its detach is already queued.
   bool detach_query(const std::string& name);
 
-  /// Number of queries currently registered: the live driver's
-  /// boundary-applied count while running (queued operations show up once
-  /// they take effect), else the configured set plus queued pre-run
-  /// operations.
+  /// Number of queries on the driver of the current or next run,
+  /// boundary-applied: a queued attach or detach shows from that run's next
+  /// slide close on. The configured set when no operation was made since
+  /// construction or the last run.
   std::size_t query_count() const;
-
-  /// The per-slide sample budget currently in force (adapted over time when
-  /// any registered query carries an accuracy target).
-  std::size_t current_budget() const noexcept { return slide_budget_; }
 
   /// Scheduler/exchange counters of the most recent run() (valid after it
   /// returns; reset when the next run starts). Read from the run thread.
@@ -223,39 +213,11 @@ class StreamApprox {
   }
 
  private:
-  /// A dynamic attach requested before run() created a driver.
-  struct PendingAttach {
-    std::unique_ptr<QuerySink> sink;
-    std::shared_ptr<QuerySubscription> subscription;
-  };
-
-  /// Maps the facade configuration onto the slide-lifecycle driver's.
-  PipelineDriverConfig driver_config() const;
-
-  /// True when `name` addresses a config-registered query.
-  bool config_has_query(const std::string& name) const;
-
-  /// Hands queued pre-run control operations to the freshly built driver
-  /// and publishes it as the live attach/detach target.
-  void install_driver(PipelineDriver& driver);
-
-  /// Unpublishes the live driver (run() teardown).
-  void uninstall_driver();
-
-  /// RAII wrapper: install on entry, uninstall on scope exit.
-  class DriverInstallation {
-   public:
-    DriverInstallation(StreamApprox& system, PipelineDriver& driver)
-        : system_(system) {
-      system_.install_driver(driver);
-    }
-    ~DriverInstallation() { system_.uninstall_driver(); }
-    DriverInstallation(const DriverInstallation&) = delete;
-    DriverInstallation& operator=(const DriverInstallation&) = delete;
-
-   private:
-    StreamApprox& system_;
-  };
+  /// The driver of the current or next run, built from the config on first
+  /// use: one shard per feeding thread (the run thread, or each worker),
+  /// output through the running call's window callback. Call with
+  /// control_mutex_ held.
+  PipelineDriver& driver_locked();
 
   /// Sharded execution (core/sharded.cpp): runs `exchange` on its own
   /// thread, one work-stealing worker per channel feeding its own shard of
@@ -264,23 +226,23 @@ class StreamApprox {
   void run_sharded(PipelineDriver& driver, ingest::Exchange& exchange);
 
   /// Closes every slide `watermark` (a resolved exchange watermark) lets
-  /// close, then records the budget in force and each closed slide's
-  /// watermark lag. Returns the number of slides closed.
+  /// close, then records each closed slide's watermark lag. Returns the
+  /// number of slides closed.
   std::size_t close_behind(PipelineDriver& driver,
                            const ingest::Exchange& exchange,
                            std::int64_t watermark);
 
   ingest::Broker& broker_;
   StreamApproxConfig config_;
-  std::size_t slide_budget_ = 0;
   ShardedRunStats run_stats_;
+  /// The running call's window callback. Set and read on the run thread
+  /// only: the driver's lifecycle thread is the run thread in both modes.
+  const std::function<void(const WindowOutput&)>* on_window_ = nullptr;
 
-  /// Guards the control plane hand-off (live driver pointer + queued
-  /// pre-run operations). Never touched by the data plane.
+  /// Guards driver_. Never touched by the data plane.
   mutable std::mutex control_mutex_;
-  PipelineDriver* live_driver_ = nullptr;
-  std::vector<PendingAttach> pre_run_attaches_;
-  std::vector<std::string> pre_run_detaches_;
+  /// The driver of the current or next run; reset when run() returns.
+  std::unique_ptr<PipelineDriver> driver_;
 };
 
 }  // namespace streamapprox::core

@@ -6,8 +6,8 @@
 
 namespace streamapprox::estimation {
 
-std::size_t CostFunction::sample_size(const QueryBudget& budget,
-                                      std::uint64_t expected_items) const {
+std::size_t sample_size(const QueryBudget& budget,
+                        std::uint64_t expected_items, std::size_t workers) {
   const double expected = static_cast<double>(expected_items);
   switch (budget.kind) {
     case BudgetKind::kSampleFraction: {
@@ -15,22 +15,20 @@ std::size_t CostFunction::sample_size(const QueryBudget& budget,
       return static_cast<std::size_t>(std::ceil(f * expected));
     }
     case BudgetKind::kLatencyMs: {
-      const double capacity = budget.value * model_.items_per_ms_per_worker *
-                              static_cast<double>(model_.workers);
+      const double capacity =
+          budget.value * kRecordsPerMsPerWorker *
+          static_cast<double>(std::max<std::size_t>(1, workers));
       return static_cast<std::size_t>(
           std::max(1.0, std::min(expected, capacity)));
     }
     case BudgetKind::kResourceTokens: {
-      const double capacity =
-          model_.tokens_per_item > 0.0
-              ? budget.value / model_.tokens_per_item
-              : expected;
+      const double capacity = budget.value / kTokensPerRecord;
       return static_cast<std::size_t>(
           std::max(1.0, std::min(expected, capacity)));
     }
     case BudgetKind::kRelativeError:
       throw std::invalid_argument(
-          "CostFunction: relative_error budgets are sized by the feedback "
+          "sample_size: relative_error budgets are sized by the feedback "
           "loop, not the cost function");
   }
   return expected_items;

@@ -41,31 +41,19 @@ struct QueryBudget {
   }
 };
 
-/// The execution substrate's cost, used by the latency and token budgets.
-/// The defaults are fixed and conservative; nothing measures or updates them
-/// at run time, so a latency budget assumes 1000 items/ms per worker and a
-/// token budget one token per item.
-struct CostModel {
-  double items_per_ms_per_worker = 1000.0;  ///< assumed processing rate
-  double tokens_per_item = 1.0;             ///< resource cost of one item
-  std::size_t workers = 1;                  ///< parallel workers available
-};
+/// The execution substrate's assumed cost, used by the latency and token
+/// budgets. Fixed and conservative: nothing measures or updates them at run
+/// time.
+inline constexpr double kRecordsPerMsPerWorker = 1000.0;
+inline constexpr double kTokensPerRecord = 1.0;
 
-/// Translates budgets into per-interval total sample sizes.
-class CostFunction {
- public:
-  CostFunction() = default;
-  explicit CostFunction(CostModel model) : model_(model) {}
-
-  /// Computes the sample size for the next interval from
-  /// `expected_items`, the anticipated number of arrivals in it (typically
-  /// the previous interval's count). Throws std::invalid_argument for a
-  /// `relative_error` budget, which the feedback loop sizes.
-  std::size_t sample_size(const QueryBudget& budget,
-                          std::uint64_t expected_items) const;
-
- private:
-  CostModel model_{};
-};
+/// Computes the sample size for the next interval from `expected_items`,
+/// the anticipated number of arrivals in it (typically the previous
+/// interval's count). A latency budget of t ms allows
+/// t · kRecordsPerMsPerWorker · `workers` records (0 workers count as 1).
+/// Throws std::invalid_argument for a `relative_error` budget, which the
+/// feedback loop sizes.
+std::size_t sample_size(const QueryBudget& budget,
+                        std::uint64_t expected_items, std::size_t workers);
 
 }  // namespace streamapprox::estimation

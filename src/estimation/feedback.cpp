@@ -6,14 +6,12 @@
 
 namespace streamapprox::estimation {
 
-FeedbackController::FeedbackController(FeedbackConfig config,
+FeedbackController::FeedbackController(double target_relative_error,
                                        std::size_t initial_budget)
-    : config_(config),
-      budget_(std::clamp(initial_budget, config.min_budget,
-                         config.max_budget)) {}
+    : target_(target_relative_error),
+      budget_(std::clamp(initial_budget, kMinBudget, kMaxBudget)) {}
 
 std::size_t FeedbackController::update(double observed_relative_bound) {
-  const double target = config_.target_relative_error;
   double scale = 0.0;
   if (observed_relative_bound <= 0.0) {
     // Interval was exact (e.g. every stratum fully observed): we can afford
@@ -22,20 +20,19 @@ std::size_t FeedbackController::update(double observed_relative_bound) {
   } else {
     // Relative bound scales ~ 1/sqrt(budget): to move the bound from
     // `observed` to `target`, scale the budget by (observed/target)².
-    const double ratio = observed_relative_bound / target;
+    const double ratio = observed_relative_bound / target_;
     scale = ratio * ratio;
   }
-  scale = std::clamp(scale, 1.0 / config_.max_step, config_.max_step);
-  const double damped =
-      std::pow(scale, config_.smoothing);  // EWMA in log space
+  scale = std::clamp(scale, 1.0 / kMaxStep, kMaxStep);
+  const double damped = std::pow(scale, kSmoothing);  // EWMA in log space
   const double next = static_cast<double>(budget_) * damped;
   budget_ = std::clamp(static_cast<std::size_t>(std::llround(next)),
-                       config_.min_budget, config_.max_budget);
+                       kMinBudget, kMaxBudget);
   return budget_;
 }
 
-FeedbackBank::FeedbackBank(FeedbackConfig base, std::size_t initial_budget)
-    : base_(base), initial_budget_(initial_budget) {}
+FeedbackBank::FeedbackBank(std::size_t initial_budget)
+    : initial_budget_(initial_budget) {}
 
 std::size_t FeedbackBank::add_target(double target_relative_error) {
   return add_target(target_relative_error, initial_budget_);
@@ -43,10 +40,9 @@ std::size_t FeedbackBank::add_target(double target_relative_error) {
 
 std::size_t FeedbackBank::add_target(double target_relative_error,
                                      std::size_t seed_budget) {
-  FeedbackConfig config = base_;
-  config.target_relative_error = target_relative_error;
   const std::size_t id = next_id_++;
-  controllers_.push_back(Slot{id, FeedbackController(config, seed_budget)});
+  controllers_.push_back(
+      Slot{id, FeedbackController(target_relative_error, seed_budget)});
   return id;
 }
 

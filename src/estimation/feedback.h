@@ -10,34 +10,33 @@
 
 namespace streamapprox::estimation {
 
-/// Controller configuration.
-struct FeedbackConfig {
-  double target_relative_error = 0.01;  ///< desired 95% relative bound
-  double smoothing = 0.5;   ///< EWMA factor on budget updates (0..1]
-  double max_step = 4.0;    ///< max multiplicative change per interval
-  std::size_t min_budget = 16;
-  std::size_t max_budget = 1 << 26;
-};
-
 /// Re-tunes the per-interval sample budget from observed error bounds.
 class FeedbackController {
  public:
-  /// Creates a controller starting at `initial_budget` samples/interval.
-  FeedbackController(FeedbackConfig config, std::size_t initial_budget);
+  /// EWMA factor on budget updates, applied in log space.
+  static constexpr double kSmoothing = 0.5;
+  /// Max multiplicative change per interval before smoothing, so one
+  /// interval moves the budget by at most kMaxStep^kSmoothing = 2x.
+  static constexpr double kMaxStep = 4.0;
+  /// Bounds every budget the controller starts at or returns.
+  static constexpr std::size_t kMinBudget = 16;
+  static constexpr std::size_t kMaxBudget = std::size_t{1} << 26;
+
+  /// Creates a controller for `target_relative_error` (the desired 95 %
+  /// relative bound) starting at `initial_budget` samples/interval.
+  FeedbackController(double target_relative_error,
+                     std::size_t initial_budget);
 
   /// Reports the observed relative error bound of the last interval and
   /// returns the budget to use for the next interval. Error bound <= 0 (an
-  /// exact interval) shrinks the budget toward min_budget.
+  /// exact interval) shrinks the budget toward kMinBudget.
   std::size_t update(double observed_relative_bound);
 
   /// Budget currently in force.
   std::size_t budget() const noexcept { return budget_; }
 
-  /// The configured target.
-  double target() const noexcept { return config_.target_relative_error; }
-
  private:
-  FeedbackConfig config_;
+  double target_;
   std::size_t budget_;
 };
 
@@ -54,9 +53,9 @@ class FeedbackController {
 /// membership changes reach it only at slide-close boundaries.
 class FeedbackBank {
  public:
-  /// `base` supplies the controller tuning (smoothing, step, clamps); each
-  /// registered target overrides base.target_relative_error.
-  FeedbackBank(FeedbackConfig base, std::size_t initial_budget);
+  /// Creates an empty bank whose controllers start at `initial_budget`
+  /// unless add_target names a seed.
+  explicit FeedbackBank(std::size_t initial_budget);
 
   /// Registers a controller for one query's relative-error target, seeded at
   /// the bank's initial budget; returns its stable id (pass it to
@@ -101,7 +100,6 @@ class FeedbackBank {
     FeedbackController controller;
   };
 
-  FeedbackConfig base_;
   std::size_t initial_budget_;
   std::size_t next_id_ = 0;
   std::vector<Slot> controllers_;  ///< registration order, ids stable

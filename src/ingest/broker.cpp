@@ -194,14 +194,6 @@ Consumer::Consumer(Broker& broker, const std::string& topic,
   offsets_.assign(assignment_.size(), 0);
 }
 
-std::vector<engine::Record> Consumer::poll(std::size_t max_records,
-                                           std::int64_t timeout_ms) {
-  std::vector<engine::Record> out;
-  out.reserve(std::min<std::size_t>(max_records, 4096));
-  poll(out, max_records, timeout_ms);
-  return out;
-}
-
 std::size_t Consumer::poll(std::vector<engine::Record>& out,
                            std::size_t max_records, std::int64_t timeout_ms) {
   out.clear();

@@ -191,16 +191,10 @@ class Consumer {
            std::vector<std::size_t> assignment);
 
   /// Polls up to `max_records` records across the assigned partitions,
-  /// blocking up to `timeout_ms` for the first record. Returns the records
-  /// fetched (empty when the assignment is exhausted and sealed, or the
-  /// timeout expired). Allocates a fresh vector per call; the live paths use
-  /// the reuse-buffer overload below.
-  std::vector<engine::Record> poll(std::size_t max_records,
-                                   std::int64_t timeout_ms = 100);
-
-  /// Reuse-buffer overload: clears `out` (keeping its capacity) and fills it
-  /// in place, so steady-state polling is allocation-free. Returns the
-  /// number of records fetched.
+  /// blocking up to `timeout_ms` for the first record. Clears `out`
+  /// (keeping its capacity) and fills it in place, so steady-state polling
+  /// is allocation-free. Returns the number of records fetched (0 when the
+  /// assignment is exhausted and sealed, or the timeout expired).
   std::size_t poll(std::vector<engine::Record>& out, std::size_t max_records,
                    std::int64_t timeout_ms = 100);
 

@@ -135,23 +135,6 @@ class OasrsSampler {
     return result;
   }
 
-  /// Per-stratum view without consuming (copies items).
-  StratifiedSample<T> snapshot() const {
-    StratifiedSample<T> result;
-    result.strata.reserve(order_.size());
-    for (const StratumId id : order_) {
-      const Reservoir& reservoir = reservoirs_.at(id);
-      if (reservoir.seen() == 0) continue;
-      StratumSample<T> s;
-      s.stratum = id;
-      s.seen = reservoir.seen();
-      s.weight = reservoir.weight();
-      s.items = reservoir.items();
-      result.strata.push_back(std::move(s));
-    }
-    return result;
-  }
-
   /// Adjusts the total budget (adaptive feedback, §4.2: "increase the sample
   /// size ... in the subsequent epochs"). Empty reservoirs re-tune at once;
   /// reservoirs already filling this interval shrink immediately if the

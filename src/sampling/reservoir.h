@@ -143,20 +143,6 @@ class ReservoirSampler {
     seen_ += their_seen;
   }
 
-  /// Merge preserving `other` (copies its sample).
-  void merge(const ReservoirSampler& other) {
-    if (other.seen_ == 0) return;
-    merge_from(other.items_, other.seen_);
-  }
-
-  /// Consuming merge: when the caller owns `other` (the sharded merger's
-  /// slide-close path does), its sample moves instead of copying. Draws the
-  /// same randomness as the copying overload.
-  void merge(ReservoirSampler&& other) {
-    if (other.seen_ == 0) return;
-    merge_from(std::move(other.items_), other.seen_);
-  }
-
  private:
   std::size_t capacity_;
   std::vector<T> items_;

@@ -303,10 +303,12 @@ TEST(Consumer, ConsumesEverythingOnce) {
   producer.finish();
 
   Consumer consumer(broker, "t");
+  std::vector<engine::Record> buffer;
   double sum = 0.0;
   std::size_t count = 0;
   while (!consumer.exhausted()) {
-    for (const auto& record : consumer.poll(64, 10)) {
+    consumer.poll(buffer, 64, 10);
+    for (const auto& record : buffer) {
       sum += record.value;
       ++count;
     }
@@ -325,10 +327,11 @@ TEST(Consumer, TwoConsumersAreIndependent) {
 
   Consumer a(broker, "t");
   Consumer b(broker, "t");
+  std::vector<engine::Record> buffer;
   std::size_t count_a = 0;
   std::size_t count_b = 0;
-  while (!a.exhausted()) count_a += a.poll(32, 10).size();
-  while (!b.exhausted()) count_b += b.poll(32, 10).size();
+  while (!a.exhausted()) count_a += a.poll(buffer, 32, 10);
+  while (!b.exhausted()) count_b += b.poll(buffer, 32, 10);
   EXPECT_EQ(count_a, 100u);
   EXPECT_EQ(count_b, 100u);  // replayable log, not a destructive queue
 }
@@ -343,9 +346,10 @@ TEST(Consumer, ConcurrentProduceConsume) {
     producer.finish();
   });
   Consumer consumer(broker, "t");
+  std::vector<engine::Record> buffer;
   std::size_t received = 0;
   while (!consumer.exhausted()) {
-    received += consumer.poll(256, 50).size();
+    received += consumer.poll(buffer, 256, 50);
   }
   producer_thread.join();
   EXPECT_EQ(received, static_cast<std::size_t>(kCount));
@@ -432,9 +436,11 @@ TEST(Consumer, AssignedSubsetReadsOnlyItsPartitions) {
   producer.finish();
 
   Consumer consumer(broker, "t", {1, 3});
+  std::vector<engine::Record> buffer;
   std::size_t count = 0;
   while (!consumer.exhausted()) {
-    for (const auto& record : consumer.poll(64, 10)) {
+    consumer.poll(buffer, 64, 10);
+    for (const auto& record : buffer) {
       EXPECT_TRUE(record.stratum == 1 || record.stratum == 3);
       ++count;
     }
@@ -455,7 +461,9 @@ TEST(Consumer, EmptyAssignmentIsImmediatelyExhausted) {
   broker.create_topic("t", 2);
   Consumer consumer(broker, "t", std::vector<std::size_t>{});
   EXPECT_TRUE(consumer.exhausted());
-  EXPECT_TRUE(consumer.poll(16, 0).empty());
+  std::vector<engine::Record> buffer;
+  EXPECT_EQ(consumer.poll(buffer, 16, 0), 0u);
+  EXPECT_TRUE(buffer.empty());
 }
 
 TEST(Consumer, PartitionExhaustedTracksPerPartitionProgress) {
@@ -465,7 +473,8 @@ TEST(Consumer, PartitionExhaustedTracksPerPartitionProgress) {
   topic.partition(0).seal();
   // Partition 1 stays open.
   Consumer consumer(broker, "t", {0, 1});
-  while (!consumer.partition_exhausted(0)) consumer.poll(16, 0);
+  std::vector<engine::Record> buffer;
+  while (!consumer.partition_exhausted(0)) consumer.poll(buffer, 16, 0);
   EXPECT_TRUE(consumer.partition_exhausted(0));
   EXPECT_FALSE(consumer.partition_exhausted(1));
   EXPECT_FALSE(consumer.exhausted());

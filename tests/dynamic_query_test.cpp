@@ -190,6 +190,45 @@ TEST(DynamicQuery, CancellingAPendingAttachNeverTakesEffect) {
   for (const auto& output : outputs) EXPECT_EQ(output.queries.size(), 1u);
 }
 
+TEST(DynamicQuery, NullSinkAttachesNothing) {
+  PipelineDriver driver(driver_config_1s_windows(), [](const WindowOutput&) {});
+  // No channel is made for a null sink, so none is left open that no query
+  // would ever publish to or close.
+  EXPECT_EQ(driver.attach_query(nullptr, 4), nullptr);
+  EXPECT_EQ(driver.attach_query(nullptr), nullptr);
+  const std::uint64_t generation = driver.registry_generation();
+  for (int i = 0; i < 2000; ++i) driver.offer(make_record(i));
+  driver.advance(2'000'000);
+  EXPECT_EQ(driver.registry_generation(), generation);  // nothing queued
+  EXPECT_EQ(driver.query_count(), 1u);
+}
+
+TEST(DynamicQuery, RepeatedDetachRetiresOneQueryOfASharedName) {
+  // Names may repeat, and a detach retires the first live match. A second
+  // detach of the same name before the boundary is refused rather than
+  // queued, so it cannot retire the other query too.
+  PipelineDriverConfig config = driver_config_1s_windows();
+  config.queries.aggregate("query", {Aggregation::kSum, false}, /*z=*/3.0);
+  std::vector<WindowOutput> outputs;
+  PipelineDriver driver(config,
+                        [&](const WindowOutput& o) { outputs.push_back(o); });
+  ASSERT_EQ(driver.query_count(), 2u);
+  EXPECT_TRUE(driver.detach_query("query"));
+  EXPECT_FALSE(driver.detach_query("query"));
+  for (int i = 0; i < 2000; ++i) driver.offer(make_record(i));
+  driver.advance(2'000'000);
+  EXPECT_EQ(driver.query_count(), 1u);
+  ASSERT_FALSE(outputs.empty());
+  for (const auto& output : outputs) {
+    // The first match (the MEAN at the default z) retired; the SUM at z = 3
+    // reports every window.
+    ASSERT_EQ(output.queries.size(), 1u);
+    EXPECT_DOUBLE_EQ(output.queries[0].z, 3.0);
+  }
+  // Once the boundary applied the detach, the survivor is addressable.
+  EXPECT_TRUE(driver.detach_query("query"));
+}
+
 TEST(DynamicQuery, DriverTeardownClosesSubscriptions) {
   std::shared_ptr<QuerySubscription> subscription;
   {
@@ -499,7 +538,7 @@ TEST(DynamicQuery, AttachDuringIdlePartitionStallAppliesOnResume) {
   EXPECT_TRUE(subscription->finished());
 }
 
-TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
+TEST(DynamicQuery, PreRunControlPlaneFollowsDriverRules) {
   ingest::Broker broker;
   broker.create_topic("input", 1);
   StreamApproxConfig config;
@@ -508,24 +547,23 @@ TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
   config.queries.aggregate("query", {Aggregation::kMean, false});
   {
     StreamApprox system(broker, config);
-    // The pre-run count is the configured set.
+    // Before run() the facade forwards to the next run's driver, whose count
+    // is boundary-applied: the configured set until that run closes a slide.
     EXPECT_EQ(system.query_count(), 1u);
     auto subscription = system.attach_query(
         std::make_unique<AggregateSink>(
             "pre", QuerySpec{Aggregation::kSum, false}),
         4);
-    EXPECT_EQ(system.query_count(), 2u);
-    // Cancelling a pre-run attach closes its channel immediately — no
-    // driver exists to do it later.
+    EXPECT_EQ(system.query_count(), 1u);
+    // Cancelling a queued attach closes its channel at once.
     EXPECT_TRUE(system.detach_query("pre"));
     EXPECT_TRUE(subscription->finished());
-    EXPECT_EQ(system.query_count(), 1u);
+    EXPECT_FALSE(system.detach_query("pre"));  // cancelled, so unknown now
     // A config-registered query is addressable pre-run by its name — once:
-    // a repeat detach of an already-slated query is a no-op.
+    // a repeated detach of a queued one is refused.
     EXPECT_TRUE(system.detach_query("query"));
-    EXPECT_EQ(system.query_count(), 0u);
     EXPECT_FALSE(system.detach_query("query"));
-    EXPECT_EQ(system.query_count(), 0u);
+    EXPECT_EQ(system.query_count(), 1u);
     EXPECT_FALSE(system.detach_query("no-such-query"));
   }
   // A pre-run attach discarded with the facade (run never started) must
@@ -540,6 +578,51 @@ TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
     EXPECT_FALSE(orphan->finished());
   }
   EXPECT_TRUE(orphan->finished());
+}
+
+TEST(DynamicQuery, PreRunOperationsApplyAtTheRunsFirstSlideClose) {
+  const auto records = gaussian_stream(4.0, 20000.0, 25);
+  ingest::Broker broker;
+  broker.create_topic("input", 3);
+  ingest::Producer producer(broker, "input");
+  producer.send_batch(records);
+  producer.finish();
+  StreamApproxConfig config;
+  config.topic = "input";
+  config.window = {1'000'000, 500'000};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
+  config.queries.aggregate("kept", {Aggregation::kSum, false});
+  StreamApprox system(broker, config);
+  auto subscription = system.attach_query(
+      std::make_unique<AggregateSink>("pre",
+                                      QuerySpec{Aggregation::kCount, false}),
+      64);
+  ASSERT_NE(subscription, nullptr);
+  EXPECT_TRUE(system.detach_query("query"));
+
+  std::vector<WindowOutput> outputs;
+  system.run([&](const WindowOutput& output) { outputs.push_back(output); });
+  ASSERT_GT(outputs.size(), 3u);
+  // Both operations applied before the run's first slide: the detached
+  // config query reports no window, the queued attach every one.
+  for (const auto& output : outputs) {
+    ASSERT_EQ(output.queries.size(), 2u);
+    EXPECT_EQ(output.queries[0].name, "kept");
+    EXPECT_EQ(output.queries[1].name, "pre");
+  }
+  std::size_t channel_outputs = 0;
+  while (auto output = subscription->poll()) {
+    ASSERT_LT(channel_outputs, outputs.size());
+    EXPECT_EQ(output->estimate.window_end_us,
+              outputs[channel_outputs].estimate.window_end_us);
+    ++channel_outputs;
+  }
+  EXPECT_EQ(channel_outputs, outputs.size());
+  EXPECT_EQ(subscription->dropped(), 0u);
+  // The channel finished with the run, and the operations were one-shot:
+  // the next run starts from the configured set again.
+  EXPECT_TRUE(subscription->finished());
+  EXPECT_EQ(system.query_count(), 2u);
 }
 
 TEST(DynamicQuery, AttachDetachStormUnderExchangeSharding) {

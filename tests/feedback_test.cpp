@@ -9,57 +9,50 @@
 namespace streamapprox::estimation {
 namespace {
 
-FeedbackConfig config_with_target(double target) {
-  FeedbackConfig config;
-  config.target_relative_error = target;
-  return config;
-}
-
 TEST(Feedback, GrowsWhenBoundTooLarge) {
-  FeedbackController controller(config_with_target(0.01), 1000);
+  FeedbackController controller(0.01, 1000);
   const auto next = controller.update(0.02);  // 2x over target
   EXPECT_GT(next, 1000u);
 }
 
 TEST(Feedback, ShrinksWhenBoundComfortable) {
-  FeedbackController controller(config_with_target(0.01), 1000);
+  FeedbackController controller(0.01, 1000);
   const auto next = controller.update(0.002);  // 5x better than needed
   EXPECT_LT(next, 1000u);
 }
 
 TEST(Feedback, ExactResultShrinksGently) {
-  FeedbackController controller(config_with_target(0.01), 1000);
+  FeedbackController controller(0.01, 1000);
   const auto next = controller.update(0.0);
   EXPECT_LT(next, 1000u);
-  EXPECT_GE(next, 500u);  // bounded by max_step/smoothing
+  EXPECT_GE(next, 500u);  // bounded by kMaxStep^kSmoothing
 }
 
 TEST(Feedback, RespectsBudgetBounds) {
-  FeedbackConfig config = config_with_target(0.01);
-  config.min_budget = 100;
-  config.max_budget = 2000;
-  FeedbackController controller(config, 1000);
-  for (int i = 0; i < 20; ++i) controller.update(1.0);  // huge error
-  EXPECT_EQ(controller.budget(), 2000u);
-  for (int i = 0; i < 40; ++i) controller.update(1e-9);
-  EXPECT_EQ(controller.budget(), 100u);
+  FeedbackController controller(0.01, 1000);
+  // Huge error: the budget doubles per interval until the cap, 2^26, which
+  // 1000 reaches in 17 intervals.
+  for (int i = 0; i < 40; ++i) controller.update(1.0);
+  EXPECT_EQ(controller.budget(), FeedbackController::kMaxBudget);
+  // Tiny error: the budget halves per interval down to the floor, 16.
+  for (int i = 0; i < 60; ++i) controller.update(1e-9);
+  EXPECT_EQ(controller.budget(), FeedbackController::kMinBudget);
 }
 
 TEST(Feedback, InitialBudgetClamped) {
-  FeedbackConfig config = config_with_target(0.01);
-  config.min_budget = 64;
-  config.max_budget = 128;
-  EXPECT_EQ(FeedbackController(config, 1).budget(), 64u);
-  EXPECT_EQ(FeedbackController(config, 1 << 20).budget(), 128u);
+  EXPECT_EQ(FeedbackController(0.01, 1).budget(),
+            FeedbackController::kMinBudget);
+  EXPECT_EQ(FeedbackController(0.01, std::size_t{1} << 30).budget(),
+            FeedbackController::kMaxBudget);
+  EXPECT_EQ(FeedbackController(0.01, 1000).budget(), 1000u);
 }
 
 TEST(Feedback, StepIsBounded) {
-  FeedbackConfig config = config_with_target(0.01);
-  config.smoothing = 1.0;  // undamped
-  config.max_step = 4.0;
-  FeedbackController controller(config, 1000);
-  const auto next = controller.update(10.0);  // astronomically over target
-  EXPECT_LE(next, 4000u);
+  // One interval moves the budget by at most kMaxStep^kSmoothing = 4^0.5 =
+  // 2x, however far the bound is from the target.
+  FeedbackController controller(0.01, 1000);
+  EXPECT_EQ(controller.update(10.0), 2000u);  // astronomically over target
+  EXPECT_EQ(controller.update(1e-9), 1000u);  // astronomically under it
 }
 
 // Convergence: simulate a system whose observed bound follows the
@@ -70,7 +63,7 @@ TEST(Feedback, ConvergesToTargetBudget) {
   // bound(budget) = c / sqrt(budget); with c chosen so budget*=10000 meets
   // the target exactly.
   const double c = target * std::sqrt(10000.0);
-  FeedbackController controller(config_with_target(target), 500);
+  FeedbackController controller(target, 500);
   std::size_t budget = controller.budget();
   for (int i = 0; i < 40; ++i) {
     const double bound = c / std::sqrt(static_cast<double>(budget));
@@ -87,7 +80,7 @@ TEST(Feedback, ConvergesToTargetBudget) {
 // stream once, so the strictest query pays for everyone).
 
 TEST(FeedbackBank, EmptyBankKeepsInitialBudget) {
-  FeedbackBank bank(FeedbackConfig{}, 777);
+  FeedbackBank bank(777);
   EXPECT_TRUE(bank.empty());
   EXPECT_EQ(bank.budget(), 777u);
   EXPECT_EQ(bank.update_targets({}), 777u);
@@ -96,8 +89,8 @@ TEST(FeedbackBank, EmptyBankKeepsInitialBudget) {
 TEST(FeedbackBank, SingleTargetMatchesPlainController) {
   // A single targeted query must be reproduced exactly: one target in the
   // bank follows the standalone controller's trajectory bit for bit.
-  FeedbackController controller(config_with_target(0.01), 1024);
-  FeedbackBank bank(FeedbackConfig{}, 1024);
+  FeedbackController controller(0.01, 1024);
+  FeedbackBank bank(1024);
   const std::size_t id = bank.add_target(0.01);
   ASSERT_EQ(bank.size(), 1u);
   double bound = 0.05;
@@ -110,10 +103,10 @@ TEST(FeedbackBank, SingleTargetMatchesPlainController) {
 TEST(FeedbackBank, StrictestTargetWins) {
   // A loose query (happy at tiny budgets) and a strict query: the resolved
   // budget must track the strict controller's demand.
-  FeedbackBank bank(FeedbackConfig{}, 1024);
+  FeedbackBank bank(1024);
   const std::size_t loose = bank.add_target(0.5);
   const std::size_t strict = bank.add_target(0.001);
-  FeedbackController strict_alone(config_with_target(0.001), 1024);
+  FeedbackController strict_alone(0.001, 1024);
   double bound = 0.02;
   for (int i = 0; i < 8; ++i) {
     // Both queries observe the same bound (same sampled stream).
@@ -127,14 +120,14 @@ TEST(FeedbackBank, StrictestTargetWins) {
 TEST(FeedbackBank, IndependentBoundsPerTarget) {
   // Queries may observe different bounds (e.g. different z): each controller
   // consumes its own term and the max is returned.
-  FeedbackBank bank(FeedbackConfig{}, 1000);
+  FeedbackBank bank(1000);
   const std::size_t first = bank.add_target(0.01);
   const std::size_t second = bank.add_target(0.01);
   // Query 0 is exactly on target (budget holds); query 1 is 2x over (budget
   // quadruples, damped): the max follows query 1.
   const std::size_t next =
       bank.update_targets({{first, 0.01}, {second, 0.02}});
-  FeedbackController over(config_with_target(0.01), 1000);
+  FeedbackController over(0.01, 1000);
   EXPECT_EQ(next, over.update(0.02));
 }
 
@@ -142,7 +135,7 @@ TEST(FeedbackBank, RemoveTargetRetiresItsControllerOnly) {
   // Dynamic detach: removing one controller by stable id leaves the others'
   // ids (and trajectories) untouched, and the rebuilt budget is the max over
   // the survivors.
-  FeedbackBank bank(FeedbackConfig{}, 1024);
+  FeedbackBank bank(1024);
   const std::size_t loose = bank.add_target(0.5);
   const std::size_t strict = bank.add_target(0.001);
   bank.update_targets({{loose, 0.02}, {strict, 0.02}});
@@ -162,7 +155,7 @@ TEST(FeedbackBank, RemoveTargetRetiresItsControllerOnly) {
 TEST(FeedbackBank, MidStreamTargetSeedsAtGivenBudget) {
   // A query attached mid-stream joins at the budget currently in force, not
   // at the bank's cold-start value (budget continuity).
-  FeedbackBank bank(FeedbackConfig{}, 1024);
+  FeedbackBank bank(1024);
   const std::size_t id = bank.add_target(0.01, /*seed_budget=*/9000);
   (void)id;
   EXPECT_EQ(bank.budget(), 9000u);

@@ -87,16 +87,6 @@ TEST(Oasrs, TakeResetsForNextInterval) {
   EXPECT_DOUBLE_EQ(second.strata[0].weight, 1.0);
 }
 
-TEST(Oasrs, SnapshotDoesNotConsume) {
-  auto sampler = make_oasrs<Record>(fixed_capacity_config(4, 5));
-  for (int i = 0; i < 10; ++i) sampler.offer(make_record(0, 1.0));
-  auto snap = sampler.snapshot();
-  EXPECT_EQ(snap.strata.size(), 1u);
-  auto taken = sampler.take();
-  EXPECT_EQ(taken.strata.size(), 1u);
-  EXPECT_EQ(taken.strata[0].seen, 10u);
-}
-
 TEST(Oasrs, TotalBudgetSplitsEqually) {
   OasrsConfig config;
   config.total_budget = 30;
@@ -186,8 +176,8 @@ TEST(Oasrs, MergeCombinesWorkers) {
 TEST(Oasrs, WorksOnUnboundedStreamsWithoutTake) {
   // §3.2: "OASRS not only works for a concerned time interval, but also
   // works with unbounded data streams": without interval resets the
-  // reservoirs and counters stay coherent indefinitely and snapshot() gives
-  // a valid weighted sample at any moment.
+  // reservoirs and counters stay coherent over the whole stream, and one
+  // take() after it gives a valid weighted sample.
   // 512 samples/stratum over U(0,100): relative SE of the weighted sum is
   // ~0.64%, so the 5% band is ~8 sigma.
   auto sampler = make_oasrs<Record>(fixed_capacity_config(512, 20));
@@ -198,10 +188,10 @@ TEST(Oasrs, WorksOnUnboundedStreamsWithoutTake) {
     exact_sum += v;
     sampler.offer(make_record(static_cast<StratumId>(i % 4), v));
   }
-  const auto snapshot = sampler.snapshot();
-  ASSERT_EQ(snapshot.strata.size(), 4u);
+  const auto sample = sampler.take();
+  ASSERT_EQ(sample.strata.size(), 4u);
   double approx_sum = 0.0;
-  for (const auto& stratum : snapshot.strata) {
+  for (const auto& stratum : sample.strata) {
     EXPECT_EQ(stratum.items.size(), 512u);
     EXPECT_EQ(stratum.seen, 125000u);
     double sum = 0.0;

@@ -33,8 +33,9 @@ TEST(ReplayTool, DeliversEverythingAndSeals) {
   EXPECT_EQ(replay.messages_sent(), 100u);
 
   Consumer consumer(broker, "replay");
+  std::vector<engine::Record> buffer;
   std::size_t count = 0;
-  while (!consumer.exhausted()) count += consumer.poll(128, 10).size();
+  while (!consumer.exhausted()) count += consumer.poll(buffer, 128, 10);
   EXPECT_EQ(count, 1000u);
 }
 

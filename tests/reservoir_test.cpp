@@ -230,7 +230,7 @@ TEST(Reservoir, CountersSurviveTakeResetShrinkAndMerge) {
   ReservoirSampler<int> b(10, 4);
   for (int i = 0; i < 100; ++i) a.offer(i);
   for (int i = 100; i < 150; ++i) b.offer(i);
-  a.merge(b);
+  a.merge_from(b.items(), b.seen());
   EXPECT_EQ(a.seen(), 150u);
   EXPECT_EQ(a.items().size(), 10u);
   for (int i = 150; i < 400; ++i) a.offer(i);  // sampling continues
@@ -243,7 +243,7 @@ TEST(ReservoirMerge, CountsAccumulate) {
   ReservoirSampler<int> b(10, 10);
   for (int i = 0; i < 100; ++i) a.offer(i);
   for (int i = 100; i < 150; ++i) b.offer(i);
-  a.merge(b);
+  a.merge_from(b.items(), b.seen());
   EXPECT_EQ(a.seen(), 150u);
   EXPECT_EQ(a.items().size(), 10u);
 }
@@ -253,12 +253,12 @@ TEST(ReservoirMerge, EmptySidesAreNoOps) {
   ReservoirSampler<int> b(10, 12);
   for (int i = 0; i < 20; ++i) a.offer(i);
   const auto before = a.items();
-  a.merge(b);  // empty rhs
+  a.merge_from(b.items(), b.seen());  // empty rhs
   EXPECT_EQ(a.items(), before);
   EXPECT_EQ(a.seen(), 20u);
 
   ReservoirSampler<int> c(10, 13);
-  c.merge(a);  // empty lhs adopts rhs sample
+  c.merge_from(a.items(), a.seen());  // empty lhs adopts rhs sample
   EXPECT_EQ(c.seen(), 20u);
   EXPECT_EQ(c.items().size(), 10u);
 }
@@ -273,7 +273,7 @@ TEST(ReservoirMerge, ProportionalRepresentation) {
     ReservoirSampler<int> small(20, 7000 + t);
     for (int i = 0; i < 9000; ++i) big.offer(1);
     for (int i = 0; i < 1000; ++i) small.offer(2);
-    big.merge(small);
+    big.merge_from(small.items(), small.seen());
     for (int item : big.items()) {
       if (item == 1) from_big += 1.0;
     }
@@ -299,7 +299,9 @@ TEST(ReservoirMerge, MergedSelectionIsUniform) {
     // Round-robin distribution, as the engines do.
     for (int i = 0; i < kStream; ++i) workers[i % kWorkers].offer(i);
     ReservoirSampler<int> merged = std::move(workers[0]);
-    for (int w = 1; w < kWorkers; ++w) merged.merge(workers[w]);
+    for (int w = 1; w < kWorkers; ++w) {
+      merged.merge_from(workers[w].items(), workers[w].seen());
+    }
     EXPECT_EQ(merged.seen(), static_cast<std::uint64_t>(kStream));
     EXPECT_LE(merged.items().size(), static_cast<std::size_t>(kCapacity));
     for (int item : merged.items()) hits[item] += 1.0;
@@ -307,26 +309,6 @@ TEST(ReservoirMerge, MergedSelectionIsUniform) {
   const std::vector<double> expected(
       kStream, kTrials * static_cast<double>(kCapacity) / kStream);
   EXPECT_LT(streamapprox::chi_square(hits, expected), 148.2);
-}
-
-// The consuming merge overload draws the same randomness as the copying one
-// (so either call site gets the identical merged sample) and moves the
-// donor's items instead of copying them.
-TEST(ReservoirMerge, ConsumingMergeMatchesCopyingMerge) {
-  const auto fill = [](auto& reservoir, int from, int to) {
-    for (int i = from; i < to; ++i) reservoir.offer(i);
-  };
-  ReservoirSampler<int> a1(12, 5), a2(12, 5), b1(12, 6), b2(12, 6);
-  fill(a1, 0, 300);
-  fill(a2, 0, 300);
-  fill(b1, 300, 500);
-  fill(b2, 300, 500);
-  a1.merge(b1);             // copying
-  a2.merge(std::move(b2));  // consuming
-  EXPECT_EQ(a1.items(), a2.items());
-  EXPECT_EQ(a1.seen(), a2.seen());
-  EXPECT_FALSE(b1.items().empty());  // copy preserved the donor
-  EXPECT_TRUE(b2.items().empty());   // move consumed it
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ingest/replay.h"
@@ -314,6 +315,27 @@ TEST(StreamApprox, EmptyRegistryFractionBudgetFollowsCostFunction) {
       EXPECT_EQ(output.budget_in_force,
                 std::max<std::size_t>(
                     1, static_cast<std::size_t>(std::ceil(0.2 * seen))))
+          << "workers=" << workers << " window ending "
+          << output.estimate.window_end_us;
+    }
+  }
+}
+
+TEST(StreamApprox, LatencyBudgetScalesWithWorkers) {
+  // A 2 ms latency budget allows 1000 records/ms per worker: 2000 records
+  // per slide on one worker, 8000 on four. Every 0.5 s slide carries about
+  // 10 000 arrivals, more than either allows, so each window reads the
+  // capacity sized from its previous slide.
+  const auto records = make_stream(3.0, 20000.0, 44);
+  for (const auto& [workers, capacity] :
+       {std::pair<std::size_t, std::size_t>{1, 2000}, {4, 8000}}) {
+    auto config = base_config();
+    config.workers = workers;
+    config.budget = estimation::QueryBudget::latency_ms(2.0);
+    const auto outputs = run_sealed(records, config);
+    ASSERT_GT(outputs.size(), 3u) << "workers=" << workers;
+    for (const auto& output : outputs) {
+      EXPECT_EQ(output.budget_in_force, capacity)
           << "workers=" << workers << " window ending "
           << output.estimate.window_end_us;
     }
