@@ -1,6 +1,6 @@
 // Sampler-kernel microbenchmarks (google-benchmark): per-item cost of each
-// sampling algorithm in isolation, plus ablations (OASRS allocation
-// policies, ScaSRS vs Bernoulli, grouping cost of STS).
+// sampling algorithm in isolation, plus ablations (ScaSRS vs Bernoulli,
+// grouping cost of STS).
 //
 // Before the google-benchmark suite runs, main() measures the two OASRS
 // offer paths (per-record offer() and offer_run() over same-stratum runs,
@@ -155,28 +155,6 @@ void BM_StreamingBernoulli(benchmark::State& state) {
                           static_cast<std::int64_t>(records.size()));
 }
 BENCHMARK(BM_StreamingBernoulli);
-
-// ---- OASRS allocation policy ablation (equal vs proportional).
-
-void BM_OasrsAllocationPolicy(benchmark::State& state) {
-  const auto records = bench_stream(1 << 16);
-  const auto policy = static_cast<sampling::AllocationPolicy>(state.range(0));
-  for (auto _ : state) {
-    sampling::OasrsConfig config;
-    config.total_budget = records.size() / 10;
-    config.policy = policy;
-    config.seed = 17;
-    auto sampler = sampling::make_oasrs<Record>(config);
-    for (const auto& record : records) sampler.offer(record);
-    auto sample = sampler.take();
-    benchmark::DoNotOptimize(sample.strata.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(records.size()));
-}
-BENCHMARK(BM_OasrsAllocationPolicy)
-    ->Arg(static_cast<int>(sampling::AllocationPolicy::kEqual))
-    ->Arg(static_cast<int>(sampling::AllocationPolicy::kProportional));
 
 // ---- Saved offer-path runs: BENCH_micro_samplers.json ----------------------
 

@@ -131,15 +131,6 @@ class Rng {
     return value <= 0.0 ? 0 : static_cast<std::uint64_t>(value + 0.5);
   }
 
-  /// Exponential with the given rate (mean 1/rate).
-  double exponential(double rate) noexcept {
-    double u = 0.0;
-    do {
-      u = uniform();
-    } while (u <= 0.0);
-    return -std::log(u) / rate;
-  }
-
   /// Log-normal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept {
     return std::exp(gaussian(mu, sigma));

@@ -15,7 +15,6 @@ PipelineDriver::PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
     : config_(std::move(config)),
       on_output_(std::move(on_output)),
       assembler_(config_.window),
-      feedback_(config_.initial_budget),
       slide_budget_(config_.initial_budget),
       shards_(std::max<std::size_t>(1, shards)) {
   for (auto& sink : config_.queries.clone_sinks()) {
@@ -54,10 +53,20 @@ void PipelineDriver::drive_fallback_controller() {
   // carries the fallback target, but the user still asked for accuracy-
   // driven adaptation, so the first query's observed bound drives one
   // controller rather than the budget staying pinned where it stands.
-  if (feedback_.empty() && fallback_target() && !queries_.empty()) {
-    queries_.front().controller = feedback_.add_target(
+  if (!controller_budget() && fallback_target() && !queries_.empty()) {
+    queries_.front().controller.emplace(
         *fallback_target(), slide_budget_.load(std::memory_order_relaxed));
   }
+}
+
+std::optional<std::size_t> PipelineDriver::controller_budget() const {
+  std::optional<std::size_t> budget;
+  for (const auto& q : queries_) {
+    if (q.controller) {
+      budget = std::max(budget.value_or(0), q.controller->budget());
+    }
+  }
+  return budget;
 }
 
 void PipelineDriver::register_sink(
@@ -72,7 +81,7 @@ void PipelineDriver::register_sink(
   }
   sink->bind(config_.window, config_.z);
   if (const auto target = sink->accuracy_target(fallback_target())) {
-    q.controller = feedback_.add_target(*target, seed_budget);
+    q.controller.emplace(*target, seed_budget);
   }
   const std::size_t slides_per_window =
       std::max<std::size_t>(1, config_.window.slides_per_window());
@@ -149,7 +158,6 @@ void PipelineDriver::apply_pending_ops() {
     } else {
       for (auto it = queries_.begin(); it != queries_.end(); ++it) {
         if (it->sink->name() == op.detach_name) {
-          if (it->controller) feedback_.remove_target(*it->controller);
           if (it->subscription) it->subscription->close();
           queries_.erase(it);
           break;
@@ -159,17 +167,16 @@ void PipelineDriver::apply_pending_ops() {
   }
   pending_.clear();
   drive_fallback_controller();
-  if (!feedback_.empty()) {
+  if (const auto budget = controller_budget()) {
     // Membership changed: the strictest-target budget is rebuilt from the
-    // surviving (and newly seeded) controllers. An emptied bank instead
-    // falls back to the config budget via the cost function at this very
-    // slide's close (the feedback_.empty() path in complete_slide).
-    slide_budget_.store(feedback_.budget(), std::memory_order_relaxed);
+    // surviving (and newly seeded) controllers. With none left, the config
+    // budget takes over through the cost function at this very slide's
+    // close (the no-controller path in complete_slide).
+    slide_budget_.store(*budget, std::memory_order_relaxed);
   }
   live_names_.clear();
   for (const auto& q : queries_) live_names_.push_back(q.sink->name());
   live_query_count_.store(queries_.size(), std::memory_order_release);
-  registry_generation_.fetch_add(1, std::memory_order_release);
   // Membership changed: workers provisioning NEWLY opened slides must see
   // the new spec set. Slides already open keep their old states; a spec
   // they miss surfaces as an incomplete slide and the sink withholds that
@@ -407,13 +414,15 @@ void PipelineDriver::complete_slide(
     // except queries attached mid-window, which wait until the first
     // window made entirely of slides they observed.
     output.queries.reserve(queries_.size());
-    std::vector<std::pair<std::size_t, double>> bounds;
     for (auto& q : queries_) {
       if (slide_index < q.first_window_slide) continue;
       output.queries.push_back(q.sink->evaluate(*window));
       const QueryOutput& mine = output.queries.back();
       if (q.controller) {
-        bounds.emplace_back(*q.controller, mine.observed_relative_bound);
+        // Adaptive feedback (§4.2): each targeted query's controller sees
+        // that query's own observed bound.
+        q.controller->update(mine.observed_relative_bound);
+        fed_back = true;
       }
       if (q.subscription) {
         // The per-query channel gets a self-contained WindowOutput: this
@@ -431,22 +440,17 @@ void PipelineDriver::complete_slide(
       output.estimate = output.queries.front().estimate;
     }
     if (on_output_) on_output_(output);
-
-    // Adaptive feedback (§4.2), generalised to N queries: each targeted
-    // query's controller sees its own observed bound, and the strictest
-    // requirement (max budget) drives the sample size. Controllers whose
-    // query had no whole window yet keep their seed budget.
-    if (!bounds.empty()) {
-      slide_budget_.store(feedback_.update_targets(bounds),
-                          std::memory_order_relaxed);
-      fed_back = true;
-    }
   }
-  if (!fed_back && feedback_.empty() &&
-      config_.budget.kind != estimation::BudgetKind::kRelativeError) {
+  if (fed_back) {
+    // The strictest requirement (max budget) drives the sample size.
+    // Controllers whose query had no whole window yet keep their seed
+    // budget.
+    slide_budget_.store(*controller_budget(), std::memory_order_relaxed);
+  } else if (!controller_budget() &&
+             config_.budget.kind != estimation::BudgetKind::kRelativeError) {
     // No accuracy target anywhere: re-derive the sample size from the cost
     // function using the freshest arrival count, one worker per shard. An
-    // accuracy budget is the feedback bank's alone.
+    // accuracy budget is the controllers' alone.
     slide_budget_.store(
         std::max<std::size_t>(1, estimation::sample_size(config_.budget,
                                                          slide_seen,

@@ -37,8 +37,9 @@
 //     evaluates only windows whose EVERY slide it observed — no
 //     partial-window results (its first window starts at or after the
 //     attach boundary);
-//   * a detached sink stops at its boundary, its FeedbackController retires
-//     with it, and the FeedbackBank's strictest-target budget is rebuilt;
+//   * a detached sink stops at its boundary, the FeedbackController it
+//     holds retires with it, and the strictest-target budget is rebuilt
+//     from the controllers of the queries that remain;
 //   * the data plane is untouched: feeders and the sampling hot path never
 //     see the control mutex — complete_slide reads one atomic generation
 //     counter per slide and takes the lock only when membership actually
@@ -50,8 +51,8 @@
 // lock is shared between two feeders. Exactly one lifecycle thread drives
 // advance/finish/close_slide_sample and next_to_close()/kernel_stats(); the
 // late fence and the cold-start pin it shares with the feeders are atomics.
-// attach_query/detach_query/registry_generation, current_budget(),
-// slide_sampler_config() and sketch_plan() are safe from any thread.
+// attach_query/detach_query/query_count, slide_sampler_config() and
+// sketch_plan() are safe from any thread.
 // Everything else is lifecycle-thread-only.
 #pragma once
 
@@ -183,12 +184,6 @@ class PipelineDriver {
 
   // ---- Live ingest (each feeder thread on its own shard) -----------------
 
-  /// Routes one record into its slide on shard 0: offer_batch over one
-  /// record. Returns true when the record was accepted.
-  bool offer(const engine::Record& record) {
-    return offer_batch(&record, 1) == 1;
-  }
-
   /// The one way records enter a slide: routes a batch into `shard`'s open
   /// slides under one shard-mutex acquisition, with one slide lookup per
   /// run of consecutive same-slide records (event-time-ordered input makes
@@ -199,11 +194,6 @@ class PipelineDriver {
   /// accepted.
   std::size_t offer_batch(const engine::Record* records, std::size_t count,
                           std::size_t shard = 0);
-
-  /// Convenience overload over a whole vector, on shard 0.
-  std::size_t offer_batch(const std::vector<engine::Record>& records) {
-    return offer_batch(records.data(), records.size());
-  }
 
   /// Records that `my_strata` of `total_strata` known strata route to
   /// `shard` (the exchange's occupancy stamp), so slides the shard opens
@@ -250,8 +240,9 @@ class PipelineDriver {
   /// budget / shards fallback when occupancy is not supplied (either count
   /// 0). The flat split undershoots whenever strata spread unevenly (3
   /// strata over 4 workers sample ~half the budget); occupancy-aware shares
-  /// restore Σ shard budgets ≈ budget. Safe from any thread (reads only the
-  /// atomic budget and immutable config).
+  /// restore Σ shard budgets ≈ budget. The unsplit total_budget is the
+  /// per-slide budget in force. Safe from any thread (reads only the atomic
+  /// budget and immutable config).
   sampling::OasrsConfig slide_sampler_config(std::int64_t slide,
                                              std::size_t shard = 0,
                                              std::size_t shards = 1,
@@ -275,8 +266,8 @@ class PipelineDriver {
   /// appearing in the shared WindowOutput::queries; with capacity 0 no
   /// channel is created and nullptr is returned. If the sink carries an
   /// accuracy target (explicit, or inherited from an accuracy-kind budget),
-  /// its FeedbackController joins the bank seeded at the budget currently
-  /// in force. A null sink attaches nothing and returns nullptr.
+  /// it gets its own FeedbackController seeded at the budget currently in
+  /// force. A null sink attaches nothing and returns nullptr.
   std::shared_ptr<QuerySubscription> attach_query(
       std::unique_ptr<QuerySink> sink, std::size_t subscription_capacity = 0);
 
@@ -284,19 +275,12 @@ class PipelineDriver {
   /// that name is cancelled at once (its channel closes). Otherwise the
   /// detach of the first live query under `name` is queued for the next
   /// slide-close boundary: the sink stops observing slides, its controller
-  /// (if any) retires and the FeedbackBank budget is rebuilt from the
-  /// remaining targets, and its subscription channel (if any) closes after
-  /// the buffered outputs. Returns false when the name is unknown or its
+  /// (if any) retires with it and the budget is rebuilt from the remaining
+  /// queries' controllers, and its subscription channel (if any) closes
+  /// after the buffered outputs. Returns false when the name is unknown or its
   /// detach is already queued (a repeated detach retires nothing more, even
   /// when another query shares the name).
   bool detach_query(const std::string& name);
-
-  /// Monotone registry generation: bumps every time attach/detach
-  /// operations actually take effect at a boundary. Lets tests and
-  /// monitors await "membership changed".
-  std::uint64_t registry_generation() const noexcept {
-    return registry_generation_.load(std::memory_order_acquire);
-  }
 
   /// Number of live queries: boundary-applied, so a queued attach or detach
   /// shows from the next slide close on.
@@ -305,13 +289,6 @@ class PipelineDriver {
   }
 
   // ---- Introspection ------------------------------------------------------
-
-  /// The per-slide sample budget currently in force (atomic: feeders read
-  /// it when their shard opens a slide, concurrently with the lifecycle
-  /// thread re-tuning it).
-  std::size_t current_budget() const noexcept {
-    return slide_budget_.load(std::memory_order_relaxed);
-  }
 
   /// The next slide index to close; before the first close, the earliest
   /// slide any shard opened (the cold-start fix: a stream starting at a
@@ -373,8 +350,9 @@ class PipelineDriver {
   /// One live registry entry: the sink plus its lifecycle bookkeeping.
   struct RegisteredQuery {
     std::unique_ptr<QuerySink> sink;
-    /// Stable FeedbackBank id when the query drives a controller.
-    std::optional<std::size_t> controller;
+    /// Set when the query drives the budget: its accuracy target, or the
+    /// accuracy budget's fallback on the first query.
+    std::optional<estimation::FeedbackController> controller;
     /// First slide index (assembler-relative) whose window this query may
     /// evaluate: attach_slide + slides_per_window - 1, so every evaluated
     /// window consists solely of slides the sink observed.
@@ -400,6 +378,10 @@ class PipelineDriver {
   /// rebuilds the feedback budget if membership changed. Cheap when nothing
   /// is pending (one relaxed atomic load).
   void apply_pending_ops();
+
+  /// The max budget over the live queries' controllers (the strictest
+  /// query wins), or nullopt when no query holds one. Lifecycle thread only.
+  std::optional<std::size_t> controller_budget() const;
 
   /// The config-level fallback accuracy target (set when the run's budget
   /// is accuracy-kind).
@@ -435,8 +417,8 @@ class PipelineDriver {
   OutputFn on_output_;
 
   engine::SlidingWindowAssembler assembler_;
-  /// One controller per accuracy-targeted query; budget = max across them.
-  estimation::FeedbackBank feedback_;
+  /// The per-slide budget in force: feeders read it when their shard opens
+  /// a slide, concurrently with the lifecycle thread re-tuning it.
   std::atomic<std::size_t> slide_budget_;
 
   /// The live query registry in registration order. Lifecycle thread only;
@@ -457,7 +439,6 @@ class PipelineDriver {
   /// applied_generation_ to skip the lock when nothing is pending.
   std::atomic<std::uint64_t> control_generation_{0};
   std::uint64_t applied_generation_ = 0;  ///< lifecycle thread only
-  std::atomic<std::uint64_t> registry_generation_{0};
   std::atomic<std::size_t> live_query_count_{0};
 
   // ---- Sketch plan (worker-visible spec snapshot) ------------------------

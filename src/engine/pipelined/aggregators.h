@@ -45,7 +45,8 @@ class ExactSlideAggregator final : public SlideAggregator {
 /// OASRS sampling + aggregation operator (Flink-based StreamApprox). Records
 /// are offered to a per-worker OASRS sampler; at the slide boundary the
 /// sample is aggregated (the query runs over Y_i items only) and reported as
-/// cells with the Eq. 1 weights.
+/// cells with the Eq. 1 weights. Each take() ends the sampler's interval, so
+/// every slide splits the budget over the strata it sees.
 class OasrsSlideAggregator final : public SlideAggregator {
  public:
   /// `config` controls the per-slide sampling budget; `work` is the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace streamapprox::estimation {
 
@@ -29,59 +28,6 @@ std::size_t FeedbackController::update(double observed_relative_bound) {
   budget_ = std::clamp(static_cast<std::size_t>(std::llround(next)),
                        kMinBudget, kMaxBudget);
   return budget_;
-}
-
-FeedbackBank::FeedbackBank(std::size_t initial_budget)
-    : initial_budget_(initial_budget) {}
-
-std::size_t FeedbackBank::add_target(double target_relative_error) {
-  return add_target(target_relative_error, initial_budget_);
-}
-
-std::size_t FeedbackBank::add_target(double target_relative_error,
-                                     std::size_t seed_budget) {
-  const std::size_t id = next_id_++;
-  controllers_.push_back(
-      Slot{id, FeedbackController(target_relative_error, seed_budget)});
-  return id;
-}
-
-bool FeedbackBank::remove_target(std::size_t id) {
-  for (auto it = controllers_.begin(); it != controllers_.end(); ++it) {
-    if (it->id == id) {
-      controllers_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t FeedbackBank::update_targets(
-    const std::vector<std::pair<std::size_t, double>>& observed_by_id) {
-  for (const auto& [id, bound] : observed_by_id) {
-    bool found = false;
-    for (auto& slot : controllers_) {
-      if (slot.id == id) {
-        slot.controller.update(bound);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw std::invalid_argument(
-          "FeedbackBank::update_targets: unknown controller id");
-    }
-  }
-  return budget();
-}
-
-std::size_t FeedbackBank::budget() const noexcept {
-  if (controllers_.empty()) return initial_budget_;
-  std::size_t max_budget = 0;
-  for (const auto& slot : controllers_) {
-    max_budget = std::max(max_budget, slot.controller.budget());
-  }
-  return max_budget;
 }
 
 }  // namespace streamapprox::estimation

@@ -152,10 +152,6 @@ class Exchange {
 
   // ---- Introspection ------------------------------------------------------
 
-  /// Heartbeat-pool allocation high-water mark.
-  std::size_t heartbeats_allocated() const {
-    return heartbeat_pool_.allocated();
-  }
   /// Highest event time routed downstream so far (kNoWatermark before any).
   /// The merger subtracts a slide's end from this at close time to measure
   /// watermark lag — how far ingest had run ahead when the slide sealed.

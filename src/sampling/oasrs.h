@@ -3,6 +3,13 @@
 // stratum, strata discovered on the fly, per-interval counters C_i, weights
 // W_i per Eq. 1, no knowledge of sub-stream statistics required and no
 // synchronisation between workers.
+//
+// One capacity rule: every stratum seen shares the interval's budget
+// equally (capacity_for), on discovery, on a budget change and on merge. An
+// equal share is what keeps a rare sub-stream's sample from starving, where
+// Spark STS's proportional sampleByKey gives it only its fraction. A
+// sampler lives one interval: take() hands the sample on and forgets the
+// strata, so the next interval discovers them again under the same rule.
 #pragma once
 
 #include <algorithm>
@@ -13,7 +20,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "sampling/allocation.h"
 #include "sampling/reservoir.h"
 #include "sampling/sample.h"
 
@@ -21,14 +27,13 @@ namespace streamapprox::sampling {
 
 /// Configuration for an OasrsSampler.
 struct OasrsConfig {
-  /// Total per-interval sample budget (split across strata by `policy`).
-  /// When 0, `per_stratum_capacity` is used directly for every stratum.
+  /// Total per-interval sample budget, split equally across the strata
+  /// seen. When 0, `per_stratum_capacity` is used directly for every
+  /// stratum.
   std::size_t total_budget = 0;
   /// Fixed reservoir capacity per stratum (used when total_budget == 0, the
   /// paper's "fixed-size reservoir per stratum" presentation in Fig. 2).
   std::size_t per_stratum_capacity = 64;
-  /// Budget-splitting policy when total_budget > 0.
-  AllocationPolicy policy = AllocationPolicy::kEqual;
   /// RNG seed; each stratum forks its own generator deterministically.
   std::uint64_t seed = 0x0a5125ULL;
 };
@@ -48,8 +53,8 @@ struct OasrsKernelStats {
 /// stratum encountered mid-interval immediately receives its own reservoir —
 /// OASRS "does not overlook any sub-streams regardless of their popularity"
 /// (§3.2). Call take() at the end of every time interval (batch or window
-/// slide) to obtain the (sample, W) pair of Algorithm 3 and reset counters
-/// for the next interval.
+/// slide) to obtain the (sample, W) pair of Algorithm 3; the sampler then
+/// starts the next interval with no strata.
 template <typename T, typename KeyFn = std::function<StratumId(const T&)>>
 class OasrsSampler {
  public:
@@ -59,10 +64,7 @@ class OasrsSampler {
 
   /// Offers one arriving item (paper Algorithm 3 inner loop): updates the
   /// stratum counter C_i and the stratum reservoir.
-  void offer(const T& item) {
-    ++interval_seen_;
-    reservoir_for(key_(item)).offer(item);
-  }
+  void offer(const T& item) { reservoir_for(key_(item)).offer(item); }
 
   /// Offers a contiguous same-stratum run of items whose stratum the caller
   /// already knows, fed by offer_batch: one reservoir lookup per run, then
@@ -70,7 +72,6 @@ class OasrsSampler {
   /// items written to the sample.
   std::size_t offer_run(const StratumId id, const T* items, std::size_t n) {
     if (n == 0) return 0;
-    interval_seen_ += n;
     const std::size_t accepted = reservoir_for(id).offer_run(items, n);
     ++stats_.bulk_runs;
     stats_.accepted += accepted;
@@ -98,68 +99,43 @@ class OasrsSampler {
     offer_batch(items.data(), items.size());
   }
 
-  /// Ends the current interval: returns every stratum's (items, C_i, W_i)
-  /// and resets all reservoirs and counters. Strata are reported in first-
-  /// seen order for deterministic output. Under the kProportional policy,
-  /// next-interval capacities follow this interval's observed arrival counts
-  /// (the STS-style allocation, kept for ablation); the default kEqual split
-  /// keeps every stratum's capacity identical, which is what makes OASRS
-  /// robust to arrival-rate fluctuation.
+  /// Ends the interval: returns every stratum's (items, C_i, W_i) in first-
+  /// seen order, for deterministic output, and forgets the strata.
   StratifiedSample<T> take() {
     StratifiedSample<T> result;
     result.strata.reserve(order_.size());
-    std::vector<std::uint64_t> counts;
-    counts.reserve(order_.size());
     for (const StratumId id : order_) {
       Reservoir& reservoir = reservoirs_.at(id);
-      counts.push_back(reservoir.seen());
       StratumSample<T> s;
       s.stratum = id;
       s.seen = reservoir.seen();
       s.weight = reservoir.weight();
       s.items = reservoir.take_items();
-      if (s.seen > 0) result.strata.push_back(std::move(s));
+      result.strata.push_back(std::move(s));
     }
-    const auto capacities =
-        config_.total_budget > 0
-            ? allocate_capacities(config_.total_budget, order_.size(),
-                                  config_.policy, counts)
-            : std::vector<std::size_t>(order_.size(),
-                                       config_.per_stratum_capacity);
+    reservoirs_.clear();
+    order_.clear();
     max_capacity_ = 0;
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-      reservoirs_.at(order_[i]).reset(capacities[i]);
-      max_capacity_ = std::max(max_capacity_, capacities[i]);
-    }
-    interval_seen_ = 0;
     return result;
   }
 
-  /// Adjusts the total budget (adaptive feedback, §4.2: "increase the sample
-  /// size ... in the subsequent epochs"). Empty reservoirs re-tune at once;
-  /// reservoirs already filling this interval shrink immediately if the
-  /// budget fell, and pick up a larger budget at the next reset — growing a
-  /// live reservoir would bias it toward recent items.
+  /// Adjusts the total budget mid-interval (the occupancy share of a
+  /// sharded slide, core/pipeline_driver.h). Reservoirs shrink at once if
+  /// their share fell, and keep their capacity if it grew — growing a live
+  /// reservoir would bias it toward recent items; strata discovered later
+  /// get the new share.
   void set_total_budget(std::size_t budget) {
     config_.total_budget = budget;
     if (budget == 0) return;
     const std::size_t capacity = capacity_for(order_.size());
     for (auto& [id, reservoir] : reservoirs_) {
-      if (reservoir.seen() == 0) {
-        reservoir.reset(capacity);
-      } else {
-        reservoir.shrink_capacity(capacity);
-      }
+      reservoir.shrink_capacity(capacity);
     }
     if (!reservoirs_.empty()) max_capacity_ = capacity;
   }
 
-  /// Number of strata discovered so far.
+  /// Number of strata discovered in the current interval.
   std::size_t stratum_count() const noexcept { return reservoirs_.size(); }
-
-  /// Total items offered in the current interval — a running counter, not a
-  /// map walk; merge and take keep it in sync with the per-stratum C_i sums.
-  std::uint64_t interval_seen() const noexcept { return interval_seen_; }
 
   /// Run counters accumulated so far (survive take(); a window's
   /// worth is read by the merger at slide close).
@@ -171,7 +147,6 @@ class OasrsSampler {
   /// without any synchronisation during sampling itself. Consumes the other
   /// sampler's items (it is owned by the caller on the slide-close path).
   void merge(OasrsSampler& other) {
-    interval_seen_ += other.interval_seen_;
     stats_.bulk_runs += other.stats_.bulk_runs;
     stats_.accepted += other.stats_.accepted;
     stats_.skipped += other.stats_.skipped;
@@ -179,7 +154,7 @@ class OasrsSampler {
       auto& theirs = other.reservoirs_.at(id);
       auto it = reservoirs_.find(id);
       if (it == reservoirs_.end()) {
-        const std::size_t capacity = stratum_capacity();
+        const std::size_t capacity = capacity_for(order_.size());
         it = reservoirs_.emplace(id, make_reservoir(capacity)).first;
         order_.push_back(id);
         max_capacity_ = std::max(max_capacity_, capacity);
@@ -235,8 +210,6 @@ class OasrsSampler {
                                  config_.total_budget > 0 ? 1 : 0);
   }
 
-  std::size_t stratum_capacity() const { return capacity_for(order_.size()); }
-
   OasrsConfig config_;
   KeyFn key_;
   streamapprox::Rng rng_;
@@ -245,9 +218,6 @@ class OasrsSampler {
   /// High-water reservoir capacity: when a new stratum's share is not below
   /// it, no reservoir can need shrinking and the re-split pass is skipped.
   std::size_t max_capacity_ = 0;
-  /// Running interval counter (sum of every stratum's C_i since the last
-  /// take()), so interval_seen() is O(1) instead of an O(strata) map walk.
-  std::uint64_t interval_seen_ = 0;
   OasrsKernelStats stats_;
 };
 

@@ -76,24 +76,13 @@ class ReservoirSampler {
                : 1.0;
   }
 
-  /// Clears sample and counter for the next time interval. The capacity may
-  /// be changed at the same time (adaptive feedback re-tunes it, §4.2).
-  void reset(std::size_t new_capacity) {
-    capacity_ = new_capacity;
-    items_.clear();
-    seen_ = 0;
-  }
-
-  /// Clears sample and counter, keeping the capacity.
-  void reset() { reset(capacity_); }
-
   /// Shrinks the capacity mid-stream, discarding uniformly random items if
   /// the sample currently exceeds it. Statistically sound: a uniform random
   /// subsample of a uniform random sample is itself uniform, and Algorithm R
   /// keeps uniformity when continuing with the smaller N. Used by OASRS when
   /// a newly discovered stratum dilutes the shared budget (Algorithm 3's
   /// getSampleSize over a growing stratum set). Growing mid-stream is NOT
-  /// offered — it would bias toward recent items; growth applies at reset.
+  /// offered — it would bias toward recent items.
   void shrink_capacity(std::size_t new_capacity) {
     if (new_capacity >= capacity_) return;
     capacity_ = new_capacity;

@@ -1,7 +1,7 @@
 // Tests for OASRS (paper Algorithm 3): per-stratum fairness, Eq. 1 weights,
-// on-the-fly stratum discovery, interval reset semantics, budget allocation,
-// same-stratum run offers and their counters, allocation of taken samples,
-// distributed merge.
+// on-the-fly stratum discovery, the one-interval lifetime, the equal budget
+// split, same-stratum run offers and their counters, allocation of taken
+// samples, distributed merge.
 #include "sampling/oasrs.h"
 
 #include <gtest/gtest.h>
@@ -56,6 +56,21 @@ TEST(Oasrs, NoSubStreamOverlooked) {
   EXPECT_EQ(tiny.stratum, 1u);
   EXPECT_EQ(tiny.items.size(), 3u);     // all of them
   EXPECT_DOUBLE_EQ(tiny.weight, 1.0);   // each represents itself
+
+  // A budget below the stratum count still leaves every stratum one slot.
+  OasrsConfig config;
+  config.total_budget = 2;
+  config.seed = 2;
+  auto scarce = make_oasrs<Record>(config);
+  for (int i = 0; i < 50; ++i) {
+    scarce.offer(make_record(static_cast<StratumId>(i % 5), 1.0));
+  }
+  const auto sampled = scarce.take();
+  ASSERT_EQ(sampled.strata.size(), 5u);
+  for (const auto& stratum : sampled.strata) {
+    EXPECT_EQ(stratum.items.size(), 1u) << "stratum " << stratum.stratum;
+    EXPECT_DOUBLE_EQ(stratum.weight, 10.0);
+  }
 }
 
 TEST(Oasrs, WeightsFollowEquationOne) {
@@ -92,8 +107,8 @@ TEST(Oasrs, TotalBudgetSplitsEqually) {
   config.total_budget = 30;
   config.seed = 6;
   auto sampler = make_oasrs<Record>(config);
-  // First stratum discovered gets the full budget as its capacity (only one
-  // stratum known); later strata get smaller equal shares for NEW intervals.
+  // Each discovery re-splits the budget: once the first three records have
+  // arrived, every stratum's share is budget/3 = 10, in every interval.
   for (int i = 0; i < 1000; ++i) {
     sampler.offer(make_record(0, 1.0));
     sampler.offer(make_record(1, 1.0));
@@ -101,7 +116,6 @@ TEST(Oasrs, TotalBudgetSplitsEqually) {
   }
   auto sample = sampler.take();
   ASSERT_EQ(sample.strata.size(), 3u);
-  // Next interval: all three reservoirs re-created at budget/3 = 10.
   for (int i = 0; i < 1000; ++i) {
     sampler.offer(make_record(0, 1.0));
     sampler.offer(make_record(1, 1.0));
@@ -150,12 +164,41 @@ TEST(Oasrs, InterleavedStrataSampleIndependently) {
   }
 }
 
-TEST(Oasrs, IntervalSeenCountsEverything) {
-  auto sampler = make_oasrs<Record>(fixed_capacity_config(2, 9));
-  for (int i = 0; i < 123; ++i) {
-    sampler.offer(make_record(static_cast<StratumId>(i % 3), 1.0));
+// A sampler lives one interval: take() leaves no strata behind, so a second
+// interval over the same records splits the budget exactly as a fresh
+// sampler does, rare stratum included.
+TEST(Oasrs, SecondIntervalMatchesAFreshSampler) {
+  std::vector<Record> records;
+  for (int i = 0; i < 2000; ++i) {
+    const int bucket = i % 100;  // 80 / 19 / 1 % skew
+    records.push_back(make_record(bucket < 80 ? 0 : bucket < 99 ? 1 : 2,
+                                  static_cast<double>(i)));
   }
-  EXPECT_EQ(sampler.interval_seen(), 123u);
+  OasrsConfig config;
+  config.total_budget = 100;
+  config.seed = 31;
+  auto reused = make_oasrs<Record>(config);
+  reused.offer_batch(records);
+  reused.take();
+  EXPECT_EQ(reused.stratum_count(), 0u);
+  reused.offer_batch(records);
+  const auto second = reused.take();
+  EXPECT_EQ(reused.stratum_count(), 0u);
+
+  config.seed = 32;
+  auto fresh = make_oasrs<Record>(config);
+  fresh.offer_batch(records);
+  const auto first = fresh.take();
+  ASSERT_EQ(second.strata.size(), 3u);
+  ASSERT_EQ(first.strata.size(), second.strata.size());
+  for (std::size_t i = 0; i < first.strata.size(); ++i) {
+    EXPECT_EQ(second.strata[i].stratum, first.strata[i].stratum);
+    EXPECT_EQ(second.strata[i].seen, first.strata[i].seen);
+    EXPECT_EQ(second.strata[i].items.size(), first.strata[i].items.size())
+        << "stratum " << first.strata[i].stratum;
+    EXPECT_DOUBLE_EQ(second.strata[i].weight, first.strata[i].weight);
+  }
+  EXPECT_EQ(second.strata[2].items.size(), 20u);  // the 1 % stratum, whole
 }
 
 TEST(Oasrs, MergeCombinesWorkers) {
@@ -208,11 +251,6 @@ TEST(Oasrs, SampledFractionApproximatesBudget) {
   config.total_budget = 3000;  // f = 0.3 of 10000 items
   config.seed = 12;
   auto sampler = make_oasrs<Record>(config);
-  // Warm-up interval so all strata are known before capacities matter.
-  for (int i = 0; i < 10000; ++i) {
-    sampler.offer(make_record(static_cast<StratumId>(i % 3), 1.0));
-  }
-  sampler.take();
   for (int i = 0; i < 10000; ++i) {
     sampler.offer(make_record(static_cast<StratumId>(i % 3), 1.0));
   }
@@ -458,8 +496,8 @@ std::vector<Record> stratified_stream(int n) {
 
 // OASRS bookkeeping exactness: every per-stratum C_i, weight, sample SIZE
 // (min(capacity, C_i), whatever the seed), stratum discovery order, and the
-// interval counter equal those of separately seeded per-stratum reservoirs
-// that re-split the budget on discovery the way OASRS does. Only sample
+// total count equal those of separately seeded per-stratum reservoirs that
+// re-split the budget on discovery the way OASRS does. Only sample
 // MEMBERSHIP may differ.
 TEST(Oasrs, CountersMatchPerStratumReservoirs) {
   constexpr std::size_t kBudget = 128;
@@ -486,9 +524,9 @@ TEST(Oasrs, CountersMatchPerStratumReservoirs) {
     it->second.offer(record);
   }
 
-  EXPECT_EQ(sampler.interval_seen(), 20000u);
   EXPECT_EQ(sampler.stratum_count(), order.size());
   const auto a = sampler.take();
+  EXPECT_EQ(a.total_seen(), 20000u);
   ASSERT_EQ(a.strata.size(), order.size());
   for (std::size_t i = 0; i < a.strata.size(); ++i) {
     const auto& expected = reference.at(order[i]);
@@ -497,20 +535,6 @@ TEST(Oasrs, CountersMatchPerStratumReservoirs) {
     EXPECT_EQ(a.strata[i].items.size(), expected.items().size());
     EXPECT_DOUBLE_EQ(a.strata[i].weight, expected.weight());
   }
-  EXPECT_EQ(sampler.interval_seen(), 0u);  // take() resets the running counter
-}
-
-// interval_seen() stays exact through merge (running counter, not map walk).
-TEST(Oasrs, IntervalSeenTracksOfferAndMerge) {
-  auto a = make_oasrs<Record>(fixed_capacity_config(16, 1));
-  auto b = make_oasrs<Record>(fixed_capacity_config(16, 2));
-  const auto records = stratified_stream(1000);
-  a.offer_batch(records.data(), 600);
-  b.offer_batch(records.data() + 600, 400);
-  EXPECT_EQ(a.interval_seen(), 600u);
-  EXPECT_EQ(b.interval_seen(), 400u);
-  a.merge(b);
-  EXPECT_EQ(a.interval_seen(), 1000u);
 }
 
 // The known-stratum offer_run path (what offer_batch feeds with each

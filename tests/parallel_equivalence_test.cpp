@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +41,15 @@ StreamApproxConfig base_config(std::size_t workers) {
   return config;
 }
 
-std::vector<WindowOutput> run_mode(
+struct StatsRun {
+  std::vector<WindowOutput> outputs;
+  ShardedRunStats stats;
+};
+
+/// Runs `records` through the facade at `workers`, replayed live into a
+/// `partitions`-partition topic: the windows plus the run's scheduler
+/// counters.
+StatsRun run_mode_with_stats(
     const std::vector<engine::Record>& records, std::size_t workers,
     std::size_t partitions,
     const std::function<void(StreamApproxConfig&)>& mutate = {}) {
@@ -50,10 +59,45 @@ std::vector<WindowOutput> run_mode(
   auto config = base_config(workers);
   if (mutate) mutate(config);
   StreamApprox system(broker, config);
-  std::vector<WindowOutput> outputs;
-  system.run([&](const WindowOutput& output) { outputs.push_back(output); });
+  StatsRun run;
+  system.run(
+      [&](const WindowOutput& output) { run.outputs.push_back(output); });
   replay.wait();
-  return outputs;
+  run.stats = system.last_run_stats();
+  return run;
+}
+
+std::vector<WindowOutput> run_mode(
+    const std::vector<engine::Record>& records, std::size_t workers,
+    std::size_t partitions,
+    const std::function<void(StreamApproxConfig&)>& mutate = {}) {
+  return run_mode_with_stats(records, workers, partitions, mutate).outputs;
+}
+
+/// What a sharded run's sample depended on, for a failure message: the
+/// steals, the records each worker absorbed, and the window that sampled the
+/// smallest share of its records.
+std::string describe_scheduling(const StatsRun& run) {
+  std::ostringstream out;
+  out << "steals " << run.stats.steals << " of "
+      << run.stats.batches_absorbed << " batches; records per worker";
+  for (const auto records : run.stats.per_worker_records) {
+    out << ' ' << records;
+  }
+  double lowest = 1.0;
+  std::int64_t lowest_end_us = 0;
+  for (const auto& output : run.outputs) {
+    if (output.records_seen == 0) continue;
+    const double share = static_cast<double>(output.records_sampled) /
+                         static_cast<double>(output.records_seen);
+    if (share < lowest) {
+      lowest = share;
+      lowest_end_us = output.estimate.window_end_us;
+    }
+  }
+  out << "; lowest window sampled fraction " << lowest
+      << " (window ending at " << lowest_end_us << " us)";
+  return out.str();
 }
 
 TEST(ParallelEquivalence, IdenticalSeenCountsPerWindow) {
@@ -448,7 +492,7 @@ TEST(ParallelEquivalence, OccupancyAwareBudgetSplitRestoresSamplingFraction) {
     c.exchange_batch_size = 256;
   };
   const auto sequential = run_mode(records, 1, 3, set_fraction);
-  const auto sharded = run_mode(records, 4, 3, set_fraction);
+  const auto sharded = run_mode_with_stats(records, 4, 3, set_fraction);
   const auto fraction = [](const std::vector<WindowOutput>& outputs) {
     std::uint64_t seen = 0;
     std::uint64_t sampled = 0;
@@ -459,12 +503,13 @@ TEST(ParallelEquivalence, OccupancyAwareBudgetSplitRestoresSamplingFraction) {
     return static_cast<double>(sampled) / static_cast<double>(seen);
   };
   const double sequential_fraction = fraction(sequential);
-  const double sharded_fraction = fraction(sharded);
+  const double sharded_fraction = fraction(sharded.outputs);
   EXPECT_GT(sequential_fraction, 0.15);
   EXPECT_LT(sequential_fraction, 0.30);
   // A flat budget/workers split lands well below 0.9× the sequential
   // fraction; the occupancy-aware split must sample comparably.
-  EXPECT_GT(sharded_fraction, 0.9 * sequential_fraction);
+  EXPECT_GT(sharded_fraction, 0.9 * sequential_fraction)
+      << describe_scheduling(sharded);
 }
 
 // ---------------------------------------------------------------------------
@@ -491,30 +536,6 @@ std::vector<engine::Record> make_hot_stream(double seconds, double rate,
   }
   workload::SyntheticStream stream(specs, seed);
   return stream.generate(seconds);
-}
-
-struct StatsRun {
-  std::vector<WindowOutput> outputs;
-  ShardedRunStats stats;
-};
-
-/// run_mode plus the scheduler counters of the sharded run.
-StatsRun run_mode_with_stats(
-    const std::vector<engine::Record>& records, std::size_t workers,
-    std::size_t partitions,
-    const std::function<void(StreamApproxConfig&)>& mutate = {}) {
-  ingest::Broker broker;
-  broker.create_topic("input", partitions);
-  ingest::ReplayTool replay(broker, "input", records, {});
-  auto config = base_config(workers);
-  if (mutate) mutate(config);
-  StreamApprox system(broker, config);
-  StatsRun run;
-  system.run(
-      [&](const WindowOutput& output) { run.outputs.push_back(output); });
-  replay.wait();
-  run.stats = system.last_run_stats();
-  return run;
 }
 
 void expect_identical_windows(const std::vector<WindowOutput>& sequential,

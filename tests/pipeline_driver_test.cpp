@@ -2,7 +2,8 @@
 // zero, sequential offer/advance/finish, the per-shard stores of open slides
 // and their one close (single-threaded and with concurrent feeders), slide
 // runs reaching the samplers, the external sample path and its ordering
-// contract, and budget re-tuning.
+// contract, and budget re-tuning by the cost function and by each targeted
+// query's own feedback controller.
 #include "core/pipeline_driver.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,11 @@ PipelineDriverConfig bare_window_config() {
   PipelineDriverConfig config;
   config.window = {1'000'000, 500'000};
   return config;
+}
+
+/// Offers one record on shard 0; true when the driver accepted it.
+bool offer(PipelineDriver& driver, const Record& record) {
+  return driver.offer_batch(&record, 1) == 1;
 }
 
 /// bare_window_config plus one overall MEAN query named "query".
@@ -48,8 +55,8 @@ TEST(PipelineDriver, ColdStartPinsFirstObservedSlide) {
   EXPECT_FALSE(driver.next_to_close().has_value());
 
   for (int i = 0; i < 3000; ++i) {
-    driver.offer(Record{static_cast<sampling::StratumId>(i % 3),
-                        1.0 + i % 7, epoch_us + i * 1000});
+    offer(driver, Record{static_cast<sampling::StratumId>(i % 3),
+                         1.0 + i % 7, epoch_us + i * 1000});
   }
   ASSERT_TRUE(driver.next_to_close().has_value());
   EXPECT_EQ(*driver.next_to_close(), epoch_us / 500'000);
@@ -66,14 +73,14 @@ TEST(PipelineDriver, SequentialAdvanceClosesBehindWatermark) {
   PipelineDriver driver(small_window_config(),
                         [&](const WindowOutput& o) { outputs.push_back(o); });
   // The caller owns the watermark: a lagging partition keeps it low.
-  driver.offer(Record{1, 1.0, 10'000});  // lagging stratum, clock 10 ms
+  offer(driver, Record{1, 1.0, 10'000});  // lagging stratum, clock 10 ms
   for (int i = 0; i < 2000; ++i) {
-    driver.offer(Record{0, 1.0, i * 1000});
+    offer(driver, Record{0, 1.0, i * 1000});
   }
   // Watermark = min(10'000, 1'999'000): no slide end passed yet.
   EXPECT_EQ(driver.advance(10'000), 0u);
   for (int i = 0; i < 2000; ++i) {
-    driver.offer(Record{1, 1.0, i * 1000});
+    offer(driver, Record{1, 1.0, i * 1000});
   }
   // Both clocks at 1'999'000: slides 0..2 close.
   EXPECT_EQ(driver.advance(1'999'000), 3u);
@@ -94,24 +101,24 @@ TEST(PipelineDriver, AdvanceTakesResolvedWatermark) {
   std::size_t windows = 0;
   PipelineDriver driver(bare_window_config(),
                         [&](const WindowOutput&) { ++windows; });
-  for (int i = 0; i < 1500; ++i) driver.offer(Record{0, 1.0, i * 1000});
+  for (int i = 0; i < 1500; ++i) offer(driver, Record{0, 1.0, i * 1000});
   EXPECT_EQ(driver.advance(engine::kNoWatermark), 0u);
   EXPECT_EQ(driver.advance(engine::kWatermarkFlush), 3u);
   EXPECT_EQ(driver.next_to_close(), 3);
   EXPECT_EQ(windows, 2u);
-  EXPECT_FALSE(driver.offer(Record{0, 1.0, 600'000}));  // slide 1: closed
+  EXPECT_FALSE(offer(driver, Record{0, 1.0, 600'000}));  // slide 1: closed
 }
 
 TEST(PipelineDriver, LateRecordsAreDroppedAfterClose) {
   PipelineDriver driver(small_window_config(), [](const WindowOutput&) {});
   for (int i = 0; i < 5000; ++i) {
-    driver.offer(Record{0, 1.0, i * 1000});
-    driver.offer(Record{1, 1.0, i * 1000});
+    offer(driver, Record{0, 1.0, i * 1000});
+    offer(driver, Record{1, 1.0, i * 1000});
   }
   ASSERT_GT(driver.advance(4'999'000), 0u);
   // A record for slide 0 is now behind the watermark.
-  EXPECT_FALSE(driver.offer(Record{0, 1.0, 1000}));
-  EXPECT_TRUE(driver.offer(Record{0, 1.0, 4'999'000}));
+  EXPECT_FALSE(offer(driver, Record{0, 1.0, 1000}));
+  EXPECT_TRUE(offer(driver, Record{0, 1.0, 4'999'000}));
 }
 
 TEST(PipelineDriver, OfferBatchMatchesPerRecordOffer) {
@@ -129,7 +136,7 @@ TEST(PipelineDriver, OfferBatchMatchesPerRecordOffer) {
     records.push_back(Record{static_cast<sampling::StratumId>(i % 3),
                              1.0 + i % 7, i * 1000});
   }
-  for (const auto& record : records) a.offer(record);
+  for (const auto& record : records) offer(a, record);
   // Feed b the same stream in chunks, as the poll loop would.
   for (std::size_t i = 0; i < records.size(); i += 512) {
     const std::size_t n = std::min<std::size_t>(512, records.size() - i);
@@ -154,7 +161,7 @@ TEST(PipelineDriver, OfferBatchDropsLateRuns) {
   PipelineDriver driver(small_window_config(), [](const WindowOutput&) {});
   std::vector<Record> warm;
   for (int i = 0; i < 5000; ++i) warm.push_back(Record{0, 1.0, i * 1000});
-  EXPECT_EQ(driver.offer_batch(warm), warm.size());
+  EXPECT_EQ(driver.offer_batch(warm.data(), warm.size()), warm.size());
   ASSERT_GT(driver.advance(4'999'000), 0u);
 
   // A batch mixing a late run (slide 0, now closed) with a live run: only
@@ -163,7 +170,7 @@ TEST(PipelineDriver, OfferBatchDropsLateRuns) {
                                Record{0, 1.0, 2000},
                                Record{0, 1.0, 4'999'000},
                                Record{0, 1.0, 4'999'500}};
-  EXPECT_EQ(driver.offer_batch(mixed), 2u);
+  EXPECT_EQ(driver.offer_batch(mixed.data(), mixed.size()), 2u);
 }
 
 /// A one-stratum slide sample: `sampled` records of value 1 standing for
@@ -237,7 +244,7 @@ TEST(PipelineDriver, SamplePathMatchesSequentialSeenCounts) {
     PipelineDriver driver(small_window_config(), [&](const WindowOutput& o) {
       sequential.push_back(o);
     });
-    for (const auto& r : records) driver.offer(r);
+    for (const auto& r : records) offer(driver, r);
     driver.advance(records.back().event_time_us);
     driver.finish();
   }
@@ -276,17 +283,20 @@ TEST(PipelineDriver, FractionBudgetRetunesFromArrivals) {
   auto config = small_window_config();
   config.budget = estimation::QueryBudget::fraction(0.2);
   PipelineDriver driver(std::move(config), [](const WindowOutput&) {});
-  const std::size_t before = driver.current_budget();
+  const auto budget = [&] {
+    return driver.slide_sampler_config(0).total_budget;
+  };
+  const std::size_t before = budget();
   for (int i = 0; i < 50000; ++i) {
-    driver.offer(Record{static_cast<sampling::StratumId>(i % 3), 1.0,
-                        i * 100});
+    offer(driver, Record{static_cast<sampling::StratumId>(i % 3), 1.0,
+                         i * 100});
   }
   driver.advance(49'999 * 100);
   driver.finish();
   // 0.2 of ~5000 records/slide: the budget moved away from the initial
   // guess toward the cost function's answer.
-  EXPECT_NE(driver.current_budget(), before);
-  EXPECT_GT(driver.current_budget(), 0u);
+  EXPECT_NE(budget(), before);
+  EXPECT_GT(budget(), 0u);
 }
 
 std::vector<Record> mixed_stream(int count) {
@@ -304,7 +314,7 @@ std::vector<WindowOutput> run_driver(PipelineDriverConfig config,
   std::vector<WindowOutput> outputs;
   PipelineDriver driver(std::move(config),
                         [&](const WindowOutput& o) { outputs.push_back(o); });
-  driver.offer_batch(records);
+  driver.offer_batch(records.data(), records.size());
   driver.advance(records.back().event_time_us);
   driver.finish();
   return outputs;
@@ -436,6 +446,79 @@ TEST(PipelineDriver, HistogramOnlyRegistryStillAdaptsToAccuracyBudget) {
   EXPECT_GT(outputs.back().budget_in_force, outputs.front().budget_in_force);
 }
 
+TEST(PipelineDriver, EachTargetedQueryHoldsItsOwnController) {
+  // Standalone controllers fed every query's reported bound predict each
+  // window's budget exactly. The strict query drives it first; after its
+  // detach the loose one does, which kept updating from its own bounds; a
+  // targeted query attached mid-stream starts from the budget in force.
+  constexpr std::size_t kInitial = 1024;
+  constexpr double kLoose = 0.5;
+  constexpr double kStrict = 0.002;
+  auto config = bare_window_config();
+  config.initial_budget = kInitial;
+  // z = 3 gives the loose query a bound of its own.
+  config.queries.aggregate("loose", {Aggregation::kMean, false}, 3.0, kLoose);
+  config.queries.aggregate("strict", {Aggregation::kMean, false},
+                           std::nullopt, kStrict);
+  std::map<std::string, estimation::FeedbackController> controllers;
+  controllers.emplace("loose",
+                      estimation::FeedbackController(kLoose, kInitial));
+  controllers.emplace("strict",
+                      estimation::FeedbackController(kStrict, kInitial));
+  const auto strictest = [&] {
+    std::size_t budget = 0;
+    for (const auto& [name, controller] : controllers) {
+      budget = std::max(budget, controller.budget());
+    }
+    return budget;
+  };
+  std::vector<std::size_t> budgets;
+  PipelineDriver driver(std::move(config), [&](const WindowOutput& o) {
+    EXPECT_EQ(o.budget_in_force, strictest())
+        << "window ending " << o.estimate.window_end_us;
+    budgets.push_back(o.budget_in_force);
+    for (const auto& q : o.queries) {
+      controllers.at(q.name).update(q.observed_relative_bound);
+    }
+  });
+  const auto records = mixed_stream(40'000);  // 2000 records per slide
+  std::size_t fed = 0;
+  const auto close_slides_through = [&](std::int64_t last) {
+    const std::int64_t end_us = (last + 1) * 500'000;
+    const std::size_t begin = fed;
+    while (fed < records.size() && records[fed].event_time_us < end_us) ++fed;
+    driver.offer_batch(records.data() + begin, fed - begin);
+    driver.advance(end_us);
+  };
+
+  close_slides_through(7);
+  ASSERT_EQ(budgets.size(), 7u);
+  const std::size_t strict_peak =
+      *std::max_element(budgets.begin(), budgets.end());
+  EXPECT_GT(strict_peak, kInitial);
+  EXPECT_GT(controllers.at("strict").budget(),
+            controllers.at("loose").budget());
+
+  ASSERT_TRUE(driver.detach_query("strict"));
+  controllers.erase("strict");  // retires at the next slide close
+  close_slides_through(11);
+  ASSERT_EQ(budgets.size(), 11u);
+  EXPECT_LT(budgets.back(), strict_peak);
+
+  auto late = std::make_unique<AggregateSink>(
+      "late", QuerySpec{Aggregation::kMean, false});
+  late->set_accuracy_target(kStrict);
+  ASSERT_EQ(driver.attach_query(std::move(late)), nullptr);
+  const std::size_t in_force = strictest();
+  EXPECT_LT(in_force, kInitial);
+  controllers.emplace("late",
+                      estimation::FeedbackController(kStrict, in_force));
+  close_slides_through(19);
+  ASSERT_EQ(budgets.size(), 19u);
+  EXPECT_GT(controllers.at("late").budget(), in_force);
+  EXPECT_EQ(driver.query_count(), 2u);
+}
+
 /// `count` records of `stratum` with event times start_us, +step_us, ...
 std::vector<Record> stratum_run(sampling::StratumId stratum, int count,
                                 std::int64_t start_us,
@@ -565,9 +648,10 @@ TEST(PipelineDriver, SlideRunsStraddlingSlidesMatchPerRecordOffer) {
   config.queries.add(std::make_unique<SampleRecorder>(&samples));
   PipelineDriver driver(config, nullptr);
   // Close slide 0 first, so the batch's slide-0 runs arrive late.
-  ASSERT_TRUE(driver.offer(Record{9, 0.0, 0}));
+  ASSERT_TRUE(offer(driver, Record{9, 0.0, 0}));
   ASSERT_EQ(driver.advance(kSlideUs), 1u);
-  EXPECT_EQ(driver.offer_batch(batch), batch.size() - 50);
+  EXPECT_EQ(driver.offer_batch(batch.data(), batch.size()),
+            batch.size() - 50);
 
   std::map<std::int64_t, PipelineDriver::Sampler> per_record;
   for (const auto& record : batch) {
@@ -671,8 +755,8 @@ TEST(PipelineDriver, ShardedSamplerConfigSplitsBudget) {
   PipelineDriver driver(small_window_config(), [](const WindowOutput&) {});
   const auto whole = driver.slide_sampler_config(7);
   const auto quarter = driver.slide_sampler_config(7, 1, 4);
-  EXPECT_EQ(whole.total_budget, driver.current_budget());
-  EXPECT_EQ(quarter.total_budget, driver.current_budget() / 4);
+  EXPECT_EQ(whole.total_budget, 1024u);  // initial_budget, before any close
+  EXPECT_EQ(quarter.total_budget, whole.total_budget / 4);
   EXPECT_NE(whole.seed, quarter.seed);
   // shard 0 of 1 reproduces the sequential seed derivation.
   EXPECT_EQ(whole.seed, driver.slide_sampler_config(7, 0, 1).seed);

@@ -50,17 +50,6 @@ TEST(Reservoir, ZeroCapacityKeepsNothing) {
   EXPECT_EQ(reservoir.seen(), 100u);
 }
 
-TEST(Reservoir, ResetClearsAndRetunes) {
-  ReservoirSampler<int> reservoir(5, 5);
-  for (int i = 0; i < 20; ++i) reservoir.offer(i);
-  reservoir.reset(8);
-  EXPECT_EQ(reservoir.seen(), 0u);
-  EXPECT_TRUE(reservoir.items().empty());
-  EXPECT_EQ(reservoir.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) reservoir.offer(i);
-  EXPECT_EQ(reservoir.items().size(), 8u);
-}
-
 // Selection uniformity: over many trials, every stream position should land
 // in the reservoir with probability N/n. Chi-square over 100 positions with
 // 99 dof: critical value at alpha=0.001 is ~148.2.
@@ -104,16 +93,12 @@ TEST(Reservoir, TakeItemsMovesOut) {
 
 // A stratum's capacity can be the whole slide budget (2^26 at the feedback
 // cap) while it holds a few records: the sample vector must grow with what
-// arrives, not reserve the capacity, at construction or at reset.
+// arrives, not reserve the capacity.
 TEST(Reservoir, AllocatesOnlyWhatItHolds) {
   constexpr std::size_t kCapacity = std::size_t{1} << 26;
   ReservoirSampler<int> reservoir(kCapacity, 17);
   for (int i = 0; i < 3; ++i) reservoir.offer(i);
   EXPECT_EQ(reservoir.items().size(), 3u);
-  EXPECT_LT(reservoir.items().capacity(), kCapacity);
-  reservoir.reset(kCapacity);
-  EXPECT_LT(reservoir.items().capacity(), kCapacity);
-  for (int i = 0; i < 3; ++i) reservoir.offer(i);
   EXPECT_LT(reservoir.items().capacity(), kCapacity);
 }
 
@@ -193,9 +178,9 @@ TEST(Reservoir, ShrinkKeepsSelectionUniform) {
 }
 
 // Counters and sizes across the operations OASRS exercises, in the order it
-// runs them: take keeps the counters, reset, shrink then continue, zero
-// capacity, merge then continue.
-TEST(Reservoir, CountersSurviveTakeResetShrinkAndMerge) {
+// runs them: take keeps the counters, shrink then continue, zero capacity,
+// merge then continue.
+TEST(Reservoir, CountersSurviveTakeShrinkAndMerge) {
   ReservoirSampler<int> r(8, 1);
   for (int i = 0; i < 100; ++i) r.offer(i);
   EXPECT_EQ(r.seen(), 100u);
@@ -207,17 +192,16 @@ TEST(Reservoir, CountersSurviveTakeResetShrinkAndMerge) {
   EXPECT_EQ(r.seen(), 100u);  // counters survive the take
   EXPECT_TRUE(r.items().empty());
 
-  r.reset(4);
-  EXPECT_EQ(r.seen(), 0u);
-  EXPECT_EQ(r.capacity(), 4u);
-  for (int i = 0; i < 50; ++i) r.offer(i);
-  r.shrink_capacity(2);
-  EXPECT_EQ(r.items().size(), 2u);
-  EXPECT_EQ(r.seen(), 50u);
-  EXPECT_DOUBLE_EQ(r.weight(), 25.0);
-  for (int i = 50; i < 200; ++i) r.offer(i);  // sampling continues
-  EXPECT_EQ(r.seen(), 200u);
-  EXPECT_EQ(r.items().size(), 2u);
+  ReservoirSampler<int> shrunk(4, 5);
+  for (int i = 0; i < 50; ++i) shrunk.offer(i);
+  shrunk.shrink_capacity(2);
+  EXPECT_EQ(shrunk.capacity(), 2u);
+  EXPECT_EQ(shrunk.items().size(), 2u);
+  EXPECT_EQ(shrunk.seen(), 50u);
+  EXPECT_DOUBLE_EQ(shrunk.weight(), 25.0);
+  for (int i = 50; i < 200; ++i) shrunk.offer(i);  // sampling continues
+  EXPECT_EQ(shrunk.seen(), 200u);
+  EXPECT_EQ(shrunk.items().size(), 2u);
 
   ReservoirSampler<int> zero(0, 2);
   int payload = 1;

@@ -110,13 +110,6 @@ TEST(Rng, PoissonZeroLambda) {
   EXPECT_EQ(rng.poisson(-5.0), 0u);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(13);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) stats.add(rng.exponential(2.0));
-  EXPECT_NEAR(stats.mean(), 0.5, 0.01);
-}
-
 TEST(Rng, LogNormalMean) {
   Rng rng(14);
   RunningStats stats;

@@ -86,7 +86,7 @@ TEST(SketchQuery, AnswersMatchExactWindowTruthWithinBounds) {
   std::vector<WindowOutput> outputs;
   PipelineDriver driver(sketch_driver_config(),
                         [&](const WindowOutput& o) { outputs.push_back(o); });
-  driver.offer_batch(records);
+  driver.offer_batch(records.data(), records.size());
   driver.finish();
   ASSERT_GE(outputs.size(), 5u);
 
@@ -160,7 +160,7 @@ TEST(SketchQuery, SketchSinksDoNotPerturbSampleBackedQueries) {
     PipelineDriver driver(config, [&](const WindowOutput& o) {
       outputs.push_back(o);
     });
-    driver.offer_batch(records);
+    driver.offer_batch(records.data(), records.size());
     driver.finish();
     return outputs;
   };
@@ -291,7 +291,7 @@ TEST(SketchQuery, ExternalSampleWithSketchesMatchesSequential) {
     PipelineDriver driver(config, [&](const WindowOutput& o) {
       sequential.push_back(o);
     });
-    driver.offer_batch(records);
+    driver.offer_batch(records.data(), records.size());
     driver.finish();
   }
 
